@@ -43,7 +43,11 @@ class UsageError(ValueError):
 
 def _load_datum(path: str) -> ShimuraDatum:
     with open(path, encoding="utf-8") as handle:
-        return datum_from_json(json.load(handle))
+        data = json.load(handle)
+    try:
+        return datum_from_json(data)
+    except KeyError as exc:
+        raise PlaceError(f"datum {path} lacks the field {exc}") from None
 
 
 def _load_link(path: str) -> links.Link:
@@ -60,13 +64,19 @@ def _default_prime(datum: ShimuraDatum, prime_id: str | None) -> str:
     return datum.places.primes[0].id
 
 
+def _require_prime(p: int) -> None:
+    if not witt.isprime(p):
+        raise UsageError(f"--p {p} is not a prime")
+
+
 def _parse_tau(datum: ShimuraDatum, token: str, prime_id: str | None = None) -> ArchPlace:
     token = token.strip()
-    if ":" in token:
-        pid, index = token.split(":", 1)
-        tau = ArchPlace(pid, int(index))
-    else:
-        tau = ArchPlace(_default_prime(datum, prime_id), int(token))
+    pid, colon, index = token.partition(":")
+    try:
+        i = int(index if colon else pid)
+    except ValueError:
+        raise UsageError(f"place {token!r} is not an index like 1 or p1:1") from None
+    tau = ArchPlace(pid if colon else _default_prime(datum, prime_id), i)
     datum.places.check_member(tau)
     return tau
 
@@ -203,6 +213,8 @@ def _cmd_link(args) -> int:
             _emit(_link_payload(link))
         return 0
     # --standard
+    if args.p is not None:
+        _require_prime(args.p)
     datum = _load_datum(args.datum_file_required())
     prime_id = _default_prime(datum, args.prime)
     kind = {k.value: k for k in links.MorphismKind}[args.standard]
@@ -224,9 +236,13 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_ample(args) -> int:
+    _require_prime(args.p)
+    try:
+        weights = [Fraction(token) for token in args.t.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--t {args.t!r} is not a comma list of rationals") from None
     datum = _load_datum(args.datum)
     basis = picard.basis_of(datum)
-    weights = [Fraction(token) for token in args.t.split(",")]
     inequalities = []
     for tau in basis:
         n, tau_minus, _ = n_tau(datum, tau)
@@ -254,6 +270,7 @@ def _cmd_ample(args) -> int:
 
 
 def _cmd_picard(args) -> int:
+    _require_prime(args.p)
     datum = _load_datum(args.datum)
     if args.matrix:
         matrix = picard.hasse_matrix(datum, args.p)
@@ -301,6 +318,7 @@ def _simulation_datum(f: int, split: bool) -> ShimuraDatum:
 
 
 def _cmd_dieudonne(args) -> int:
+    _require_prime(args.p)
     split = not args.inert if (args.split or args.inert) else (args.f % 2 == 0)
     datum = _simulation_datum(args.f, split)
     ring = dieudonne.ring_for_datum(datum, args.p, args.N)

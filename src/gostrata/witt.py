@@ -1,9 +1,23 @@
 """Exact arithmetic in truncated Witt rings W_N(F_{p^m}).
 
 Elements are coefficient tuples over Z/p^N modulo a fixed monic irreducible
-modulus; the Frobenius lift is computed once per ring by Newton iteration from
-x^p.  On top of the ring sit 2x2 matrices and rank-2 lattices with a Hermite
-canonical form, which together form the substrate of the Dieudonne simulator.
+modulus: the first one, in a fixed enumeration, that passes Rabin's
+irreducibility test over F_p.  The Frobenius lift is computed once per ring
+by Newton iteration from x^p.  On top of the ring sit 2x2 matrices and rank-2
+lattices with a Hermite canonical form, which together form the substrate of
+the Dieudonne simulator.
+
+Each ring keeps two kinds of precomputed tables, so that its hot operations
+are single passes over plain ints:
+
+- the reduction table x^m, ..., x^(2m-2) modulo the modulus.  ``mul`` forms
+  the schoolbook product without reducing, folds the high coefficients back
+  through this table, and reduces mod p^N once per output coefficient;
+- per k, the images sigma^k(x^i) for i < m, built on first use.  ``frobenius``
+  then costs one O(m^2) pass for any k, sigma^-1 = sigma^(m-1) included.
+
+Units are inverted by extended Euclid over F_p[x] in the residue field and
+Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
 
 Precision policy: every ring carries a budget of N - RESERVE trusted p-adic
 digits.  Operations that would need valuations at or beyond the budget raise
@@ -13,11 +27,8 @@ instead of silently truncating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-
-from sympy import GF, Poly, isprime
-from sympy.abc import x as _x
 
 RESERVE = 4
 
@@ -39,6 +50,102 @@ class NotSplit:
 NOT_SPLIT = NotSplit()
 
 
+def isprime(n: int) -> bool:
+    """Primality by trial division (the primes used here are small)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# --- polynomials over F_p: little-endian coefficient lists, trimmed ----------
+
+
+def _poly_trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _poly_trim([c % p for c in out])
+
+
+def _poly_rem(a: list, b: list, p: int) -> list:
+    """The remainder of a modulo a nonzero trimmed b."""
+    rem = [c % p for c in a]
+    db = len(b) - 1
+    lead = pow(b[-1], -1, p)
+    for d in range(len(rem) - 1 - db, -1, -1):
+        c = rem[d + db] * lead % p
+        if c:
+            for j, bj in enumerate(b, d):
+                rem[j] = (rem[j] - c * bj) % p
+    return _poly_trim(rem[:db])
+
+
+def _poly_pow_mod(a: list, k: int, modulus, p: int) -> list:
+    result, base = [1], _poly_rem(a, modulus, p)
+    while k:
+        if k & 1:
+            result = _poly_rem(_poly_mul(result, base, p), modulus, p)
+        base = _poly_rem(_poly_mul(base, base, p), modulus, p)
+        k >>= 1
+    return result
+
+
+def _poly_gcdex(a: list, b: list, p: int) -> tuple[list, list]:
+    """(g, s) with g a gcd of a and b, and s * a = g modulo b.
+
+    Each division step updates the remainder and its cofactor in one pass.
+    """
+    r0, r1 = _poly_trim([c % p for c in a]), _poly_trim([c % p for c in b])
+    s0, s1 = [1], []
+    while r1:
+        lead = pow(r1[-1], -1, p)
+        db = len(r1) - 1
+        while len(r0) > db:
+            d = len(r0) - 1 - db
+            c = r0[-1] * lead % p
+            for j, u in enumerate(r1, d):
+                r0[j] = (r0[j] - c * u) % p
+            _poly_trim(r0)
+            if s1:
+                s0 += [0] * (d + len(s1) - len(s0))
+                for j, u in enumerate(s1, d):
+                    s0[j] = (s0[j] - c * u) % p
+                _poly_trim(s0)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return r0, s0
+
+
+def _is_irreducible(modulus, p: int) -> bool:
+    """Rabin's test: x^(p^m) = x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for
+    every prime r dividing m = deg f."""
+    m = len(modulus) - 1
+    x = _poly_rem([0, 1], modulus, p)
+    if _poly_pow_mod(x, p**m, modulus, p) != x:
+        return False
+    for r in range(2, m + 1):
+        if m % r == 0 and isprime(r):
+            h = _poly_pow_mod(x, p ** (m // r), modulus, p)
+            h_minus_x = [u - v for u, v in itertools.zip_longest(h, x, fillvalue=0)]
+            if len(_poly_gcdex(h_minus_x, modulus, p)[0]) != 1:
+                return False
+    return True
+
+
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Little-endian coefficients of the first monic irreducible of degree m."""
     for k in itertools.count():
@@ -49,38 +156,18 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         if val:
             raise WittError(f"no irreducible polynomial found for p={p}, m={m}")
         coeffs = digits + [1]
-        poly = Poly(list(reversed(coeffs)), _x, domain=GF(p))
-        if poly.is_irreducible:
+        if _is_irreducible(coeffs, p):
             return tuple(coeffs)
 
 
-def _poly_mul_mod(a, b, modulus, q):
-    """Product of coefficient tuples modulo (monic modulus, q)."""
-    m = len(modulus) - 1
-    prod = [0] * max(2 * m - 1, 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
+def _apply(table, a: WElem, pn: int) -> WElem:
+    """The linear map sending x^i to table[i], applied to a, mod pn."""
+    acc = [0] * len(table)
+    for c, image in zip(a, table):
         if c:
-            prod[d] = 0
-            for j in range(m):
-                prod[d - m + j] = (prod[d - m + j] - c * modulus[j]) % q
-    return tuple(prod[:m])
-
-
-def _poly_pow_mod(a, k, modulus, q):
-    m = len(modulus) - 1
-    result = (1,) + (0,) * (m - 1)
-    base = a
-    while k:
-        if k & 1:
-            result = _poly_mul_mod(result, base, modulus, q)
-        base = _poly_mul_mod(base, base, modulus, q)
-        k >>= 1
-    return result
+            for j, e in enumerate(image):
+                acc[j] += c * e
+    return tuple([v % pn for v in acc])
 
 
 @dataclass(frozen=True)
@@ -90,14 +177,40 @@ class WittRing:
     N: int
     modulus: tuple[int, ...]
     frob_image: WElem
+    # derived from the fields above, so left out of equality and hashing
+    pn: int = field(init=False, repr=False, compare=False)
+    budget: int = field(init=False, repr=False, compare=False)
+    _reduce: tuple = field(init=False, repr=False, compare=False)
+    _sigma: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def pn(self) -> int:
-        return self.p**self.N
+    def __post_init__(self) -> None:
+        pn = self.p**self.N
+        # rows x^m, ..., x^(2m-2) reduced modulo the monic modulus
+        row = tuple(-c % pn for c in self.modulus[:-1])
+        rows = []
+        for _ in range(self.m - 1):
+            rows.append(row)
+            top = row[-1]
+            row = tuple(
+                (lower + top * c) % pn for lower, c in zip((0,) + row[:-1], rows[0])
+            )
+        object.__setattr__(self, "pn", pn)
+        object.__setattr__(self, "budget", self.N - RESERVE)
+        object.__setattr__(self, "_reduce", tuple(rows))
+        object.__setattr__(self, "_sigma", {})
 
-    @property
-    def budget(self) -> int:
-        return self.N - RESERVE
+    def _sigma_table(self, k: int) -> tuple[WElem, ...]:
+        """The images sigma^k(x^i) for i < m, for 0 < k < m."""
+        table = self._sigma.get(k)
+        if table is None:
+            image = self.frob_image  # sigma^k(x) = sigma^(k-1)(sigma(x))
+            if k > 1:
+                image = _apply(self._sigma_table(k - 1), image, self.pn)
+            powers = [self.one()]
+            for _ in range(self.m - 1):
+                powers.append(self.mul(powers[-1], image))
+            table = self._sigma[k] = tuple(powers)
+        return table
 
     # --- element arithmetic -------------------------------------------------
 
@@ -126,19 +239,35 @@ class WittRing:
         return tuple(-u % self.pn for u in a)
 
     def mul(self, a: WElem, b: WElem) -> WElem:
-        return _poly_mul_mod(a, b, self.modulus, self.pn)
+        m = self.m
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        pn = self.pn
+        low = prod[:m]
+        for c, row in zip(prod[m:], self._reduce):
+            if c:
+                c %= pn
+                for j, r in enumerate(row):
+                    low[j] += c * r
+        return tuple([c % pn for c in low])
 
     def smul(self, k: int, a: WElem) -> WElem:
         return tuple(k * u % self.pn for u in a)
 
     def val(self, a: WElem) -> int:
         """p-adic valuation, capped at N."""
-        best = self.N
+        p, best = self.p, self.N
         for c in a:
             if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
+                if c % p:
+                    return 0
+                v = 1
+                c //= p
+                while c % p == 0:
+                    c //= p
                     v += 1
                 best = min(best, v)
         return best
@@ -157,14 +286,19 @@ class WittRing:
         return v, self.div_p(a, v)
 
     def inv(self, a: WElem) -> WElem:
-        """Inverse of a unit, by Hensel lifting the residue-field inverse."""
-        if self.val(a) != 0:
+        """Inverse of a unit: the residue inverse by extended Euclid, then
+        Newton steps v -> v(2 - av), each doubling the p-adic precision."""
+        p, m = self.p, self.m
+        g, s = _poly_gcdex([c % p for c in a], list(self.modulus), p)
+        if len(g) != 1:
             raise WittError("not a unit")
-        bar = tuple(c % self.p for c in a)
-        v = _poly_pow_mod(bar, self.p**self.m - 2, self.modulus, self.p)
-        two = self.from_int(2)
-        for _ in range(self.N.bit_length() + 1):
-            v = self.mul(v, self.sub(two, self.mul(a, v)))
+        scale = pow(g[0], -1, p)
+        v = tuple([c * scale % p for c in s]) + (0,) * (m - len(s))
+        precision = 1
+        while precision < self.N:
+            av = self.mul(a, v)  # mul reduces, so 2 - av may stay unreduced
+            v = self.mul(v, [2 - av[0]] + [-c for c in av[1:]])
+            precision *= 2
         if self.mul(a, v) != self.one():
             raise WittError("inversion failed")
         return v
@@ -177,8 +311,12 @@ class WittRing:
         return acc
 
 
+@lru_cache(maxsize=None)
 def witt_ring(p: int, m: int, N: int) -> WittRing:
-    """The truncated Witt ring W_N(F_{p^m}) with its canonical modulus."""
+    """The truncated Witt ring W_N(F_{p^m}) with its canonical modulus.
+
+    Memoized: one ring object, with its tables, per (p, m, N).
+    """
     if not isprime(p):
         raise WittError(f"p = {p} is not prime")
     if m < 1:
@@ -188,8 +326,8 @@ def witt_ring(p: int, m: int, N: int) -> WittRing:
     modulus = _smallest_irreducible(p, m)
     ring = WittRing(p, m, N, modulus, (0,) * m)
     # Newton iteration for the root of the modulus congruent to x^p mod p.
-    xbar = tuple(c % p for c in ring.gen())
-    y = tuple(c % ring.pn for c in _poly_pow_mod(xbar, p, modulus, p))
+    xp = _poly_pow_mod([0, 1], p, modulus, p)
+    y = tuple(xp) + (0,) * (m - len(xp))
     deriv = [i * c for i, c in enumerate(modulus)][1:]
     for _ in range(2 * N):
         g = ring.eval_poly(modulus, y)
@@ -201,23 +339,12 @@ def witt_ring(p: int, m: int, N: int) -> WittRing:
     return WittRing(p, m, N, modulus, y)
 
 
-@lru_cache(maxsize=None)
-def _frob_powers(ring: WittRing) -> tuple[WElem, ...]:
-    powers = [ring.one()]
-    for _ in range(ring.m - 1):
-        powers.append(ring.mul(powers[-1], ring.frob_image))
-    return tuple(powers)
-
-
 def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
     """k-fold application of the Frobenius lift x -> frob_image."""
-    powers = _frob_powers(ring)
-    for _ in range(k % ring.m):
-        acc = ring.zero()
-        for coeff, power in zip(a, powers):
-            acc = ring.add(acc, ring.smul(coeff, power))
-        a = acc
-    return a
+    k %= ring.m
+    if not k:
+        return a
+    return _apply(ring._sigma_table(k), a, ring.pn)
 
 
 # --- 2x2 matrices ------------------------------------------------------------
@@ -237,12 +364,6 @@ def mat_identity(ring: WittRing) -> Mat2:
     return mat2(ring, [[1, 0], [0, 1]])
 
 
-def mat_add(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(ring.add(u, v) for u, v in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
     return tuple(
         tuple(
@@ -253,23 +374,12 @@ def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
     )
 
 
-def mat_apply(ring: WittRing, a: Mat2, v) -> tuple:
-    return tuple(
-        ring.add(ring.mul(a[i][0], v[0]), ring.mul(a[i][1], v[1]))
-        for i in range(2)
-    )
-
-
 def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
     return tuple(tuple(ring.smul(k, e) for e in row) for row in a)
 
 
 def mat_elem_mul(ring: WittRing, e: WElem, a: Mat2) -> Mat2:
     return tuple(tuple(ring.mul(e, entry) for entry in row) for row in a)
-
-
-def mat_neg(ring: WittRing, a: Mat2) -> Mat2:
-    return tuple(tuple(ring.neg(e) for e in row) for row in a)
 
 
 def mat_transpose(a: Mat2) -> Mat2:

@@ -272,3 +272,58 @@ def test_selftest_quick_skips_roundtrips() -> None:
 def test_unknown_verb_is_usage_error() -> None:
     proc = _run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def _assert_one_line_error(proc: subprocess.CompletedProcess[str], code: int) -> None:
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_malformed_place_and_weight_tokens_are_usage_errors(tmp_path: Path) -> None:
+    datum = _write_datum(tmp_path, 3, True)
+    _assert_one_line_error(_run_cli("strata", "--datum", str(datum), "--T", "a"), 2)
+    _assert_one_line_error(
+        _run_cli("ample", "--datum", str(datum), "--p", "3", "--t", "1,x,1"), 2
+    )
+
+
+def test_datum_missing_e_split_is_a_domain_error(tmp_path: Path) -> None:
+    path = tmp_path / "datum.json"
+    path.write_text(
+        json.dumps({"primes": [{"id": "p1", "f": 4}], "S": {}, "level": {}}),
+        encoding="utf-8",
+    )
+    proc = _run_cli("strata", "--datum", str(path), "--T", "1")
+    _assert_one_line_error(proc, 1)
+    assert "e_split" in proc.stderr
+
+
+def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:
+    datum = _write_datum(tmp_path, 2, True)
+    _assert_one_line_error(
+        _run_cli("ample", "--datum", str(datum), "--p", "4", "--t", "1,1"), 2
+    )
+    _assert_one_line_error(
+        _run_cli("picard", "--datum", str(datum), "--p", "4", "--matrix"), 2
+    )
+    _assert_one_line_error(
+        _run_cli(
+            "link", "--standard", "TrivialHecke", "--datum", str(datum),
+            "--tau", "1", "--p", "4",
+        ),
+        2,
+    )
+    _assert_one_line_error(
+        _run_cli("dieudonne", "--classify", "--seed", "1", "--p", "4", "--f", "2"), 2
+    )
+
+
+def test_cli_import_does_not_load_sympy() -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gostrata.cli, sys; print('sympy' in sys.modules)"],
+        text=True,
+        capture_output=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from gostrata.witt import (
     WittError,
     elementary_divisors,
     frobenius,
+    isprime,
     lattice_colength,
     lattice_contains,
     lattice_dual,
@@ -77,6 +78,48 @@ def test_frob_image_satisfies_modulus():
         assert ring.val(diff) >= 1
 
 
+# the first monic irreducible of each degree, little-endian; recorded from
+# sympy's Poly.is_irreducible before the modulus search moved to Rabin's test
+PINNED_MODULI = {
+    2: {
+        1: (0, 1), 2: (1, 1, 1), 3: (1, 1, 0, 1), 4: (1, 1, 0, 0, 1),
+        5: (1, 0, 1, 0, 0, 1), 6: (1, 1, 0, 0, 0, 0, 1),
+        7: (1, 1, 0, 0, 0, 0, 0, 1), 8: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    },
+    3: {
+        1: (0, 1), 2: (1, 0, 1), 3: (1, 2, 0, 1), 4: (2, 1, 0, 0, 1),
+        5: (1, 2, 0, 0, 0, 1), 6: (2, 1, 0, 0, 0, 0, 1),
+        7: (2, 0, 1, 0, 0, 0, 0, 1), 8: (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    },
+    5: {
+        1: (0, 1), 2: (2, 0, 1), 3: (1, 1, 0, 1), 4: (2, 0, 0, 0, 1),
+        5: (1, 4, 0, 0, 0, 1), 6: (2, 1, 0, 0, 0, 0, 1),
+        7: (1, 1, 0, 0, 0, 0, 0, 1), 8: (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    },
+    7: {
+        1: (0, 1), 2: (1, 0, 1), 3: (2, 0, 0, 1), 4: (1, 1, 0, 0, 1),
+        5: (3, 1, 0, 0, 0, 1), 6: (2, 0, 0, 0, 0, 0, 1),
+        7: (1, 6, 0, 0, 0, 0, 0, 1), 8: (3, 1, 0, 0, 0, 0, 0, 0, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_MODULI))
+def test_pinned_moduli(p):
+    for m, modulus in PINNED_MODULI[p].items():
+        assert witt_ring(p, m, 2).modulus == modulus
+
+
+def test_isprime_by_trial_division():
+    primes = [n for n in range(-2, 60) if isprime(n)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert isprime(7919) and not isprime(7917)
+
+
+def test_witt_ring_is_memoized():
+    assert witt_ring(3, 4, 8) is witt_ring(3, 4, 8)
+
+
 def test_parameter_validation():
     with pytest.raises(WittError):
         witt_ring(4, 2, 8)
@@ -124,6 +167,54 @@ def test_inverse_and_valuation():
     assert ring.val(ring.zero()) == ring.N
     with pytest.raises(WittError):
         ring.inv(ring.from_int(3))
+
+
+# --- kernel against a naive reference ---------------------------------------
+
+
+def _naive_mul(ring, a, b):
+    """Schoolbook product, reducing mod p^N and the modulus at every step."""
+    m, q = ring.m, ring.pn
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % q
+    for d in range(2 * m - 2, m - 1, -1):
+        c, prod[d] = prod[d], 0
+        for j in range(m):
+            prod[d - m + j] = (prod[d - m + j] - c * ring.modulus[j]) % q
+    return tuple(prod[:m])
+
+
+def _naive_sigma(ring, a):
+    """One application of x -> frob_image, by Horner's rule."""
+    acc = ring.zero()
+    for c in reversed(a):
+        acc = ring.add(_naive_mul(ring, acc, ring.frob_image), ring.from_int(c))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p, m, N",
+    [(2, 1, 4), (3, 1, 8), (2, 2, 8), (2, 3, 16), (2, 8, 16), (3, 4, 8),
+     (3, 5, 16), (5, 3, 8), (7, 2, 16), (5, 6, 5)],
+)
+def test_kernel_matches_naive_reference(p, m, N):
+    ring = witt_ring(p, m, N)
+    rng = random.Random(1000 * p + 10 * m + N)
+    for _ in range(25):
+        a, b = _rand_elem(rng, ring), _rand_elem(rng, ring)
+        assert ring.mul(a, b) == _naive_mul(ring, a, b)
+        image = a
+        for k in range(m):
+            assert frobenius(ring, a, k) == image
+            image = _naive_sigma(ring, image)
+        assert image == a  # sigma has order m
+        if ring.val(a) == 0:
+            assert _naive_mul(ring, a, ring.inv(a)) == ring.one()
+        nonunit = ring.smul(p, a)
+        with pytest.raises(WittError):
+            ring.inv(nonunit)
 
 
 # --- elementary divisors ------------------------------------------------------
