@@ -319,6 +319,12 @@ def _simulation_datum(f: int, split: bool) -> ShimuraDatum:
 
 def _cmd_dieudonne(args) -> int:
     _require_prime(args.p)
+    if args.N < 2:
+        raise UsageError(f"--N {args.N} must be at least 2")
+    if args.f < 1:
+        raise UsageError(f"--f {args.f} must be at least 1")
+    if args.trials < 0:
+        raise UsageError(f"--trials {args.trials} must not be negative")
     split = not args.inert if (args.split or args.inert) else (args.f % 2 == 0)
     datum = _simulation_datum(args.f, split)
     ring = dieudonne.ring_for_datum(datum, args.p, args.N)

@@ -291,13 +291,20 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
     return lattice_equal(with_p, omega_lattice(pt, emb))
 
 
-def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
+def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:
+    """Whether ``tau`` is a free place of the point's prime at whose canonical
+    lift the partial Hasse invariant vanishes."""
     system = pt.datum.places
-    return frozenset(
-        tau
-        for tau in system.arch_places(pt.prime_id)
-        if tau not in pt.datum.s.s_infty
+    return (
+        tau in system.arch_places(pt.prime_id)
+        and tau not in pt.datum.s.s_infty
         and hasse_vanishes(pt, canonical_lift(system, tau))
+    )
+
+
+def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
+    return frozenset(
+        tau for tau in pt.datum.places.arch_places(pt.prime_id) if _in_stratum(pt, tau)
     )
 
 
@@ -400,7 +407,7 @@ def build_isogeny_triple(
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
     pid = pt.prime_id
-    missing = t - stratum_of_point(pt)
+    missing = frozenset(tau for tau in t if not _in_stratum(pt, tau))
     if missing:
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
     if descriptor is None:

@@ -16,8 +16,16 @@ are single passes over plain ints:
 - per k, the images sigma^k(x^i) for i < m, built on first use.  ``frobenius``
   then costs one O(m^2) pass for any k, sigma^-1 = sigma^(m-1) included.
 
+The unreduced product is a module-level function that accumulates into a
+given list.  When one operand is a constant (zero, an integer, or any element
+at m = 1), which is the common case for Hermite-form lattice bases, it takes
+one linear pass.  ``mat_mul`` and ``mat_det`` build each entry as one
+two-term unreduced sum (for the determinant, ad - bc with the subtraction
+done first) and reduce it once.
+
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
+A constant unit is inverted directly mod p^N.
 
 Precision policy: every ring carries a budget of N - RESERVE trusted p-adic
 digits.  Operations that would need valuations at or beyond the budget raise
@@ -170,6 +178,26 @@ def _apply(table, a: WElem, pn: int) -> WElem:
     return tuple([v % pn for v in acc])
 
 
+def _raw_mul(acc: list, a: WElem, b: WElem) -> list:
+    """Add the unreduced schoolbook product a*b into acc (2m - 1 slots).
+
+    A constant operand (a[1:] all zero: zero, an integer, or any element at
+    m = 1) costs one linear pass instead of the quadratic one."""
+    if not any(a[1:]):
+        a, b = b, a
+    if not any(b[1:]):
+        c = b[0]
+        if c:
+            for j, u in enumerate(a):
+                acc[j] += c * u
+        return acc
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                acc[j] += ai * bj
+    return acc
+
+
 @dataclass(frozen=True)
 class WittRing:
     p: int
@@ -238,14 +266,10 @@ class WittRing:
     def neg(self, a: WElem) -> WElem:
         return tuple(-u % self.pn for u in a)
 
-    def mul(self, a: WElem, b: WElem) -> WElem:
-        m = self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
-        pn = self.pn
+    def _fold(self, prod: list) -> WElem:
+        """Reduce an unreduced product (2m - 1 coefficients, any sign):
+        fold the high part through the reduction table, then mod p^N once."""
+        m, pn = self.m, self.pn
         low = prod[:m]
         for c, row in zip(prod[m:], self._reduce):
             if c:
@@ -253,6 +277,9 @@ class WittRing:
                 for j, r in enumerate(row):
                     low[j] += c * r
         return tuple([c % pn for c in low])
+
+    def mul(self, a: WElem, b: WElem) -> WElem:
+        return self._fold(_raw_mul([0] * (2 * self.m - 1), a, b))
 
     def smul(self, k: int, a: WElem) -> WElem:
         return tuple(k * u % self.pn for u in a)
@@ -286,19 +313,25 @@ class WittRing:
         return v, self.div_p(a, v)
 
     def inv(self, a: WElem) -> WElem:
-        """Inverse of a unit: the residue inverse by extended Euclid, then
-        Newton steps v -> v(2 - av), each doubling the p-adic precision."""
+        """Inverse of a unit.  A constant is inverted directly mod p^N; any
+        other unit by extended Euclid in the residue field, then Newton steps
+        v -> v(2 - av), each doubling the p-adic precision."""
         p, m = self.p, self.m
-        g, s = _poly_gcdex([c % p for c in a], list(self.modulus), p)
-        if len(g) != 1:
-            raise WittError("not a unit")
-        scale = pow(g[0], -1, p)
-        v = tuple([c * scale % p for c in s]) + (0,) * (m - len(s))
-        precision = 1
-        while precision < self.N:
-            av = self.mul(a, v)  # mul reduces, so 2 - av may stay unreduced
-            v = self.mul(v, [2 - av[0]] + [-c for c in av[1:]])
-            precision *= 2
+        if not any(a[1:]):
+            if a[0] % p == 0:
+                raise WittError("not a unit")
+            v = (pow(a[0], -1, self.pn),) + (0,) * (m - 1)
+        else:
+            g, s = _poly_gcdex([c % p for c in a], list(self.modulus), p)
+            if len(g) != 1:
+                raise WittError("not a unit")
+            scale = pow(g[0], -1, p)
+            v = tuple([c * scale % p for c in s]) + (0,) * (m - len(s))
+            precision = 1
+            while precision < self.N:
+                av = self.mul(a, v)  # mul reduces, so 2 - av may stay unreduced
+                v = self.mul(v, [2 - av[0]] + [-c for c in av[1:]])
+                precision *= 2
         if self.mul(a, v) != self.one():
             raise WittError("inversion failed")
         return v
@@ -365,12 +398,16 @@ def mat_identity(ring: WittRing) -> Mat2:
 
 
 def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
+    """Each entry is one two-term product sum, reduced once."""
+    size = 2 * ring.m - 1
     return tuple(
         tuple(
-            ring.add(ring.mul(a[i][0], b[0][j]), ring.mul(a[i][1], b[1][j]))
+            ring._fold(
+                _raw_mul(_raw_mul([0] * size, row[0], b[0][j]), row[1], b[1][j])
+            )
             for j in range(2)
         )
-        for i in range(2)
+        for row in a
     )
 
 
@@ -391,7 +428,9 @@ def mat_sigma(ring: WittRing, a: Mat2, k: int = 1) -> Mat2:
 
 
 def mat_det(ring: WittRing, a: Mat2) -> WElem:
-    return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
+    """ad - bc, subtracted before the one reduction."""
+    acc = _raw_mul([0] * (2 * ring.m - 1), a[0][0], a[1][1])
+    return ring._fold(_raw_mul(acc, [-u for u in a[0][1]], a[1][0]))
 
 
 def mat_val(ring: WittRing, a: Mat2) -> int:

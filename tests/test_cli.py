@@ -319,6 +319,28 @@ def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:
     )
 
 
+def test_dieudonne_rejects_precision_below_two() -> None:
+    proc = _run_cli(
+        "dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", "2", "--N", "1"
+    )
+    _assert_one_line_error(proc, 2)
+    assert "--N" in proc.stderr
+
+
+def test_dieudonne_rejects_degree_below_one() -> None:
+    proc = _run_cli("dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", "0")
+    _assert_one_line_error(proc, 2)
+    assert "--f" in proc.stderr
+
+
+def test_dieudonne_rejects_negative_trials() -> None:
+    proc = _run_cli(
+        "dieudonne", "--roundtrip", "--seed", "1", "--p", "3", "--f", "2", "--trials", "-1"
+    )
+    _assert_one_line_error(proc, 2)
+    assert "--trials" in proc.stderr
+
+
 def test_cli_import_does_not_load_sympy() -> None:
     proc = subprocess.run(
         [sys.executable, "-c", "import gostrata.cli, sys; print('sympy' in sys.modules)"],

@@ -320,6 +320,16 @@ def test_triple_requires_membership_in_stratum():
         build_isogeny_triple(pt, frozenset({ArchPlace("p1", 0)}))
 
 
+def test_triple_names_every_place_outside_the_stratum():
+    datum = _datum(2, True)
+    _, pt = _antidiag_point(datum)
+    inside = ArchPlace("p1", 0)
+    outside = [ArchPlace("p1", 5), ArchPlace("q", 0)]  # not places of the prime
+    with pytest.raises(DieudonneError) as info:
+        build_isogeny_triple(pt, frozenset([inside, *outside]))
+    assert str(info.value) == f"T is not inside the stratum of the point: {sorted(outside)}"
+
+
 # --- roundtrips ---------------------------------------------------------------
 
 

@@ -217,6 +217,57 @@ def test_kernel_matches_naive_reference(p, m, N):
             ring.inv(nonunit)
 
 
+def _naive_sub(ring, a, b):
+    return tuple((u - v) % ring.pn for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "p, m, N",
+    [(2, 1, 4), (3, 1, 8), (2, 2, 8), (2, 3, 16), (2, 8, 16), (3, 4, 8),
+     (3, 5, 16), (5, 3, 8), (7, 2, 16), (5, 6, 5)],
+)
+def test_constant_operands_match_naive_reference(p, m, N):
+    ring = witt_ring(p, m, N)
+    rng = random.Random(7000 * p + 10 * m + N)
+
+    def const():
+        return ring.from_int(rng.randrange(ring.pn))
+
+    for _ in range(25):
+        a, c, d = _rand_elem(rng, ring), const(), const()
+        for x, y in [(ring.zero(), a), (a, ring.zero()), (c, a), (a, c), (c, d)]:
+            assert ring.mul(x, y) == _naive_mul(ring, x, y)
+        kinds = [ring.zero(), const(), _rand_elem(rng, ring)]
+        x = [[rng.choice(kinds) for _ in range(2)] for _ in range(2)]
+        y = [[rng.choice(kinds) for _ in range(2)] for _ in range(2)]
+        expected = tuple(
+            tuple(
+                ring.add(
+                    _naive_mul(ring, row[0], y[0][j]), _naive_mul(ring, row[1], y[1][j])
+                )
+                for j in range(2)
+            )
+            for row in x
+        )
+        assert mat_mul(ring, mat2(ring, x), mat2(ring, y)) == expected
+        assert mat_det(ring, mat2(ring, x)) == _naive_sub(
+            ring, _naive_mul(ring, x[0][0], x[1][1]), _naive_mul(ring, x[0][1], x[1][0])
+        )
+    # a cross term far larger than the diagonal term before reduction
+    top = ring.from_int(ring.pn - 1)
+    big = tuple([ring.pn - 1] * m)
+    skew = mat2(ring, [[1, big], [top, 1]])
+    cross = _naive_mul(ring, big, top)
+    assert mat_det(ring, skew) == _naive_sub(ring, ring.one(), cross)
+    # constant units invert directly; constant non-units raise at any m
+    unit = ring.from_int(rng.randrange(1, p) + p * rng.randrange(ring.pn))
+    for u in (ring.one(), ring.from_int(-1), unit):
+        assert _naive_mul(ring, u, ring.inv(u)) == ring.one()
+    for bad in (ring.zero(), ring.from_int(p), ring.from_int(p**(N - 1))):
+        with pytest.raises(WittError, match="not a unit"):
+            ring.inv(bad)
+
+
 # --- elementary divisors ------------------------------------------------------
 
 
