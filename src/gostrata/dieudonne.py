@@ -292,13 +292,10 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
 
 
 def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:
-    """Whether ``tau`` is a free place of the point's prime at whose canonical
-    lift the partial Hasse invariant vanishes."""
-    system = pt.datum.places
-    return (
-        tau in system.arch_places(pt.prime_id)
-        and tau not in pt.datum.s.s_infty
-        and hasse_vanishes(pt, canonical_lift(system, tau))
+    """Whether a place ``tau`` of the point's prime is free and the partial
+    Hasse invariant vanishes at its canonical lift."""
+    return tau not in pt.datum.s.s_infty and hasse_vanishes(
+        pt, canonical_lift(pt.datum.places, tau)
     )
 
 
@@ -407,7 +404,10 @@ def build_isogeny_triple(
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
     pid = pt.prime_id
-    missing = frozenset(tau for tau in t if not _in_stratum(pt, tau))
+    places = system.arch_places(pid)
+    missing = frozenset(
+        tau for tau in t if tau not in places or not _in_stratum(pt, tau)
+    )
     if missing:
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
     if descriptor is None:

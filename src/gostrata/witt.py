@@ -17,11 +17,12 @@ are single passes over plain ints:
   then costs one O(m^2) pass for any k, sigma^-1 = sigma^(m-1) included.
 
 The unreduced product is a module-level function that accumulates into a
-given list.  When one operand is a constant (zero, an integer, or any element
-at m = 1), which is the common case for Hermite-form lattice bases, it takes
-one linear pass.  ``mat_mul`` and ``mat_det`` build each entry as one
-two-term unreduced sum (for the determinant, ad - bc with the subtraction
-done first) and reduce it once.
+given list.  Its outer loop skips zero coefficients, and a constant operand
+(zero, an integer, or any element at m = 1), the common case for Hermite-form
+lattice bases, is put on the outside, so it takes one linear pass.
+``mat_mul`` and ``mat_det`` build each entry as one two-term unreduced sum
+(for the determinant, ad - bc with the subtraction done first) and reduce it
+once.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -181,16 +182,11 @@ def _apply(table, a: WElem, pn: int) -> WElem:
 def _raw_mul(acc: list, a: WElem, b: WElem) -> list:
     """Add the unreduced schoolbook product a*b into acc (2m - 1 slots).
 
-    A constant operand (a[1:] all zero: zero, an integer, or any element at
-    m = 1) costs one linear pass instead of the quadratic one."""
-    if not any(a[1:]):
-        a, b = b, a
+    The outer loop skips zero coefficients, so a constant operand (b[1:] all
+    zero: zero, an integer, or any element at m = 1) is swapped to the outside,
+    where it costs one linear pass instead of the quadratic one."""
     if not any(b[1:]):
-        c = b[0]
-        if c:
-            for j, u in enumerate(a):
-                acc[j] += c * u
-        return acc
+        a, b = b, a
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
