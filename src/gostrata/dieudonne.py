@@ -39,6 +39,8 @@ from .strata import (
     stratum_descriptor,
 )
 from .witt import (
+    NOT_SPLIT,
+    RESERVE,
     Lattice2,
     Mat2,
     WittRing,
@@ -65,6 +67,21 @@ from .witt import (
 
 class DieudonneError(ValueError):
     """Raised when matrices or lattices violate the point axioms."""
+
+
+class PrecisionError(DieudonneError):
+    """Raised when the precision budget cannot decide a point axiom."""
+
+
+def _f_divisors(ring: WittRing, mat: Mat2, emb: EmbE) -> tuple[int, int]:
+    """Elementary divisors of an F-matrix, which FV = p bounds by (0, 1)."""
+    divisors = elementary_divisors(ring, mat)
+    if divisors is NOT_SPLIT:
+        raise PrecisionError(f"precision budget N - RESERVE = {ring.N} - {RESERVE} = "
+                             f"{ring.budget} cannot split the divisors of F at {emb}")
+    if divisors[1] > 1:
+        raise DieudonneError(f"F V = p fails at {emb}: bad divisors {divisors}")
+    return divisors
 
 
 # --- small matrix helpers -----------------------------------------------------
@@ -102,6 +119,14 @@ def _map_lattice(ring: WittRing, mat: Mat2, l: Lattice2, sigma_k: int, shift: in
 # --- the point ----------------------------------------------------------------
 
 
+def _lookup(table, emb: EmbE, what: str):
+    """The entry at ``emb`` of a sorted (embedding, value) table."""
+    for key, value in table:
+        if key == emb:
+            return value
+    raise DieudonneError(f"no {what} at {emb}")
+
+
 @dataclass(frozen=True)
 class DieudonnePoint:
     ring: WittRing
@@ -116,22 +141,13 @@ class DieudonnePoint:
         return self.datum.places.embeddings(self.prime_id)
 
     def f_mat(self, emb: EmbE) -> Mat2:
-        for key, mat in self.f_mats:
-            if key == emb:
-                return mat
-        raise DieudonneError(f"no F-matrix at {emb}")
+        return _lookup(self.f_mats, emb, "F-matrix")
 
     def v_mat(self, emb: EmbE) -> Mat2:
-        for key, mat in self.v_mats:
-            if key == emb:
-                return mat
-        raise DieudonneError(f"no V-matrix at {emb}")
+        return _lookup(self.v_mats, emb, "V-matrix")
 
     def pairing(self, emb: EmbE) -> Mat2:
-        for key, mat in self.pairings:
-            if key == emb:
-                return mat
-        raise DieudonneError(f"no pairing at {emb}")
+        return _lookup(self.pairings, emb, "pairing")
 
 
 def _as_signature(datum: ShimuraDatum, prime_id: str, s) -> SignatureProfile:
@@ -166,16 +182,11 @@ def make_point(
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
-    v_mats: dict[EmbE, Mat2] = {}
-    signature: dict[EmbE, int] = {}
-    for emb in embs:
-        divisors = elementary_divisors(ring, f_mats[emb])
-        if divisors is None or not isinstance(divisors, tuple) or divisors[1] > 1:
-            raise DieudonneError(f"F V = p fails at {emb}: bad divisors {divisors}")
-        v_mats[emb] = mat_sigma(ring, _p_times_inverse(ring, f_mats[emb]), ring.m - 1)
-    for emb in embs:
-        v1, v2 = elementary_divisors(ring, f_mats[frobenius_shift(system, emb, 1)])
-        signature[emb] = int(v1 == 0) + int(v2 == 0)
+    divisors = {emb: _f_divisors(ring, f_mats[emb], emb) for emb in embs}
+    v_mats = {
+        emb: mat_sigma(ring, _p_times_inverse(ring, f_mats[emb]), ring.m - 1) for emb in embs
+    }
+    signature = {emb: divisors[frobenius_shift(system, emb, 1)].count(0) for emb in embs}
 
     pairing_val = 1 if prime_type is PrimeType.BETA_SHARP else 0
     for emb in embs:
@@ -318,20 +329,14 @@ class IsogenyTriple:
     b_point: DieudonnePoint
     delta: DeltaSets
 
-    def _get(self, table, emb: EmbE) -> Lattice2:
-        for key, lattice in table:
-            if key == emb:
-                return lattice
-        raise DieudonneError(f"no lattice at {emb}")
-
     def a_at(self, emb: EmbE) -> Lattice2:
-        return self._get(self.a, emb)
+        return _lookup(self.a, emb, "lattice")
 
     def b_at(self, emb: EmbE) -> Lattice2:
-        return self._get(self.b, emb)
+        return _lookup(self.b, emb, "lattice")
 
     def c_at(self, emb: EmbE) -> Lattice2:
-        return self._get(self.c, emb)
+        return _lookup(self.c, emb, "lattice")
 
 
 def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
@@ -356,15 +361,11 @@ def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Latt
     )
 
 
-def _frame_map(
-    ring: WittRing, frame_to: Lattice2, mat: Mat2, frame_from: Lattice2, sigma_k: int
-) -> Mat2:
-    """The matrix of x -> mat sigma^k(x) rewritten between lattice frames."""
+def _frame_map(ring: WittRing, frame_to: Lattice2, mat: Mat2, frame_from: Lattice2) -> Mat2:
+    """The matrix of x -> mat sigma(x) rewritten between lattice frames."""
     d = ring.val(mat_det(ring, frame_to.basis))
     inv = scaled_inverse(ring, frame_to.basis, d)
-    out = mat_mul(
-        ring, inv, mat_mul(ring, mat, mat_sigma(ring, frame_from.basis, sigma_k % ring.m))
-    )
+    out = mat_mul(ring, inv, mat_mul(ring, mat, mat_sigma(ring, frame_from.basis, 1)))
     return _mat_shift(ring, out, frame_from.shift - frame_to.shift - d)
 
 
@@ -375,15 +376,51 @@ def _frame_pairing(
     return _mat_shift(ring, out, frame.shift + frame_conj.shift)
 
 
-def _check_stability(pt_like_f, pt_like_v, system, ring, lattices, label: str) -> None:
-    for emb, lattice in lattices.items():
-        prev = frobenius_shift(system, emb, -1)
-        f_image = _map_lattice(ring, pt_like_f(emb), lattices[prev], 1)
-        if not lattice_contains(lattice, f_image):
-            raise DieudonneError(f"{label} is not F-stable at {emb}")
-        v_image = _map_lattice(ring, pt_like_v(emb), lattice, -1)
-        if not lattice_contains(lattices[prev], v_image):
-            raise DieudonneError(f"{label} is not V-stable at {emb}")
+def _frame_point(
+    pt: DieudonnePoint, frames: Mapping[EmbE, Lattice2], datum: ShimuraDatum, expected
+) -> DieudonnePoint:
+    """The point on ``datum`` whose module at each embedding is the lattice
+    ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame."""
+    ring, system = pt.ring, pt.datum.places
+    embs = pt.embeddings()
+    f_mats = {
+        emb: _frame_map(ring, frames[emb], pt.f_mat(emb), frames[frobenius_shift(system, emb, -1)])
+        for emb in embs
+    }
+    pairings = {
+        emb: _frame_pairing(ring, frames[emb], pt.pairing(emb), frames[conjugate(system, emb)])
+        for emb in embs
+    }
+    return make_point(ring, datum, f_mats, pairings, expected)
+
+
+def _lift_zeros(lift: LiftChoice, datum: ShimuraDatum) -> frozenset[EmbE]:
+    """The lifted places of T that lie over S_infty: signature 0 there."""
+    return frozenset(
+        emb for emb in lift.s_tilde_of_t if restrict(datum.places, emb) in datum.s.s_infty
+    )
+
+
+def _check_stability(pt: DieudonnePoint, families, checked: set) -> None:
+    """Check that each ``(label, lattices)`` family, in order, is F- and V-stable.
+
+    Both checks at ``emb`` depend only on (emb, its lattice, the one at sigma^-1
+    emb); a triple in ``checked`` passed before and is skipped, so a failure is
+    still reported under the label of the first family that has it."""
+    ring, system = pt.ring, pt.datum.places
+    for label, lattices in families:
+        for emb, lattice in lattices.items():
+            prev = lattices[frobenius_shift(system, emb, -1)]
+            key = (emb, lattice, prev)
+            if key in checked:
+                continue
+            f_image = _map_lattice(ring, pt.f_mat(emb), prev, 1)
+            if not lattice_contains(lattice, f_image):
+                raise DieudonneError(f"{label} is not F-stable at {emb}")
+            v_image = _map_lattice(ring, pt.v_mat(emb), lattice, -1)
+            if not lattice_contains(prev, v_image):
+                raise DieudonneError(f"{label} is not V-stable at {emb}")
+            checked.add(key)
 
 
 def build_isogeny_triple(
@@ -415,10 +452,7 @@ def build_isogeny_triple(
     zeros = frozenset(emb for emb, value in pt.signature.s if value == 0)
     if lift is None:
         lift = lift_assignment(datum, descriptor, s_lift=zeros)
-    lift_zeros = frozenset(
-        emb for emb in lift.s_tilde_of_t if restrict(system, emb) in datum.s.s_infty
-    )
-    if lift_zeros != zeros:
+    if _lift_zeros(lift, datum) != zeros:
         raise DieudonneError("the lift choice does not match the point's signature zeros")
     delta = delta_sets(datum, descriptor, lift)
 
@@ -440,8 +474,9 @@ def build_isogeny_triple(
         else:
             b_lat[emb] = c_lat[emb]
 
-    _check_stability(pt.f_mat, pt.v_mat, system, ring, c_lat, "the c-lattice family")
-    _check_stability(pt.f_mat, pt.v_mat, system, ring, b_lat, "the b-lattice family")
+    _check_stability(
+        pt, [("the c-lattice family", c_lat), ("the b-lattice family", b_lat)], set()
+    )
     for emb in pt.embeddings():
         if lattice_colength(c_lat[emb], a_lat[emb]) != int(emb in delta.plus):
             raise DieudonneError(f"wrong a-in-c colength at {emb}")
@@ -449,21 +484,9 @@ def build_isogeny_triple(
             raise DieudonneError(f"wrong b-in-c colength at {emb}")
 
     frames = {emb: lattice_normalize(b_lat[emb]) for emb in pt.embeddings()}
-    f_mats_b = {
-        emb: _frame_map(
-            ring, frames[emb], pt.f_mat(emb), frames[frobenius_shift(system, emb, -1)], 1
-        )
-        for emb in pt.embeddings()
-    }
-    pairings_b = {
-        emb: _frame_pairing(
-            ring, frames[emb], pt.pairing(emb), frames[conjugate(system, emb)]
-        )
-        for emb in pt.embeddings()
-    }
     target_datum = ShimuraDatum(system, descriptor.s_of_t, descriptor.level_t)
     expected = dimension_count_check(datum, pt.signature, delta)
-    b_point = make_point(ring, target_datum, f_mats_b, pairings_b, expected)
+    b_point = _frame_point(pt, frames, target_datum, expected)
 
     j_lines = {
         emb: lattice_in_frame(ring, frames[emb], omega_lattice(pt, emb))
@@ -539,7 +562,8 @@ def reconstruct_lattices(
     elif case is CaseTag.B2:
         for emb in delta.minus:
             m_lat[emb] = lattice_dual(std, b_point.pairing(emb))
-    _check_stability(b_point.f_mat, b_point.v_mat, system, ring, m_lat, "the rebuilt c-family")
+    checked: set = set()
+    _check_stability(b_point, [("the rebuilt c-family", m_lat)], checked)
     for emb in b_point.embeddings():
         if lattice_colength(m_lat[emb], std) != int(emb in delta.minus):
             raise DieudonneError(f"wrong rebuilt colength at {emb}")
@@ -552,11 +576,20 @@ def reconstruct_lattices(
             )
         else:
             l_lat[emb] = m_lat[emb]
-    _check_stability(b_point.f_mat, b_point.v_mat, system, ring, l_lat, "the rebuilt a-family")
+    _check_stability(b_point, [("the rebuilt a-family", l_lat)], checked)
     for emb in b_point.embeddings():
         if lattice_colength(m_lat[emb], l_lat[emb]) != int(emb in delta.plus):
             raise DieudonneError(f"wrong a-in-c colength at {emb}")
     return m_lat, l_lat
+
+
+def _point_from_lattices(
+    b_point: DieudonnePoint, l_lat: Mapping[EmbE, Lattice2], lift: LiftChoice, datum: ShimuraDatum
+) -> DieudonnePoint:
+    """The point on the source ``datum`` whose module is the rebuilt a-family."""
+    frames = {emb: lattice_normalize(l_lat[emb]) for emb in b_point.embeddings()}
+    expected = signature_from_lift(datum, _lift_zeros(lift, datum))
+    return _frame_point(b_point, frames, datum, expected)
 
 
 def reconstruct_point(
@@ -569,43 +602,18 @@ def reconstruct_point(
     h_lines: Mapping[EmbE, Lattice2] | None = None,
 ) -> DieudonnePoint:
     """Rebuild a point on the source datum from the target point and its lines."""
-    ring, system = b_point.ring, b_point.datum.places
-    _, l_lat = reconstruct_lattices(
-        b_point, j_lines, t, lift, source_datum, descriptor, h_lines
-    )
-    frames = {emb: lattice_normalize(l_lat[emb]) for emb in b_point.embeddings()}
-    f_mats = {
-        emb: _frame_map(
-            ring,
-            frames[emb],
-            b_point.f_mat(emb),
-            frames[frobenius_shift(system, emb, -1)],
-            1,
-        )
-        for emb in b_point.embeddings()
-    }
-    pairings = {
-        emb: _frame_pairing(
-            ring, frames[emb], b_point.pairing(emb), frames[conjugate(system, emb)]
-        )
-        for emb in b_point.embeddings()
-    }
-    zeros = frozenset(
-        emb
-        for emb in lift.s_tilde_of_t
-        if restrict(system, emb) in source_datum.s.s_infty
-    )
-    expected = signature_from_lift(source_datum, zeros)
-    return make_point(ring, source_datum, f_mats, pairings, expected)
+    _, l_lat = reconstruct_lattices(b_point, j_lines, t, lift, source_datum, descriptor, h_lines)
+    return _point_from_lattices(b_point, l_lat, lift, source_datum)
 
 
 def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePoint:
     """Drive a point through the isogeny chain and back; raise on any mismatch.
 
-    Builds the forward triple, reconstructs the lattice families from the
-    target point plus the recorded lines, and checks componentwise lattice
-    equality against the forward families (in the target frame).  Returns the
-    reconstructed source point.
+    Builds the forward triple, reconstructs the lattice families once from
+    the target point plus the recorded lines, and checks componentwise
+    lattice equality against the forward families (in the target frame).
+    Returns the source point rebuilt from those same families, the point
+    ``reconstruct_point`` gives for the triple.
     """
     from .strata import lift_assignment
 
@@ -625,10 +633,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
             raise DieudonneError(f"c-lattice mismatch at {emb}")
         if not lattice_equal(l_lat[emb], lattice_in_frame(ring, frame, triple.a_at(emb))):
             raise DieudonneError(f"a-lattice mismatch at {emb}")
-    back = reconstruct_point(
-        triple.b_point, dict(triple.j_lines), t, lift, datum, descriptor,
-        dict(triple.h_lines),
-    )
+    back = _point_from_lattices(triple.b_point, l_lat, lift, datum)
     if back.signature != pt.signature:
         raise DieudonneError("reconstructed signature differs from the original")
     return back
@@ -700,9 +705,7 @@ def point_from_half_system(
     if set(f_mats_half) != set(half) or set(pairings_half) != set(half):
         raise DieudonneError("half-system data must cover one lift per place")
     for emb in half:
-        divisors = elementary_divisors(ring, f_mats_half[emb])
-        if not isinstance(divisors, tuple) or divisors[1] > 1:
-            raise DieudonneError(f"F V = p fails at {emb}: bad divisors {divisors}")
+        _f_divisors(ring, f_mats_half[emb], emb)
         if ring.val(mat_det(ring, pairings_half[emb])) != 0:
             raise DieudonneError(f"half-system pairing at {emb} must be perfect")
     pairings: dict[EmbE, Mat2] = dict(pairings_half)

@@ -477,39 +477,43 @@ def standard_lattice(ring: WittRing) -> Lattice2:
 
 
 def _hnf(ring: WittRing, shift: int, cols: list) -> Lattice2:
-    """Canonical form [[p^a, 0], [c, p^b]] with min elementary divisor zero."""
+    """Canonical form [[p^a, 0], [c, p^b]] with min elementary divisor zero.
+
+    Each entry's valuation is computed once, here, and every exact division
+    below is by a power of p that those valuations show divides the entry."""
     if ring.budget <= 0:
         raise WittError("precision budget exhausted")
-    vmin = min(ring.val(e) for col in cols for e in col)
+    p, N = ring.p, ring.N
+    tops = [ring.val(col[0]) for col in cols]
+    vmin = min(tops + [ring.val(col[1]) for col in cols])
     if vmin >= ring.N:
         raise WittError("degenerate lattice generators")
     if vmin > 0:
-        cols = [tuple(ring.div_p(e, vmin) for e in col) for col in cols]
+        q = p**vmin
+        cols = [tuple(tuple(c // q for c in e) for e in col) for col in cols]
+        tops = [v - vmin if v < N else N for v in tops]  # zero stays at the cap
         shift += vmin
     # top pivot: column whose first coordinate has minimal valuation
-    a = min(ring.val(col[0]) for col in cols)
+    a = min(tops)
     if a >= ring.budget:
         raise WittError("precision budget exhausted")
-    j = next(i for i, col in enumerate(cols) if ring.val(col[0]) == a)
-    _, unit = ring.unit_and_val(cols[j][0])
-    inv = ring.inv(unit)
-    pivot = (ring.from_int(ring.p**a), ring.mul(inv, cols[j][1]))
-    bottoms = []
-    for i, col in enumerate(cols):
-        if i == j:
-            continue
-        t = ring.div_p(col[0], a)
-        bottoms.append(ring.sub(col[1], ring.mul(t, pivot[1])))
+    j = tops.index(a)
+    pa = p**a
+    c = ring.mul(ring.inv(tuple(e // pa for e in cols[j][0])), cols[j][1])
+    bottoms = [
+        ring.sub(col[1], ring.mul(tuple(e // pa for e in col[0]), c))
+        for i, col in enumerate(cols)
+        if i != j
+    ]
     b = min(ring.val(e) for e in bottoms)
     if b >= ring.budget:
         raise WittError("precision budget exhausted")
-    c = pivot[1]
-    q = ring.p**b
+    q = p**b
     c = tuple(e % q for e in c)
     return Lattice2(
         ring,
         shift,
-        ((ring.from_int(ring.p**a), ring.zero()), (c, ring.from_int(q))),
+        ((ring.from_int(pa), ring.zero()), (c, ring.from_int(q))),
     )
 
 
@@ -542,13 +546,6 @@ def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
                 (ring.smul(scale, l.basis[0][j]), ring.smul(scale, l.basis[1][j]))
             )
     return _hnf(ring, shift, cols)
-
-
-def lattice_transform(l: Lattice2, mat: Mat2, shift: int = 0) -> Lattice2:
-    """The image lattice p^shift * mat(l)."""
-    return lattice_normalize(
-        Lattice2(l.ring, l.shift + shift, mat_mul(l.ring, mat, l.basis))
-    )
 
 
 def lattice_index_val(l: Lattice2) -> int:

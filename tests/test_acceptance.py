@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from gostrata.dieudonne import (
+    _close,
     essential_frobenius_matrix,
     essential_verschiebung_matrix,
     half_system,
@@ -160,14 +161,6 @@ def _corpus():
                     pt = _template_point(rng, ring, datum, p)
                 _CORPUS.append((ring, datum, pt, stratum_of_point(pt)))
     return _CORPUS
-
-
-def _mats_close(ring, a, b) -> bool:
-    return all(
-        ring.val(ring.sub(x, y)) >= ring.budget
-        for ra, rb in zip(a, b)
-        for x, y in zip(ra, rb)
-    )
 
 
 # --- criterion 1: quartic stratum table ---------------------------------------
@@ -413,8 +406,8 @@ def test_criterion_07_essential_identities() -> None:
             vf = mat_mul(
                 ring, pt.v_mat(emb), mat_sigma(ring, pt.f_mat(emb), ring.m - 1)
             )
-            assert _mats_close(ring, fv, p_id)
-            assert _mats_close(ring, vf, p_id)
+            assert _close(ring, fv, p_id)
+            assert _close(ring, vf, p_id)
             tau = restrict(system, emb)
             if tau in datum.s.s_infty:
                 continue
@@ -422,9 +415,9 @@ def test_criterion_07_essential_identities() -> None:
             mf, sf = essential_frobenius_matrix(pt, emb, n)
             mv, sv = essential_verschiebung_matrix(pt, emb, n)
             comp = mat_mul(ring, mf, mat_sigma(ring, mv, n % ring.m))
-            assert _mats_close(ring, shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, shifted(ring, comp, sf + sv), p_id)
             comp = mat_mul(ring, mv, mat_sigma(ring, mf, (ring.m - n) % ring.m))
-            assert _mats_close(ring, shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, shifted(ring, comp, sf + sv), p_id)
             assert elementary_divisors(ring, shifted(ring, mf, sf)) == (0, 1)
             assert elementary_divisors(ring, shifted(ring, mv, sv)) == (0, 1)
         points += 1

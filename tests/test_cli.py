@@ -349,3 +349,11 @@ def test_cli_import_does_not_load_sympy() -> None:
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_dieudonne_reports_a_precision_shortfall_as_such() -> None:
+    proc = _run_cli(
+        "dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", "2", "--N", "5"
+    )
+    _assert_one_line_error(proc, 1)
+    assert "precision budget N - RESERVE = 5 - 4 = 1" in proc.stderr

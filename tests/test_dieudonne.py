@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from gostrata.dieudonne import (
     DieudonneError,
+    PrecisionError,
+    _check_stability,
+    _close,
     build_isogeny_triple,
+    essential_frobenius_image,
     essential_frobenius_matrix,
     essential_verschiebung_matrix,
     half_system,
     hasse_vanishes,
     lattice_in_frame,
+    make_point,
     point_from_half_system,
     point_from_json,
     point_to_json,
@@ -24,6 +29,7 @@ from gostrata.dieudonne import (
     ring_for_datum,
     stratum_of_point,
     twisted_partial_frobenius,
+    verify_roundtrip,
 )
 from gostrata.places import (
     ArchPlace,
@@ -105,14 +111,6 @@ def _zeros(pt):
     return frozenset(emb for emb, value in pt.signature.s if value == 0)
 
 
-def _mats_close(ring, a, b):
-    return all(
-        ring.val(ring.sub(x, y)) >= ring.budget
-        for ra, rb in zip(a, b)
-        for x, y in zip(ra, rb)
-    )
-
-
 def _roundtrip(ring, datum, pt, t):
     descriptor = stratum_descriptor(datum, t)
     lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
@@ -144,7 +142,7 @@ def test_antidiag_point_is_everywhere_supersingular():
     assert stratum_of_point(pt) == frozenset(datum.places.arch_places("p1"))
     # V is the same antidiagonal matrix here, up to sign and trusted precision
     for emb in pt.embeddings():
-        assert _mats_close(ring, pt.v_mat(emb), pt.f_mat(emb)) or _mats_close(
+        assert _close(ring, pt.v_mat(emb), pt.f_mat(emb)) or _close(
             ring, pt.v_mat(emb), mat_smul(ring, -1, pt.f_mat(emb))
         )
 
@@ -228,8 +226,8 @@ def test_fv_equals_p_both_orders():
             vf = mat_mul(
                 ring, pt.v_mat(emb), mat_sigma(ring, pt.f_mat(emb), ring.m - 1)
             )
-            assert _mats_close(ring, fv, p_id)
-            assert _mats_close(ring, vf, p_id)
+            assert _close(ring, fv, p_id)
+            assert _close(ring, vf, p_id)
 
 
 def test_essential_composites_are_p_at_free_embeddings():
@@ -249,10 +247,10 @@ def test_essential_composites_are_p_at_free_embeddings():
             mv, sv = essential_verschiebung_matrix(pt, emb, n)
             # F_es^n after V_es^n is multiplication by p
             comp = mat_mul(ring, mf, mat_sigma(ring, mv, n % ring.m))
-            assert _mats_close(ring, _shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, _shifted(ring, comp, sf + sv), p_id)
             # and in the other order as well
             comp = mat_mul(ring, mv, mat_sigma(ring, mf, (ring.m - n) % ring.m))
-            assert _mats_close(ring, _shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, _shifted(ring, comp, sf + sv), p_id)
             # each composite has a one-dimensional cokernel
             from gostrata.witt import elementary_divisors
 
@@ -328,6 +326,93 @@ def test_triple_names_every_place_outside_the_stratum():
     with pytest.raises(DieudonneError) as info:
         build_isogeny_triple(pt, frozenset([inside, *outside]))
     assert str(info.value) == f"T is not inside the stratum of the point: {sorted(outside)}"
+
+
+def _stability_message(pt, families, checked=None):
+    with pytest.raises(DieudonneError) as info:
+        _check_stability(pt, families, set() if checked is None else checked)
+    return str(info.value)
+
+
+def test_stability_failure_shared_by_two_families_keeps_the_first_label():
+    datum = _datum(3, True)
+    ring, pt = _antidiag_point(datum)
+    bad = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+    bad[pt.embeddings()[0]] = lattice_scale(standard_lattice(ring), -1)
+    alone = _stability_message(pt, [("the first family", bad)])
+    assert alone.startswith("the first family is not ")
+    assert _stability_message(
+        pt, [("the first family", bad), ("the second family", dict(bad))]
+    ) == alone
+
+
+def test_stability_failure_only_in_the_second_family_gets_its_label():
+    datum = _datum(3, True)
+    ring, pt = _antidiag_point(datum)
+    std = standard_lattice(ring)
+    good = {emb: std for emb in pt.embeddings()}
+    first = pt.embeddings()[0]
+    # p D at one component: F maps D behind it onto a lattice with a unit vector
+    bad = {first: lattice_scale(std, 1), **{e: std for e in pt.embeddings()[1:]}}
+    _check_stability(pt, [("the good family", good)], set())
+    alone = _stability_message(pt, [("the b-family", bad)])
+    assert alone == f"the b-family is not F-stable at {first}"
+    assert _stability_message(
+        pt, [("the good family", good), ("the b-family", bad)]
+    ) == alone
+    # the checked triples carry over between calls, as in reconstruct_lattices
+    checked: set = set()
+    _check_stability(pt, [("the good family", good)], checked)
+    assert checked
+    assert _stability_message(pt, [("the b-family", bad)], checked) == alone
+
+
+def test_stability_failure_behind_a_shared_lattice_is_found():
+    # F(D) at one component of a diagonal point passes its own checks, but V(D)
+    # at the next one is not inside it; that next lattice is D, as in the first
+    # family, so only the lattice behind it tells the two checks apart
+    datum = _datum(3, True)
+    ring, pt = _diag_point(datum)
+    std = standard_lattice(ring)
+    first = pt.embeddings()[0]
+    bad = {first: essential_frobenius_image(pt, first, 1)}
+    bad.update({e: std for e in pt.embeddings()[1:]})
+    good = {emb: std for emb in pt.embeddings()}
+    alone = _stability_message(pt, [("the b-family", bad)])
+    nxt = frobenius_shift(datum.places, first, 1)
+    assert alone == f"the b-family is not V-stable at {nxt}"
+    assert _stability_message(
+        pt, [("the good family", good), ("the b-family", bad)]
+    ) == alone
+
+
+def test_verify_roundtrip_returns_the_reconstructed_point():
+    for f, split, vanish in [(3, False, {0, 1}), (3, True, {1}), (2, True, {0, 1})]:
+        datum = _datum(f, split)
+        _, pt = _template_point(datum, vanish)
+        for t in (frozenset(sorted(stratum_of_point(pt))[:1]), stratum_of_point(pt)):
+            descriptor = stratum_descriptor(datum, t)
+            lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
+            triple = build_isogeny_triple(pt, t, descriptor, lift)
+            expected = reconstruct_point(
+                triple.b_point, dict(triple.j_lines), t, lift, datum, descriptor,
+                dict(triple.h_lines),
+            )
+            assert verify_roundtrip(pt, t) == expected
+
+
+def test_precision_shortfall_is_a_precision_error():
+    datum = _datum(2, True)
+    with pytest.raises(PrecisionError) as info:
+        _antidiag_point(datum, N=5)
+    assert isinstance(info.value, DieudonneError)
+    assert "precision budget N - RESERVE = 5 - 4 = 1" in str(info.value)
+    ring, pt = _antidiag_point(datum, N=8)
+    shallow = ring_for_datum(datum, 3, 5)
+    with pytest.raises(PrecisionError):
+        make_point(
+            shallow, datum, dict(pt.f_mats), dict(pt.pairings), pt.signature
+        )
 
 
 # --- roundtrips ---------------------------------------------------------------
