@@ -41,18 +41,30 @@ class UsageError(ValueError):
     pass
 
 
-def _load_datum(path: str) -> ShimuraDatum:
+def _load_json(path: str, kind: str, parse, error: type[ValueError]):
+    """Parse a JSON file; a missing or malformed field is a one-line ``error``."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     try:
-        return datum_from_json(data)
+        return parse(data)
+    except _DOMAIN_ERRORS:
+        raise
     except KeyError as exc:
-        raise PlaceError(f"datum {path} lacks the field {exc}") from None
+        raise error(f"{kind} {path} lacks the field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise error(f"{kind} {path} is malformed: {exc}") from None
 
 
-def _load_link(path: str) -> links.Link:
-    with open(path, encoding="utf-8") as handle:
-        return links.link_from_json(json.load(handle))
+def _load_datum(path: str | None) -> ShimuraDatum:
+    if not path:
+        raise UsageError("this mode requires --datum")
+    return _load_json(path, "datum", datum_from_json, PlaceError)
+
+
+def _load_link(path: str, validate: bool = True) -> links.Link:
+    return _load_json(
+        path, "link", lambda data: links.link_from_json(data, validate), links.LinkError
+    )
 
 
 def _default_prime(datum: ShimuraDatum, prime_id: str | None) -> str:
@@ -175,20 +187,9 @@ def _link_payload(link: links.Link) -> dict:
     return payload
 
 
-def _raw_link(path: str) -> links.Link:
-    """Build a link without the constructor's validation, for reporting."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    n = int(data["n"])
-    source = links.Band(n, frozenset(int(v) for v in data["source_nodes"]))
-    target = links.Band(n, frozenset(int(v) for v in data["target_nodes"]))
-    disp = tuple(sorted((int(v), int(d)) for v, d in data["disp"].items()))
-    return links.Link(source, target, disp)
-
-
 def _cmd_link(args) -> int:
     if args.validate:
-        link = _raw_link(args.validate)
+        link = _load_link(args.validate, validate=False)
         problems = links.validate_link(link)
         payload = _link_payload(link)
         payload["problems"] = problems
@@ -204,7 +205,7 @@ def _cmd_link(args) -> int:
         _emit(_link_payload(links.invert(_load_link(args.invert))))
         return 0
     if args.frobenius:
-        datum = _load_datum(args.datum_file_required())
+        datum = _load_datum(args.datum)
         prime_id = _default_prime(datum, args.prime)
         link = links.frobenius_link(datum, prime_id, args.k)
         if args.render:
@@ -215,7 +216,7 @@ def _cmd_link(args) -> int:
     # --standard
     if args.p is not None:
         _require_prime(args.p)
-    datum = _load_datum(args.datum_file_required())
+    datum = _load_datum(args.datum)
     prime_id = _default_prime(datum, args.prime)
     kind = {k.value: k for k in links.MorphismKind}[args.standard]
     tau = _parse_tau(datum, args.tau, prime_id) if args.tau else None
@@ -537,12 +538,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    def datum_file_required():
-        if not args.datum:
-            raise UsageError("this mode requires --datum")
-        return args.datum
-
-    args.datum_file_required = datum_file_required
     try:
         return args.func(args)
     except UsageError as exc:
@@ -551,7 +546,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

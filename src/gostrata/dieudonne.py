@@ -45,6 +45,7 @@ from .witt import (
     Mat2,
     WittRing,
     elementary_divisors,
+    frame_inverse,
     lattice_colength,
     lattice_contains,
     lattice_dual,
@@ -52,9 +53,7 @@ from .witt import (
     lattice_normalize,
     lattice_scale,
     lattice_sum,
-    mat_adjugate,
     mat_det,
-    mat_elem_mul,
     mat_mul,
     mat_sigma,
     mat_smul,
@@ -96,9 +95,8 @@ def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
 
 def _p_times_inverse(ring: WittRing, mat: Mat2) -> Mat2:
     """The matrix p * mat^{-1}, integral whenever both elementary divisors <= 1."""
-    d, unit = ring.unit_and_val(mat_det(ring, mat))
-    adj = mat_elem_mul(ring, ring.inv(unit), mat_adjugate(ring, mat))
-    return _mat_shift(ring, adj, 1 - d)
+    d, inv = scaled_inverse(ring, mat)
+    return _mat_shift(ring, inv, 1 - d)
 
 
 def _close(ring: WittRing, a: Mat2, b: Mat2) -> bool:
@@ -287,9 +285,7 @@ def essential_frobenius_image(
 def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
     """The lattice V(D at sigma emb) + p D at ``emb``."""
     ring, system = pt.ring, pt.datum.places
-    v_image = lattice_normalize(
-        Lattice2(ring, 0, pt.v_mat(frobenius_shift(system, emb, 1)))
-    )
+    v_image = Lattice2(ring, 0, pt.v_mat(frobenius_shift(system, emb, 1)))
     return lattice_sum(v_image, lattice_scale(standard_lattice(ring), 1))
 
 
@@ -353,18 +349,14 @@ def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
 
 def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Lattice2:
     """Rewrite a lattice in the coordinates in which ``frame`` is standard."""
-    d = ring.val(mat_det(ring, frame.basis))
-    inv = scaled_inverse(ring, frame.basis, d)
+    d, inv = frame_inverse(frame)
     basis = mat_mul(ring, inv, lattice.basis)
-    return lattice_normalize(
-        Lattice2(ring, lattice.shift - frame.shift - d, basis)
-    )
+    return lattice_normalize(Lattice2(ring, lattice.shift - frame.shift - d, basis))
 
 
 def _frame_map(ring: WittRing, frame_to: Lattice2, mat: Mat2, frame_from: Lattice2) -> Mat2:
     """The matrix of x -> mat sigma(x) rewritten between lattice frames."""
-    d = ring.val(mat_det(ring, frame_to.basis))
-    inv = scaled_inverse(ring, frame_to.basis, d)
+    d, inv = frame_inverse(frame_to)
     out = mat_mul(ring, inv, mat_mul(ring, mat, mat_sigma(ring, frame_from.basis, 1)))
     return _mat_shift(ring, out, frame_from.shift - frame_to.shift - d)
 
@@ -483,19 +475,18 @@ def build_isogeny_triple(
         if lattice_colength(c_lat[emb], b_lat[emb]) != int(emb in delta.minus):
             raise DieudonneError(f"wrong b-in-c colength at {emb}")
 
-    frames = {emb: lattice_normalize(b_lat[emb]) for emb in pt.embeddings()}
     target_datum = ShimuraDatum(system, descriptor.s_of_t, descriptor.level_t)
     expected = dimension_count_check(datum, pt.signature, delta)
-    b_point = _frame_point(pt, frames, target_datum, expected)
+    b_point = _frame_point(pt, b_lat, target_datum, expected)
 
     j_lines = {
-        emb: lattice_in_frame(ring, frames[emb], omega_lattice(pt, emb))
+        emb: lattice_in_frame(ring, b_lat[emb], omega_lattice(pt, emb))
         for emb in lift.i_tilde_t
     }
     h_lines: dict[EmbE, Lattice2] = {}
     if descriptor.case_at(pid) is CaseTag.A2:
         for emb in delta.minus:
-            h_lines[emb] = lattice_in_frame(ring, frames[emb], lattice_scale(c_lat[emb], 1))
+            h_lines[emb] = lattice_in_frame(ring, b_lat[emb], lattice_scale(c_lat[emb], 1))
 
     return IsogenyTriple(
         a=tuple(sorted(a_lat.items())),
@@ -523,7 +514,7 @@ def reconstruct_lattices(
     """Rebuild the c- and a-lattice families in the b-frame.
 
     Returns ``(m, l)`` where ``m`` contains the overlattices recovering c and
-    ``l`` the sublattices recovering a.
+    ``l`` the sublattices recovering a, every one in Hermite form.
     """
     t = frozenset(t)
     ring, system = b_point.ring, b_point.datum.places
@@ -558,7 +549,7 @@ def reconstruct_lattices(
         for emb in delta.minus:
             if emb not in h_lines:
                 raise DieudonneError(f"missing Iwahori line at {emb}")
-            m_lat[emb] = lattice_scale(h_lines[emb], -1)
+            m_lat[emb] = lattice_scale(lattice_normalize(h_lines[emb]), -1)
     elif case is CaseTag.B2:
         for emb in delta.minus:
             m_lat[emb] = lattice_dual(std, b_point.pairing(emb))
@@ -587,9 +578,8 @@ def _point_from_lattices(
     b_point: DieudonnePoint, l_lat: Mapping[EmbE, Lattice2], lift: LiftChoice, datum: ShimuraDatum
 ) -> DieudonnePoint:
     """The point on the source ``datum`` whose module is the rebuilt a-family."""
-    frames = {emb: lattice_normalize(l_lat[emb]) for emb in b_point.embeddings()}
     expected = signature_from_lift(datum, _lift_zeros(lift, datum))
-    return _frame_point(b_point, frames, datum, expected)
+    return _frame_point(b_point, l_lat, datum, expected)
 
 
 def reconstruct_point(
@@ -628,7 +618,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
         dict(triple.h_lines),
     )
     for emb in pt.embeddings():
-        frame = lattice_normalize(triple.b_at(emb))
+        frame = triple.b_at(emb)
         if not lattice_equal(m_lat[emb], lattice_in_frame(ring, frame, triple.c_at(emb))):
             raise DieudonneError(f"c-lattice mismatch at {emb}")
         if not lattice_equal(l_lat[emb], lattice_in_frame(ring, frame, triple.a_at(emb))):
@@ -716,7 +706,7 @@ def point_from_half_system(
     for emb in half:
         cemb = conjugate(system, emb)
         prev = frobenius_shift(system, emb, -1)
-        inv_pairing = scaled_inverse(ring, pairings[emb], 0)
+        _, inv_pairing = scaled_inverse(ring, pairings[emb])
         p_f_inv_t = mat_transpose(_p_times_inverse(ring, f_mats[emb]))
         twisted_prev = mat_sigma(ring, pairings[prev], 1)
         f_mats[cemb] = mat_mul(ring, inv_pairing, mat_mul(ring, p_f_inv_t, twisted_prev))

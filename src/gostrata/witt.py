@@ -24,6 +24,12 @@ lattice bases, is put on the outside, so it takes one linear pass.
 (for the determinant, ad - bc with the subtraction done first) and reduce it
 once.
 
+A lattice flagged ``hermite`` (by ``_hnf`` and ``standard_lattice``; kept by
+``lattice_scale``; ignored by equality, hashing and repr) has the basis
+[[p^a, 0], [c, p^b]], so ``lattice_normalize`` returns it unchanged and
+``frame_inverse`` takes p^(a+b) * basis^-1 as its adjugate [[p^b, 0], [-c, p^a]]:
+the same reduced integers as the general path, with no inversion or product.
+
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
 A constant unit is inverted directly mod p^N.
@@ -440,13 +446,10 @@ def mat_adjugate(ring: WittRing, a: Mat2) -> Mat2:
     )
 
 
-def scaled_inverse(ring: WittRing, a: Mat2, k: int) -> Mat2:
-    """The matrix p^k * a^{-1}, which must be integral."""
+def scaled_inverse(ring: WittRing, a: Mat2) -> tuple[int, Mat2]:
+    """(d, p^d * a^{-1}) with d the valuation of det(a)."""
     d, unit = ring.unit_and_val(mat_det(ring, a))
-    if d > k:
-        raise WittError("scaled inverse is not integral")
-    adj = mat_elem_mul(ring, ring.inv(unit), mat_adjugate(ring, a))
-    return mat_smul(ring, ring.p ** (k - d), adj)
+    return d, mat_elem_mul(ring, ring.inv(unit), mat_adjugate(ring, a))
 
 
 def elementary_divisors(ring: WittRing, a: Mat2):
@@ -470,10 +473,11 @@ class Lattice2:
     ring: WittRing
     shift: int
     basis: Mat2
+    hermite: bool = field(default=False, compare=False, repr=False)
 
 
 def standard_lattice(ring: WittRing) -> Lattice2:
-    return Lattice2(ring, 0, mat_identity(ring))
+    return Lattice2(ring, 0, mat_identity(ring), hermite=True)
 
 
 def _hnf(ring: WittRing, shift: int, cols: list) -> Lattice2:
@@ -510,14 +514,13 @@ def _hnf(ring: WittRing, shift: int, cols: list) -> Lattice2:
         raise WittError("precision budget exhausted")
     q = p**b
     c = tuple(e % q for e in c)
-    return Lattice2(
-        ring,
-        shift,
-        ((ring.from_int(pa), ring.zero()), (c, ring.from_int(q))),
-    )
+    basis = ((ring.from_int(pa), ring.zero()), (c, ring.from_int(q)))
+    return Lattice2(ring, shift, basis, hermite=True)
 
 
 def lattice_normalize(l: Lattice2) -> Lattice2:
+    if l.hermite:
+        return l
     cols = [(l.basis[0][0], l.basis[1][0]), (l.basis[0][1], l.basis[1][1])]
     return _hnf(l.ring, l.shift, cols)
 
@@ -530,7 +533,7 @@ def lattice_equal(a: Lattice2, b: Lattice2) -> bool:
 
 
 def lattice_scale(l: Lattice2, k: int) -> Lattice2:
-    return Lattice2(l.ring, l.shift + k, l.basis)
+    return Lattice2(l.ring, l.shift + k, l.basis, hermite=l.hermite)
 
 
 def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
@@ -553,13 +556,22 @@ def lattice_index_val(l: Lattice2) -> int:
     return 2 * l.shift + l.ring.val(mat_det(l.ring, l.basis))
 
 
+def frame_inverse(l: Lattice2) -> tuple[int, Mat2]:
+    """(d, p^d * basis^-1) with d the valuation of det(basis); a Hermite basis
+    with a + b < N has determinant p^(a+b), so that is its adjugate."""
+    ring, basis = l.ring, l.basis
+    if l.hermite:
+        d = ring.val(basis[0][0]) + ring.val(basis[1][1])
+        if d < ring.N:
+            return d, ((basis[1][1], ring.zero()), (ring.neg(basis[1][0]), basis[0][0]))
+    return scaled_inverse(ring, basis)
+
+
 def lattice_contains(outer: Lattice2, inner: Lattice2) -> bool:
     ring = outer.ring
-    d = ring.val(mat_det(ring, outer.basis))
-    change = scaled_inverse(ring, outer.basis, d)
+    d, change = frame_inverse(outer)
     image = mat_mul(ring, change, inner.basis)
-    need = d - (inner.shift - outer.shift)
-    return need <= 0 or mat_val(ring, image) >= need
+    return mat_val(ring, image) >= d - (inner.shift - outer.shift)
 
 
 def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:
@@ -572,10 +584,9 @@ def lattice_dual(l: Lattice2, pairing: Mat2) -> Lattice2:
     """{v : <v, l> integral} under <v, w> = v^T * pairing * w."""
     ring = l.ring
     mat = mat_mul(ring, mat_transpose(l.basis), mat_transpose(pairing))
-    d = ring.val(mat_det(ring, mat))
-    if d >= ring.N:
+    if ring.val(mat_det(ring, mat)) >= ring.N:
         raise WittError("pairing degenerate beyond the declared valuation")
-    basis = scaled_inverse(ring, mat, d)
+    d, basis = scaled_inverse(ring, mat)
     return lattice_normalize(Lattice2(ring, -l.shift - d, basis))
 
 

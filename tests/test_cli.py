@@ -299,6 +299,37 @@ def test_datum_missing_e_split_is_a_domain_error(tmp_path: Path) -> None:
     assert "e_split" in proc.stderr
 
 
+def test_malformed_link_and_datum_json_are_domain_errors(tmp_path: Path) -> None:
+    def write(name: str, data) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    no_disp = {key: value for key, value in PAPER_LINK.items() if key != "disp"}
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    cases = [
+        (("link", "--validate", write("no_disp.json", no_disp)), "'disp'"),
+        (("link", "--validate", write("bad_node.json", {**PAPER_LINK, "disp": {"x": 1}})), "malformed"),
+        (("link", "--validate", write("list.json", [1, 2])), "malformed"),
+        (("link", "--invert", write("n_only.json", {"n": 3})), "'source_nodes'"),
+        (("link", "--compose", write("ok.json", PAPER_LINK), str(tmp_path / "list.json")), "list.json"),
+        (("ample", "--datum", write("datum.json", []), "--p", "3", "--t", "1"), "datum"),
+        (("link", "--validate", str(not_utf8)), "utf-8"),
+    ]
+    for argv, needle in cases:
+        proc = _run_cli(*argv)
+        _assert_one_line_error(proc, 1)
+        assert needle in proc.stderr
+
+
+def test_link_modes_on_a_datum_require_one() -> None:
+    for mode in (["--frobenius"], ["--standard", "TrivialHecke"]):
+        proc = _run_cli("link", *mode)
+        _assert_one_line_error(proc, 2)
+        assert "requires --datum" in proc.stderr
+
+
 def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:
     datum = _write_datum(tmp_path, 2, True)
     _assert_one_line_error(

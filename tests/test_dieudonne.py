@@ -51,6 +51,7 @@ from gostrata.strata import (
     stratum_descriptor,
 )
 from gostrata.witt import (
+    WittError,
     lattice_colength,
     lattice_equal,
     lattice_normalize,
@@ -413,6 +414,45 @@ def test_precision_shortfall_is_a_precision_error():
         make_point(
             shallow, datum, dict(pt.f_mats), dict(pt.pairings), pt.signature
         )
+
+
+def test_lowering_precision_never_changes_the_stratum():
+    """A point drawn at N=12 and reduced to a lower N either raises a
+    precision error or keeps its stratum: never a different answer."""
+    shapes = [
+        (2, 2, True, ()), (3, 2, True, ()), (5, 2, True, ()),
+        (3, 3, True, (0,)), (2, 3, False, ()), (3, 2, False, ()),
+    ]
+
+    def reduce(table, pn):
+        return {
+            emb: tuple(tuple(tuple(c % pn for c in e) for e in row) for row in mat)
+            for emb, mat in table
+        }
+
+    outcomes = {"equal": 0, "nonempty": 0, "precision": 0}
+    for p, f, split, s_indices in shapes:
+        datum = _datum(f, split, s_indices)
+        ring = ring_for_datum(datum, p, 12)
+        for seed in range(15):
+            pt = random_point(random.Random(seed), ring, datum)
+            stratum = stratum_of_point(pt)
+            for n in (5, 6, 8):
+                low = ring_for_datum(datum, p, n)
+                try:
+                    lowered = make_point(
+                        low, datum, reduce(pt.f_mats, low.pn), reduce(pt.pairings, low.pn),
+                        pt.signature,
+                    )
+                    got = stratum_of_point(lowered)
+                except (PrecisionError, WittError):
+                    outcomes["precision"] += 1
+                    continue
+                assert got == stratum, (p, f, seed, n)
+                outcomes["equal"] += 1
+                outcomes["nonempty"] += bool(stratum)
+    # the property is not vacuous: answers are compared, nonempty strata too
+    assert outcomes["equal"] and outcomes["nonempty"] and outcomes["precision"]
 
 
 # --- roundtrips ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from gostrata.witt import (
     Lattice2,
     WittError,
     elementary_divisors,
+    frame_inverse,
     frobenius,
     isprime,
     lattice_colength,
@@ -320,6 +321,71 @@ def test_lattice_normalize_idempotent_and_basis_independent():
             ring, l.shift, mat_mul(ring, l.basis, _rand_unimodular(rng, ring))
         )
         assert lattice_equal(l, scrambled)
+
+
+def _plain(l):
+    """The same lattice, not flagged as Hermite: it takes the general paths."""
+    return Lattice2(l.ring, l.shift, l.basis)
+
+
+def _hermite_lattices(rng, ring, count):
+    """Hermite lattices from products of two random lattices, so that a, b
+    range over 0..2 and c is a general element."""
+    for _ in range(count):
+        a, b = _rand_lattice(rng, ring), _rand_lattice(rng, ring)
+        yield lattice_normalize(Lattice2(ring, a.shift, mat_mul(ring, a.basis, b.basis)))
+
+
+def test_lattice_normalize_returns_hermite_input_unchanged():
+    rng = random.Random(29)
+    ring = witt_ring(3, 2, 8)
+    assert standard_lattice(ring).hermite
+    for h in _hermite_lattices(rng, ring, 20):
+        assert h.hermite and lattice_normalize(h) is h
+        assert lattice_scale(h, 2).hermite
+        assert lattice_normalize(_plain(h)).hermite
+
+
+def test_hermite_flag_leaves_equality_hash_and_repr_alone():
+    rng = random.Random(31)
+    ring = witt_ring(2, 3, 8)
+    for h in _hermite_lattices(rng, ring, 10):
+        plain = _plain(h)
+        assert not plain.hermite
+        assert plain == h and hash(plain) == hash(h) and repr(plain) == repr(h)
+        assert len({plain, h}) == 1
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 3)])
+def test_hermite_paths_match_general_path(p, m):
+    from gostrata.dieudonne import lattice_in_frame
+
+    rng = random.Random(37 + p)
+    ring = witt_ring(p, m, 8)
+    lattices = list(_hermite_lattices(rng, ring, 12))
+    answers = set()
+    for outer in lattices:
+        assert frame_inverse(outer) == frame_inverse(_plain(outer))
+        for inner in lattices:
+            for k in range(3):
+                shifted = lattice_scale(inner, k)
+                got = lattice_contains(outer, shifted)
+                assert got == lattice_contains(_plain(outer), shifted)
+                answers.add(got)
+                assert lattice_in_frame(ring, outer, shifted) == lattice_in_frame(
+                    ring, _plain(outer), shifted
+                )
+    assert answers == {True, False}
+
+
+def test_hermite_frame_beyond_precision_raises_like_general_path():
+    # a + b = 17 >= N = 16 with a, b inside the budget of 12: det(basis) is 0 mod p^N
+    ring = witt_ring(3, 2, 16)
+    h = lattice_normalize(Lattice2(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]])))
+    assert h.hermite and h.basis == mat2(ring, [[3**7, 0], [1, 3**10]])
+    for frame in (h, _plain(h)):
+        with pytest.raises(WittError):
+            frame_inverse(frame)
 
 
 def test_lattice_scale_roundtrip():
