@@ -24,7 +24,6 @@ from .places import (
     datum_from_json,
     frobenius_shift,
     make_datum,
-    n_tau,
 )
 
 _DOMAIN_ERRORS = (
@@ -41,6 +40,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line on one line."""
+
+    def error(self, message: str):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
 def _load_json(path: str, kind: str, parse, error: type[ValueError]):
     """Parse a JSON file; a missing or malformed field is a one-line ``error``."""
     with open(path, encoding="utf-8") as handle:
@@ -51,7 +57,7 @@ def _load_json(path: str, kind: str, parse, error: type[ValueError]):
         raise
     except KeyError as exc:
         raise error(f"{kind} {path} lacks the field {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise error(f"{kind} {path} is malformed: {exc}") from None
 
 
@@ -121,11 +127,7 @@ def _cmd_strata(args) -> int:
 
 
 def _table_rows(datum: ShimuraDatum):
-    free = sorted(
-        tau
-        for tau in datum.places.arch_places()
-        if tau not in datum.s.s_infty
-    )
+    free = picard.basis_of(datum)
     if len(free) > 16:
         raise UsageError("table would have more than 2^16 rows")
     for size in range(len(free) + 1):
@@ -243,27 +245,22 @@ def _cmd_ample(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--t {args.t!r} is not a comma list of rationals") from None
     datum = _load_datum(args.datum)
-    basis = picard.basis_of(datum)
-    inequalities = []
-    for tau in basis:
-        n, tau_minus, _ = n_tau(datum, tau)
-        inequalities.append(
-            {
-                "lhs": f"{args.p**n}*t[{_tau_key(tau)}]",
-                "rhs": f"t[{_tau_key(tau_minus)}]",
-            }
-        )
-    violations = picard.ample_necessary(datum, args.p, weights)
+    inequalities = picard.ample_inequalities(datum, args.p, weights)
+    violations = [v for *_, v in inequalities if v is not None]
+    sides = [
+        (f"{args.p**n}*t[{_tau_key(tau)}]", f"t[{_tau_key(tau_minus)}]")
+        for tau, n, tau_minus, _ in inequalities
+    ]
     if args.format == "csv":
         print("lhs,rhs")
-        for item in inequalities:
-            print(f"{item['lhs']},{item['rhs']}")
+        for lhs, rhs in sides:
+            print(f"{lhs},{rhs}")
     else:
         _emit(
             {
                 "status": "fail" if violations else "pass",
                 "note": "necessary condition only",
-                "inequalities": inequalities,
+                "inequalities": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in sides],
                 "violations": violations,
             }
         )
@@ -300,12 +297,7 @@ def _cmd_picard(args) -> int:
     vector = picard.divisor_class(datum, args.p, tau)
     degree = picard.fiber_degree(datum, args.p, vector, tau)
     payload = {"tau": _tau_key(tau), "self_fiber_degree": str(degree)}
-    free = [
-        t
-        for t in datum.places.arch_places(tau.prime_id)
-        if t not in datum.s.s_infty
-    ]
-    if len(free) > 1:
+    if len(set(datum.places.arch_places(tau.prime_id)) - datum.s.s_infty) > 1:
         payload["normal_bundle"] = picard.normal_bundle_class(datum, args.p, tau)
     _emit(payload)
     return 0
@@ -460,7 +452,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gostrata",
         description="Stratification, link calculus, and point simulation toolkit.",
     )

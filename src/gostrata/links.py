@@ -47,12 +47,6 @@ class Link:
     def disp_map(self) -> dict[int, int]:
         return dict(self.disp)
 
-    def disp_at(self, node: int) -> int:
-        for key, value in self.disp:
-            if key == node:
-                return value
-        raise LinkError(f"no curve at node {node}")
-
 
 def make_link(source: Band, target: Band, disp: Mapping[int, int]) -> Link:
     """Build and validate a link; raises LinkError on any violation."""
@@ -274,11 +268,7 @@ def standard_morphism(
         if tau is None:
             raise LinkError("tau required")
         n, tau_minus, tau_plus = n_tau(datum, tau)
-        free = {
-            t
-            for t in datum.places.arch_places(prime_id)
-            if t not in datum.s.s_infty
-        }
+        free = set(datum.places.arch_places(prime_id)) - datum.s.s_infty
         if free != {tau, tau_minus} or tau_plus != tau_minus:
             raise LinkError(
                 "requires exactly the two unramified embeddings tau and tau-minus"

@@ -119,34 +119,37 @@ def normal_bundle_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> int:
     """Self-intersection degree of the vanishing divisor along its own fiber."""
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
-    free = [
-        t
-        for t in datum.places.arch_places(tau.prime_id)
-        if t not in datum.s.s_infty
-    ]
-    if len(free) <= 1:
+    if len(set(datum.places.arch_places(tau.prime_id)) - datum.s.s_infty) <= 1:
         raise PicardError("needs at least two unramified embeddings at the prime")
     n = n_tau(datum, tau)[0]
     return -2 * p**n
+
+
+def ample_inequalities(
+    datum: ShimuraDatum, p: int, t: Mapping[ArchPlace, Fraction] | Sequence[Fraction]
+) -> list[tuple[ArchPlace, int, ArchPlace, str | None]]:
+    """The inequalities p^{n_tau} t_tau > t_{tau-minus} over the basis, each as
+    ``(tau, n_tau, tau_minus, violation)``, the violation None where it holds."""
+    basis = basis_of(datum)
+    if not isinstance(t, Mapping):
+        if len(t) != len(basis):
+            raise PicardError("weight vector length must match the basis")
+        t = dict(zip(basis, t))
+    out = []
+    for tau in basis:
+        n, tau_minus, _ = n_tau(datum, tau)
+        lhs = Fraction(p**n) * Fraction(t[tau])
+        rhs = Fraction(t[tau_minus])
+        violation = None if lhs > rhs else (
+            f"p^{n}*t[{tau.prime_id},{tau.i}] = {lhs} is not greater than "
+            f"t[{tau_minus.prime_id},{tau_minus.i}] = {rhs}"
+        )
+        out.append((tau, n, tau_minus, violation))
+    return out
 
 
 def ample_necessary(
     datum: ShimuraDatum, p: int, t: Mapping[ArchPlace, Fraction] | Sequence[Fraction]
 ) -> list[str]:
     """Check the inequalities p^{n_tau} t_tau > t_{tau-minus}; list violations."""
-    basis = basis_of(datum)
-    if not isinstance(t, Mapping):
-        if len(t) != len(basis):
-            raise PicardError("weight vector length must match the basis")
-        t = dict(zip(basis, t))
-    violations = []
-    for tau in basis:
-        n, tau_minus, _ = n_tau(datum, tau)
-        lhs = Fraction(p**n) * Fraction(t[tau])
-        rhs = Fraction(t[tau_minus])
-        if not lhs > rhs:
-            violations.append(
-                f"p^{n}*t[{tau.prime_id},{tau.i}] = {lhs} is not greater than "
-                f"t[{tau_minus.prime_id},{tau_minus.i}] = {rhs}"
-            )
-    return violations
+    return [v for *_, v in ample_inequalities(datum, p, t) if v is not None]

@@ -11,9 +11,9 @@ the half turn (inert).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class PlaceError(ValueError):
@@ -33,16 +33,14 @@ class PrimeSlot:
             raise PlaceError(f"inertia degree must be >= 1, got {self.f}")
 
 
-@dataclass(frozen=True, order=True)
-class ArchPlace:
+class ArchPlace(NamedTuple):
     """An archimedean embedding of the base field: a residue in the f-cycle."""
 
     prime_id: str
     i: int
 
 
-@dataclass(frozen=True, order=True)
-class EmbE:
+class EmbE(NamedTuple):
     """An embedding of the CM field.
 
     For a split prime, ``sheet`` is 0 or 1 and ``i`` is a residue mod f; the
@@ -55,55 +53,87 @@ class EmbE:
     i: int
 
 
+_PLACE_TYPES = (ArchPlace, EmbE)
+
+
 @dataclass(frozen=True)
 class PlaceSystem:
-    """The full collection of embedding cycles, one per p-adic prime."""
+    """The full collection of embedding cycles, one per p-adic prime.
+
+    Tables built once from ``primes``, and left out of equality, hashing and
+    repr: ``_slot`` maps a prime id to its slot; ``_arch`` and ``_emb`` map it
+    (or None, for all primes) to its places in order; ``_cycle`` maps each
+    place to the Frobenius cycle through it (a base cycle, a sheet, or an
+    inert double cycle) and its index there; ``_conj`` and ``_restrict`` map
+    each embedding to its conjugate and its restriction.  Every lookup
+    returns a prebuilt place.
+    """
 
     primes: tuple[PrimeSlot, ...]
+    _slot: dict = field(init=False, repr=False, compare=False)
+    _arch: dict = field(init=False, repr=False, compare=False)
+    _emb: dict = field(init=False, repr=False, compare=False)
+    _cycle: dict = field(init=False, repr=False, compare=False)
+    _conj: dict = field(init=False, repr=False, compare=False)
+    _restrict: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [slot.id for slot in self.primes]
         if len(set(ids)) != len(ids):
             raise PlaceError(f"duplicate prime ids in {ids}")
+        arch, emb, cycle, conj, restrict = {}, {}, {}, {}, {}
+        for slot in self.primes:
+            pid, f = slot.id, slot.f
+            base = tuple(ArchPlace(pid, i) for i in range(f))
+            if slot.e_split:
+                sheets = [tuple(EmbE(pid, s, i) for i in range(f)) for s in (0, 1)]
+                conj.update(zip(sheets[0] + sheets[1], sheets[1] + sheets[0]))
+            else:
+                sheets = [tuple(EmbE(pid, 0, j) for j in range(2 * f))]
+                conj.update(zip(sheets[0], sheets[0][f:] + sheets[0][:f]))
+            arch[pid], emb[pid] = base, sum(sheets, ())
+            restrict.update((e, base[e.i % f]) for e in emb[pid])
+            for c in (base, *sheets):
+                cycle.update((x, (c, k)) for k, x in enumerate(c))
+        arch[None], emb[None] = sum(arch.values(), ()), sum(emb.values(), ())
+        tables = zip(("_slot", "_arch", "_emb", "_cycle", "_conj", "_restrict"), (
+            dict(zip(ids, self.primes)), arch, emb, cycle, conj, restrict))
+        for name, table in tables:
+            object.__setattr__(self, name, table)
 
     def prime(self, prime_id: str) -> PrimeSlot:
-        for slot in self.primes:
-            if slot.id == prime_id:
-                return slot
-        raise PlaceError(f"unknown prime id {prime_id!r}")
+        slot = self._slot.get(prime_id)
+        if slot is None:
+            raise PlaceError(f"unknown prime id {prime_id!r}")
+        return slot
 
     def arch_places(self, prime_id: str | None = None) -> tuple[ArchPlace, ...]:
-        slots = self.primes if prime_id is None else (self.prime(prime_id),)
-        return tuple(
-            ArchPlace(slot.id, i) for slot in slots for i in range(slot.f)
-        )
+        if prime_id is not None:
+            self.prime(prime_id)
+        return self._arch[prime_id]
 
     def embeddings(self, prime_id: str | None = None) -> tuple[EmbE, ...]:
-        slots = self.primes if prime_id is None else (self.prime(prime_id),)
-        out: list[EmbE] = []
-        for slot in slots:
-            if slot.e_split:
-                out.extend(
-                    EmbE(slot.id, sheet, i)
-                    for sheet in (0, 1)
-                    for i in range(slot.f)
-                )
-            else:
-                out.extend(EmbE(slot.id, 0, j) for j in range(2 * slot.f))
-        return tuple(out)
+        if prime_id is not None:
+            self.prime(prime_id)
+        return self._emb[prime_id]
 
     def check_member(self, x: ArchPlace | EmbE) -> None:
+        self._lookup(self._cycle, x)
+
+    def _lookup(self, table: dict, x):
+        """``table[x]`` for a place ``x``; a PlaceError that says why if none."""
+        if type(x) not in _PLACE_TYPES:
+            raise PlaceError(f"{x!r} is neither an ArchPlace nor an EmbE")
+        hit = table.get(x)
+        if hit is not None:
+            return hit
         slot = self.prime(x.prime_id)
-        if isinstance(x, ArchPlace):
-            if not 0 <= x.i < slot.f:
-                raise PlaceError(f"{x} out of range for f={slot.f}")
-            return
-        if slot.e_split:
-            if x.sheet not in (0, 1) or not 0 <= x.i < slot.f:
-                raise PlaceError(f"{x} invalid for split prime with f={slot.f}")
-        else:
-            if x.sheet != 0 or not 0 <= x.i < 2 * slot.f:
-                raise PlaceError(f"{x} invalid for inert prime with f={slot.f}")
+        if x in self._cycle:
+            raise PlaceError(f"{x} is not an embedding of the CM field")
+        if type(x) is ArchPlace:
+            raise PlaceError(f"{x} out of range for f={slot.f}")
+        kind = "split" if slot.e_split else "inert"
+        raise PlaceError(f"{x} invalid for {kind} prime with f={slot.f}")
 
 
 def build_place_system(spec: Iterable[tuple[int, bool]]) -> PlaceSystem:
@@ -119,37 +149,26 @@ def build_place_system(spec: Iterable[tuple[int, bool]]) -> PlaceSystem:
 
 def frobenius_shift(system: PlaceSystem, x: ArchPlace | EmbE, k: int):
     """Apply sigma^k to an embedding (rotation within its cycle or sheet)."""
-    system.check_member(x)
-    slot = system.prime(x.prime_id)
-    if isinstance(x, ArchPlace):
-        return ArchPlace(x.prime_id, (x.i + k) % slot.f)
-    modulus = slot.f if slot.e_split else 2 * slot.f
-    return EmbE(x.prime_id, x.sheet, (x.i + k) % modulus)
+    cycle, pos = system._lookup(system._cycle, x)
+    return cycle[(pos + k) % len(cycle)]
 
 
 def conjugate(system: PlaceSystem, x: EmbE) -> EmbE:
     """Apply complex conjugation: swap sheets (split) or add f (inert)."""
-    system.check_member(x)
-    slot = system.prime(x.prime_id)
-    if slot.e_split:
-        return EmbE(x.prime_id, 1 - x.sheet, x.i)
-    return EmbE(x.prime_id, 0, (x.i + slot.f) % (2 * slot.f))
+    return system._lookup(system._conj, x)
 
 
 def restrict(system: PlaceSystem, x: EmbE) -> ArchPlace:
     """The two-to-one restriction from CM-field embeddings to base embeddings."""
-    system.check_member(x)
-    slot = system.prime(x.prime_id)
-    return ArchPlace(x.prime_id, x.i % slot.f)
+    return system._lookup(system._restrict, x)
 
 
 def lifts(system: PlaceSystem, tau: ArchPlace) -> tuple[EmbE, EmbE]:
-    """The two CM-field embeddings restricting to ``tau``."""
+    """The two CM-field embeddings restricting to ``tau``: the sheet-0 /
+    low-residue lift and its conjugate."""
     system.check_member(tau)
-    slot = system.prime(tau.prime_id)
-    if slot.e_split:
-        return EmbE(tau.prime_id, 0, tau.i), EmbE(tau.prime_id, 1, tau.i)
-    return EmbE(tau.prime_id, 0, tau.i), EmbE(tau.prime_id, 0, tau.i + slot.f)
+    low = EmbE(tau.prime_id, 0, tau.i)
+    return low, conjugate(system, low)
 
 
 def canonical_lift(system: PlaceSystem, tau: ArchPlace) -> EmbE:
@@ -213,8 +232,10 @@ class ShimuraDatum:
     places: PlaceSystem
     s: EvenPlaceSet
     level_p: tuple[tuple[str, Level], ...]
+    _level: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_level", dict(self.level_p))
         self.s.validate(self.places)
         known = {slot.id for slot in self.places.primes}
         seen = set()
@@ -239,11 +260,9 @@ class ShimuraDatum:
                 raise PlaceError(f"ramified prime {pid!r} must carry maximal-order level")
 
     def level(self, prime_id: str) -> Level:
-        for pid, level in self.level_p:
-            if pid == prime_id:
-                return level
-        self.places.prime(prime_id)
-        return Level.HYPERSPECIAL
+        if prime_id not in self._level:
+            self.places.prime(prime_id)
+        return self._level.get(prime_id, Level.HYPERSPECIAL)
 
 
 def make_datum(
@@ -291,26 +310,16 @@ def n_tau(datum: ShimuraDatum, tau: ArchPlace) -> tuple[int, ArchPlace, ArchPlac
     ``tau``.
     """
     system = datum.places
-    system.check_member(tau)
+    cycle, pos = system._lookup(system._cycle, tau)
     s_infty = datum.s.s_infty
     if tau in s_infty:
         raise PlaceError(f"{tau} lies in the ramified archimedean set")
-    cycle = set(system.arch_places(tau.prime_id))
-    if cycle <= s_infty:
+    if s_infty.issuperset(system.arch_places(tau.prime_id)):
         raise PlaceError(f"prime {tau.prime_id!r} has no unramified embeddings")
-    n = 1
-    current = frobenius_shift(system, tau, -1)
-    while current in s_infty:
-        n += 1
-        current = frobenius_shift(system, current, -1)
-    tau_minus = current
-    m = 1
-    current = frobenius_shift(system, tau, 1)
-    while current in s_infty:
-        m += 1
-        current = frobenius_shift(system, current, 1)
-    tau_plus = current
-    return n, tau_minus, tau_plus
+    f = len(cycle)
+    n = next(k for k in range(1, f + 1) if cycle[(pos - k) % f] not in s_infty)
+    m = next(k for k in range(1, f + 1) if cycle[(pos + k) % f] not in s_infty)
+    return n, cycle[(pos - n) % f], cycle[(pos + m) % f]
 
 
 # --- JSON serialization ------------------------------------------------------

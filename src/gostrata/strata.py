@@ -25,6 +25,7 @@ from .places import (
     classify_prime,
     conjugate,
     frobenius_shift,
+    lifts,
     restrict,
 )
 
@@ -44,6 +45,14 @@ class CaseTag(Enum):
     B2 = "B2"
     A_SHARP_PASS = "ASharpPass"
     B_SHARP_PASS = "BSharpPass"
+
+
+def _by_prime(pairs, prime_id: str):
+    """The value paired with ``prime_id`` in ``(prime id, value)`` pairs."""
+    for pid, value in pairs:
+        if pid == prime_id:
+            return value
+    raise StratumError(f"unknown prime id {prime_id!r}")
 
 
 @dataclass(frozen=True)
@@ -72,22 +81,13 @@ class StratumDescriptor:
     level_t: tuple[tuple[str, Level], ...]
 
     def t_prime_at(self, prime_id: str) -> frozenset[ArchPlace]:
-        for pid, block in self.t_prime_infty:
-            if pid == prime_id:
-                return block
-        raise StratumError(f"unknown prime id {prime_id!r}")
+        return _by_prime(self.t_prime_infty, prime_id)
 
     def case_at(self, prime_id: str) -> CaseTag:
-        for pid, tag in self.case_tags:
-            if pid == prime_id:
-                return tag
-        raise StratumError(f"unknown prime id {prime_id!r}")
+        return _by_prime(self.case_tags, prime_id)
 
     def level_at(self, prime_id: str) -> Level:
-        for pid, level in self.level_t:
-            if pid == prime_id:
-                return level
-        raise StratumError(f"unknown prime id {prime_id!r}")
+        return _by_prime(self.level_t, prime_id)
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ class LiftChoice:
     recipes: tuple[PrimeLiftRecipe, ...]
 
     def recipe_at(self, prime_id: str) -> PrimeLiftRecipe:
-        for recipe in self.recipes:
-            if recipe.prime_id == prime_id:
-                return recipe
-        raise StratumError(f"unknown prime id {prime_id!r}")
+        return _by_prime(((r.prime_id, r) for r in self.recipes), prime_id)
 
 
 @dataclass(frozen=True)
@@ -282,13 +279,10 @@ def lift_assignment(
         seen[tau] = emb
 
     def base_lift(tau: ArchPlace, key_index: int) -> EmbE:
-        slot = system.prime(tau.prime_id)
         choice = beta_choices.get((tau.prime_id, key_index), 0)
         if choice not in (0, 1):
             raise StratumError(f"sheet choice must be 0 or 1, got {choice}")
-        if slot.e_split:
-            return EmbE(tau.prime_id, choice, tau.i)
-        return EmbE(tau.prime_id, 0, tau.i + choice * slot.f)
+        return lifts(system, tau)[choice]
 
     lifts_out: set[EmbE] = set(s_lift)
     recipes: list[PrimeLiftRecipe] = []
@@ -341,11 +335,7 @@ def lift_assignment(
         if anchor not in t_here:
             raise StratumError(f"anchor {anchor} is not in T at {pid!r}")
         anchor_tilde = base_lift(anchor, anchor.i)
-        preimage = {
-            emb
-            for tau in t_here
-            for emb in (EmbE(pid, 0, tau.i), EmbE(pid, 0, tau.i + slot.f))
-        }
+        preimage = {emb for tau in t_here for emb in lifts(system, tau)}
         a_list = tuple(
             a
             for a in range(2 * slot.f)

@@ -29,6 +29,7 @@ A lattice flagged ``hermite`` (by ``_hnf`` and ``standard_lattice``; kept by
 [[p^a, 0], [c, p^b]], so ``lattice_normalize`` returns it unchanged and
 ``frame_inverse`` takes p^(a+b) * basis^-1 as its adjugate [[p^b, 0], [-c, p^a]]:
 the same reduced integers as the general path, with no inversion or product.
+``lattice_index_val`` likewise reads det(basis) = p^(a+b) off the diagonal.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -551,19 +552,31 @@ def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
     return _hnf(ring, shift, cols)
 
 
+def _hermite_det_val(l: Lattice2) -> int | None:
+    """a + b, the valuation of det(basis) = p^(a+b), for a Hermite lattice
+    with a + b < N; None for any other lattice."""
+    if l.hermite:
+        d = l.ring.val(l.basis[0][0]) + l.ring.val(l.basis[1][1])
+        if d < l.ring.N:
+            return d
+    return None
+
+
 def lattice_index_val(l: Lattice2) -> int:
     """Valuation of the index in the standard lattice (may be negative)."""
-    return 2 * l.shift + l.ring.val(mat_det(l.ring, l.basis))
+    d = _hermite_det_val(l)
+    if d is None:
+        d = l.ring.val(mat_det(l.ring, l.basis))
+    return 2 * l.shift + d
 
 
 def frame_inverse(l: Lattice2) -> tuple[int, Mat2]:
-    """(d, p^d * basis^-1) with d the valuation of det(basis); a Hermite basis
-    with a + b < N has determinant p^(a+b), so that is its adjugate."""
+    """(d, p^d * basis^-1) with d the valuation of det(basis); for a Hermite
+    basis with a + b < N that is its adjugate."""
     ring, basis = l.ring, l.basis
-    if l.hermite:
-        d = ring.val(basis[0][0]) + ring.val(basis[1][1])
-        if d < ring.N:
-            return d, ((basis[1][1], ring.zero()), (ring.neg(basis[1][0]), basis[0][0]))
+    d = _hermite_det_val(l)
+    if d is not None:
+        return d, ((basis[1][1], ring.zero()), (ring.neg(basis[1][0]), basis[0][0]))
     return scaled_inverse(ring, basis)
 
 

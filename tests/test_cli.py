@@ -388,3 +388,73 @@ def test_dieudonne_reports_a_precision_shortfall_as_such() -> None:
     )
     _assert_one_line_error(proc, 1)
     assert "precision budget N - RESERVE = 5 - 4 = 1" in proc.stderr
+
+
+AMPLE_SPLIT_JSON = """\
+{
+  "status": "fail",
+  "note": "necessary condition only",
+  "inequalities": [
+    {
+      "lhs": "3*t[p1:0]",
+      "rhs": "t[p1:3]"
+    },
+    {
+      "lhs": "9*t[p1:2]",
+      "rhs": "t[p1:0]"
+    },
+    {
+      "lhs": "3*t[p1:3]",
+      "rhs": "t[p1:2]"
+    }
+  ],
+  "violations": [
+    "p^2*t[p1,2] = -18 is not greater than t[p1,0] = 1"
+  ]
+}
+"""
+
+AMPLE_SPLIT_CSV = """\
+lhs,rhs
+3*t[p1:0],t[p1:3]
+9*t[p1:2],t[p1:0]
+3*t[p1:3],t[p1:2]
+"""
+
+AMPLE_INERT_JSON = """\
+{
+  "status": "%s",
+  "note": "necessary condition only",
+  "inequalities": [
+    {
+      "lhs": "2*t[p1:0]",
+      "rhs": "t[p1:2]"
+    },
+    {
+      "lhs": "2*t[p1:1]",
+      "rhs": "t[p1:0]"
+    },
+    {
+      "lhs": "2*t[p1:2]",
+      "rhs": "t[p1:1]"
+    }
+  ],
+  "violations": [%s]
+}
+"""
+
+
+def test_ample_stdout_is_pinned(tmp_path: Path, capsys) -> None:
+    from gostrata import cli
+
+    def run(datum: Path, p: str, t: str, fmt: str) -> tuple[int, str]:
+        code = cli.main(["ample", "--datum", str(datum), "--p", p, "--t", t, "--format", fmt])
+        return code, capsys.readouterr().out
+
+    split = _write_datum(tmp_path, 4, True, [1])
+    assert run(split, "3", "1,-2,1/2", "json") == (1, AMPLE_SPLIT_JSON)
+    assert run(split, "3", "1,-2,1/2", "csv") == (1, AMPLE_SPLIT_CSV)
+    inert = _write_datum(tmp_path, 3, False)
+    assert run(inert, "2", "1,1,1", "json") == (0, AMPLE_INERT_JSON % ("pass", ""))
+    violation = '\n    "p^1*t[p1,2] = 4/3 is not greater than t[p1,1] = 5"\n  '
+    assert run(inert, "2", "1,5,2/3", "json") == (1, AMPLE_INERT_JSON % ("fail", violation))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from gostrata.places import (
     EmbE,
     Level,
     PlaceError,
+    PlaceSystem,
     PrimeType,
     build_place_system,
     canonical_lift,
@@ -188,3 +191,143 @@ def test_canonical_lift_is_sheet_zero():
     system = build_place_system([(3, False)])
     emb = canonical_lift(system, ArchPlace("p1", 2))
     assert emb == EmbE("p1", 0, 2)
+
+
+# --- places as plain values, with prebuilt tables --------------------------
+
+
+def _old_messages():
+    """Invalid places with the exact PlaceError text each one has always had."""
+    split = build_place_system([(3, True)])
+    inert = build_place_system([(3, False)])
+    return [
+        (split, ArchPlace("p1", 3), "ArchPlace(prime_id='p1', i=3) out of range for f=3"),
+        (split, ArchPlace("p1", -1), "ArchPlace(prime_id='p1', i=-1) out of range for f=3"),
+        (split, ArchPlace("p2", 0), "unknown prime id 'p2'"),
+        (split, EmbE("p1", 2, 0), "EmbE(prime_id='p1', sheet=2, i=0) invalid for split prime with f=3"),
+        (split, EmbE("p1", 1, 3), "EmbE(prime_id='p1', sheet=1, i=3) invalid for split prime with f=3"),
+        (split, EmbE("p9", 0, 0), "unknown prime id 'p9'"),
+        (inert, EmbE("p1", 1, 0), "EmbE(prime_id='p1', sheet=1, i=0) invalid for inert prime with f=3"),
+        (inert, EmbE("p1", 0, 6), "EmbE(prime_id='p1', sheet=0, i=6) invalid for inert prime with f=3"),
+        (inert, EmbE("p1", 0, -1), "EmbE(prime_id='p1', sheet=0, i=-1) invalid for inert prime with f=3"),
+    ]
+
+
+def test_out_of_range_places_keep_their_messages():
+    for system, x, message in _old_messages():
+        calls = [system.check_member, lambda x: frobenius_shift(system, x, 1)]
+        if isinstance(x, EmbE):
+            calls += [lambda x: conjugate(system, x), lambda x: restrict(system, x)]
+        for call in calls:
+            with pytest.raises(PlaceError) as err:
+                call(x)
+            assert str(err.value) == message
+
+
+def test_plain_tuples_are_never_members():
+    system = build_place_system([(3, True), (2, False)])
+    for plain in [("p1", 0), ("p1", 0, 0), ("p2", 0, 3), tuple(ArchPlace("p2", 1))]:
+        for call in (
+            system.check_member,
+            lambda x: frobenius_shift(system, x, 1),
+            lambda x: conjugate(system, x),
+            lambda x: restrict(system, x),
+            lambda x: lifts(system, x),
+        ):
+            with pytest.raises(PlaceError, match="neither an ArchPlace nor an EmbE"):
+                call(plain)
+
+
+def test_base_places_have_no_conjugate_or_restriction():
+    system = build_place_system([(3, False)])
+    for call in (conjugate, restrict):
+        with pytest.raises(PlaceError, match="not an embedding of the CM field"):
+            call(system, ArchPlace("p1", 1))
+
+
+def test_repr_and_order_of_places():
+    assert repr(ArchPlace("p1", 2)) == "ArchPlace(prime_id='p1', i=2)"
+    assert repr(EmbE("p2", 1, 0)) == "EmbE(prime_id='p2', sheet=1, i=0)"
+    assert f"{ArchPlace('p1', 2)}" == "ArchPlace(prime_id='p1', i=2)"
+    taus = [ArchPlace("p2", 0), ArchPlace("p1", 3), ArchPlace("p10", 1), ArchPlace("p1", 1)]
+    assert sorted(taus) == [
+        ArchPlace("p1", 1), ArchPlace("p1", 3), ArchPlace("p10", 1), ArchPlace("p2", 0)
+    ]
+    embs = [EmbE("p1", 1, 0), EmbE("p1", 0, 5), EmbE("p1", 0, 2), EmbE("p0", 1, 9)]
+    assert sorted(embs) == [
+        EmbE("p0", 1, 9), EmbE("p1", 0, 2), EmbE("p1", 0, 5), EmbE("p1", 1, 0)
+    ]
+
+
+def test_places_compare_as_tuples_of_their_fields():
+    # the two deliberate changes from the dataclass places: a place equals
+    # the plain tuple of its fields, and the two kinds order against each other
+    assert ArchPlace("p1", 0) == ("p1", 0) and hash(ArchPlace("p1", 0)) == hash(("p1", 0))
+    assert EmbE("p1", 1, 2) == ("p1", 1, 2)
+    assert ArchPlace("p1", 0) < EmbE("p1", 0, 0) < ArchPlace("p1", 1)
+    assert ArchPlace("p1", 0) != EmbE("p1", 0, 0)
+
+
+def test_place_system_equality_ignores_its_tables():
+    system = build_place_system([(3, True), (2, False)])
+    twin = PlaceSystem(system.primes)
+    assert system == twin and hash(system) == hash(twin) and len({system, twin}) == 1
+    assert repr(system) == (
+        "PlaceSystem(primes=(PrimeSlot(id='p1', f=3, e_split=True), "
+        "PrimeSlot(id='p2', f=2, e_split=False)))"
+    )
+    assert [f.name for f in fields(PlaceSystem) if f.compare or f.repr] == ["primes"]
+    assert system != build_place_system([(3, True)])
+    datum = make_datum(system, {ArchPlace("p2", 0)}, level={})
+    again = make_datum(twin, {ArchPlace("p2", 0)})
+    assert datum == again and hash(datum) == hash(again) and repr(datum) == repr(again)
+    assert "_level" not in repr(datum)
+
+
+def test_table_lookups_return_prebuilt_places():
+    system = build_place_system([(4, True), (3, False)])
+    for x in system.arch_places() + system.embeddings():
+        # 12 is a multiple of every cycle length here: 4, 3 and 6
+        assert frobenius_shift(system, x, 13) is frobenius_shift(system, x, 1)
+    emb = EmbE("p2", 0, 1)
+    assert conjugate(system, emb) is conjugate(system, EmbE("p2", 0, 1))
+    assert restrict(system, emb) is system.arch_places("p2")[1]
+    assert system.arch_places() is system.arch_places()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[(f, split)] for f in (1, 2, 5) for split in (True, False)] + [[(2, False), (3, True)]],
+)
+def test_place_maps_match_their_closed_formulas(spec):
+    system = build_place_system(spec)
+    arch, embs = [], []
+    for slot in system.primes:
+        pid, f = slot.id, slot.f
+        arch += [ArchPlace(pid, i) for i in range(f)]
+        if slot.e_split:
+            embs += [EmbE(pid, sheet, i) for sheet in (0, 1) for i in range(f)]
+        else:
+            embs += [EmbE(pid, 0, j) for j in range(2 * f)]
+    assert system.arch_places() == tuple(arch) and system.embeddings() == tuple(embs)
+    for x in arch + embs:
+        slot = system.prime(x.prime_id)
+        f = slot.f
+        for k in range(-4 * f, 4 * f + 1):
+            got = frobenius_shift(system, x, k)
+            if isinstance(x, ArchPlace):
+                want = ArchPlace(x.prime_id, (x.i + k) % f)
+            elif slot.e_split:
+                want = EmbE(x.prime_id, x.sheet, (x.i + k) % f)
+            else:
+                want = EmbE(x.prime_id, 0, (x.i + k) % (2 * f))
+            assert type(got) is type(want) and got == want
+        if isinstance(x, EmbE):
+            if slot.e_split:
+                want = EmbE(x.prime_id, 1 - x.sheet, x.i)
+            else:
+                want = EmbE(x.prime_id, 0, (x.i + f) % (2 * f))
+            got = conjugate(system, x)
+            assert type(got) is EmbE and got == want
+            got = restrict(system, x)
+            assert type(got) is ArchPlace and got == ArchPlace(x.prime_id, x.i % f)

@@ -16,6 +16,7 @@ from gostrata.witt import (
     lattice_contains,
     lattice_dual,
     lattice_equal,
+    lattice_index_val,
     lattice_normalize,
     lattice_scale,
     lattice_sum,
@@ -376,6 +377,30 @@ def test_hermite_paths_match_general_path(p, m):
                     ring, _plain(outer), shifted
                 )
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 4), (5, 3)])
+def test_hermite_index_val_matches_determinant_path(p, m):
+    rng = random.Random(43 + p)
+    ring = witt_ring(p, m, 8)
+    lattices = list(_hermite_lattices(rng, ring, 16))
+    # a + b >= N: the flag alone does not give the closed form
+    wide = Lattice2(ring, 0, mat2(ring, [[p**4, 0], [1, p**5]]), hermite=True)
+    for h in lattices + [wide]:
+        for k in (-1, 0, 2):
+            l = lattice_scale(h, k)
+            assert lattice_index_val(l) == lattice_index_val(_plain(l))
+    for h in lattices:
+        a, b = ring.val(h.basis[0][0]), ring.val(h.basis[1][1])
+        assert lattice_index_val(h) == 2 * h.shift + a + b
+    colengths = set()
+    for outer in lattices:
+        for inner in lattices:
+            if lattice_contains(outer, inner):
+                got = lattice_colength(outer, inner)
+                assert got == lattice_colength(_plain(outer), _plain(inner))
+                colengths.add(got)
+    assert len(colengths) > 1
 
 
 def test_hermite_frame_beyond_precision_raises_like_general_path():
