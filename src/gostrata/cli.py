@@ -36,6 +36,9 @@ _DOMAIN_ERRORS = (
 )
 
 
+MAX_P = 10**6  # --p is tested by trial division, so it is bounded first
+
+
 class UsageError(ValueError):
     pass
 
@@ -83,6 +86,8 @@ def _default_prime(datum: ShimuraDatum, prime_id: str | None) -> str:
 
 
 def _require_prime(p: int) -> None:
+    if p > MAX_P:
+        raise UsageError(f"--p {p} is above the largest supported prime bound {MAX_P}")
     if not witt.isprime(p):
         raise UsageError(f"--p {p} is not a prime")
 

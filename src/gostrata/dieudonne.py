@@ -22,6 +22,8 @@ from .places import (
     canonical_lift,
     classify_prime,
     conjugate,
+    datum_from_json,
+    datum_to_json,
     frobenius_shift,
     n_tau,
     restrict,
@@ -35,6 +37,7 @@ from .strata import (
     chain_decompose,
     delta_sets,
     dimension_count_check,
+    lift_assignment,
     signature_from_lift,
     stratum_descriptor,
 )
@@ -49,15 +52,19 @@ from .witt import (
     lattice_colength,
     lattice_contains,
     lattice_dual,
-    lattice_equal,
+    lattice_in_frame,
     lattice_normalize,
     lattice_scale,
     lattice_sum,
+    mat2,
+    mat_columns,
     mat_det,
     mat_mul,
     mat_sigma,
     mat_smul,
     mat_transpose,
+    ring_from_json,
+    ring_to_json,
     scaled_inverse,
     standard_lattice,
     witt_ring,
@@ -111,7 +118,7 @@ def _close(ring: WittRing, a: Mat2, b: Mat2) -> bool:
 def _map_lattice(ring: WittRing, mat: Mat2, l: Lattice2, sigma_k: int, shift: int = 0) -> Lattice2:
     """Image of a lattice under the semilinear map x -> p^shift mat sigma^k(x)."""
     basis = mat_mul(ring, mat, mat_sigma(ring, l.basis, sigma_k % ring.m))
-    return lattice_normalize(Lattice2(ring, l.shift + shift, basis))
+    return lattice_normalize(ring, l.shift + shift, mat_columns(basis))
 
 
 # --- the point ----------------------------------------------------------------
@@ -285,8 +292,9 @@ def essential_frobenius_image(
 def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
     """The lattice V(D at sigma emb) + p D at ``emb``."""
     ring, system = pt.ring, pt.datum.places
-    v_image = Lattice2(ring, 0, pt.v_mat(frobenius_shift(system, emb, 1)))
-    return lattice_sum(v_image, lattice_scale(standard_lattice(ring), 1))
+    v_mat = pt.v_mat(frobenius_shift(system, emb, 1))
+    p = ring.from_int(ring.p)
+    return lattice_normalize(ring, 0, mat_columns(v_mat) + [(p, ring.zero()), (ring.zero(), p)])
 
 
 def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
@@ -295,7 +303,7 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
     n = n_tau(pt.datum, tau)[0]
     image = essential_frobenius_image(pt, emb, n)
     with_p = lattice_sum(image, lattice_scale(standard_lattice(pt.ring), 1))
-    return lattice_equal(with_p, omega_lattice(pt, emb))
+    return with_p == omega_lattice(pt, emb)
 
 
 def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:
@@ -345,13 +353,6 @@ def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
         if n > 2 * len(members) + 1:
             raise DieudonneError("delta set wraps the whole cycle")
     return n
-
-
-def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Lattice2:
-    """Rewrite a lattice in the coordinates in which ``frame`` is standard."""
-    d, inv = frame_inverse(frame)
-    basis = mat_mul(ring, inv, lattice.basis)
-    return lattice_normalize(Lattice2(ring, lattice.shift - frame.shift - d, basis))
 
 
 def _frame_map(ring: WittRing, frame_to: Lattice2, mat: Mat2, frame_from: Lattice2) -> Mat2:
@@ -428,8 +429,6 @@ def build_isogeny_triple(
     fiber coordinates at the marked bundle directions, and the h-lines the
     Iwahori data in the full-cycle even case.
     """
-    from .strata import lift_assignment
-
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
     pid = pt.prime_id
@@ -549,7 +548,7 @@ def reconstruct_lattices(
         for emb in delta.minus:
             if emb not in h_lines:
                 raise DieudonneError(f"missing Iwahori line at {emb}")
-            m_lat[emb] = lattice_scale(lattice_normalize(h_lines[emb]), -1)
+            m_lat[emb] = lattice_scale(h_lines[emb], -1)
     elif case is CaseTag.B2:
         for emb in delta.minus:
             m_lat[emb] = lattice_dual(std, b_point.pairing(emb))
@@ -605,8 +604,6 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     Returns the source point rebuilt from those same families, the point
     ``reconstruct_point`` gives for the triple.
     """
-    from .strata import lift_assignment
-
     t = frozenset(t)
     ring, datum = pt.ring, pt.datum
     descriptor = stratum_descriptor(datum, t)
@@ -619,9 +616,9 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     )
     for emb in pt.embeddings():
         frame = triple.b_at(emb)
-        if not lattice_equal(m_lat[emb], lattice_in_frame(ring, frame, triple.c_at(emb))):
+        if m_lat[emb] != lattice_in_frame(ring, frame, triple.c_at(emb)):
             raise DieudonneError(f"c-lattice mismatch at {emb}")
-        if not lattice_equal(l_lat[emb], lattice_in_frame(ring, frame, triple.a_at(emb))):
+        if l_lat[emb] != lattice_in_frame(ring, frame, triple.a_at(emb)):
             raise DieudonneError(f"a-lattice mismatch at {emb}")
     back = _point_from_lattices(triple.b_point, l_lat, lift, datum)
     if back.signature != pt.signature:
@@ -742,10 +739,7 @@ def random_point(
             core = ((p, 0), (0, p))
         else:
             core = ((1, 0), (0, 1))
-        template = tuple(
-            tuple(ring.from_int(e) for e in row) for row in core
-        )
-        mat = mat_mul(ring, _random_unimodular(rng, ring), template)
+        mat = mat_mul(ring, _random_unimodular(rng, ring), mat2(ring, core))
         f_mats[emb] = mat_mul(ring, mat, _random_unimodular(rng, ring))
     return point_from_half_system(ring, datum, f_mats, pairings, signature)
 
@@ -777,9 +771,6 @@ def _mat_from_json(data) -> Mat2:
 
 
 def point_to_json(pt: DieudonnePoint) -> dict:
-    from .places import datum_to_json
-    from .witt import ring_to_json
-
     return {
         "ring": ring_to_json(pt.ring),
         "datum": datum_to_json(pt.datum),
@@ -790,9 +781,6 @@ def point_to_json(pt: DieudonnePoint) -> dict:
 
 
 def point_from_json(data: Mapping) -> DieudonnePoint:
-    from .places import datum_from_json
-    from .witt import ring_from_json
-
     ring = ring_from_json(data["ring"])
     datum = datum_from_json(data["datum"])
     pid = datum.places.primes[0].id

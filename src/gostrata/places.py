@@ -20,6 +20,9 @@ class PlaceError(ValueError):
     """Raised for structurally invalid place-system data."""
 
 
+MAX_INERTIA_DEGREE = 1024  # a place system's tables grow linearly in f
+
+
 @dataclass(frozen=True, order=True)
 class PrimeSlot:
     """One p-adic prime: an id, its inertia degree, and its behavior upstairs."""
@@ -31,6 +34,8 @@ class PrimeSlot:
     def __post_init__(self) -> None:
         if self.f < 1:
             raise PlaceError(f"inertia degree must be >= 1, got {self.f}")
+        if self.f > MAX_INERTIA_DEGREE:
+            raise PlaceError(f"inertia degree must be <= {MAX_INERTIA_DEGREE}, got {self.f}")
 
 
 class ArchPlace(NamedTuple):

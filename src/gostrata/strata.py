@@ -138,7 +138,7 @@ class SignatureProfile:
 
 
 def _check_t(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> None:
-    for tau in t:
+    for tau in sorted(t):
         datum.places.check_member(tau)
         if tau in datum.s.s_infty:
             raise StratumError(f"{tau} lies in S_infty; strata index only S-free embeddings")

@@ -24,12 +24,14 @@ lattice bases, is put on the outside, so it takes one linear pass.
 (for the determinant, ad - bc with the subtraction done first) and reduce it
 once.
 
-A lattice flagged ``hermite`` (by ``_hnf`` and ``standard_lattice``; kept by
-``lattice_scale``; ignored by equality, hashing and repr) has the basis
-[[p^a, 0], [c, p^b]], so ``lattice_normalize`` returns it unchanged and
-``frame_inverse`` takes p^(a+b) * basis^-1 as its adjugate [[p^b, 0], [-c, p^a]]:
-the same reduced integers as the general path, with no inversion or product.
-``lattice_index_val`` likewise reads det(basis) = p^(a+b) off the diagonal.
+A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
+p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
+so dataclass equality is lattice equality.  ``lattice_normalize`` builds one
+from generators; ``basis`` is derived.  Containment and ``lattice_in_frame``
+read adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
+coordinates, and the index valuation is 2 shift + a + b, capped at N.  Once
+a + b >= N (possible for N >= 10) det(basis) is zero mod p^N and inverting
+that frame raises.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -426,6 +428,10 @@ def mat_transpose(a: Mat2) -> Mat2:
     return ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
 
 
+def mat_columns(a: Mat2) -> list:
+    return [(a[0][0], a[1][0]), (a[0][1], a[1][1])]
+
+
 def mat_sigma(ring: WittRing, a: Mat2, k: int = 1) -> Mat2:
     return tuple(tuple(frobenius(ring, e, k) for e in row) for row in a)
 
@@ -469,20 +475,29 @@ def elementary_divisors(ring: WittRing, a: Mat2):
 
 @dataclass(frozen=True)
 class Lattice2:
-    """p^shift times the column span of basis inside the standard module."""
+    """p^shift times the column span of [[p^a, 0], [c, p^b]] inside the standard
+    module, with c reduced mod p^b: one tuple per lattice, so ``==`` and
+    ``hash`` are lattice equality.  Built only by ``lattice_normalize``,
+    ``standard_lattice`` and ``lattice_scale``."""
 
     ring: WittRing
     shift: int
-    basis: Mat2
-    hermite: bool = field(default=False, compare=False, repr=False)
+    a: int
+    b: int
+    c: WElem
+
+    @property
+    def basis(self) -> Mat2:
+        return mat2(self.ring, [[self.ring.p**self.a, 0], [self.c, self.ring.p**self.b]])
 
 
 def standard_lattice(ring: WittRing) -> Lattice2:
-    return Lattice2(ring, 0, mat_identity(ring), hermite=True)
+    return Lattice2(ring, 0, 0, 0, ring.zero())
 
 
-def _hnf(ring: WittRing, shift: int, cols: list) -> Lattice2:
-    """Canonical form [[p^a, 0], [c, p^b]] with min elementary divisor zero.
+def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
+    """The lattice p^shift * span(cols), in its canonical form [[p^a, 0], [c, p^b]]
+    with min elementary divisor zero.
 
     Each entry's valuation is computed once, here, and every exact division
     below is by a power of p that those valuations show divides the entry."""
@@ -514,27 +529,11 @@ def _hnf(ring: WittRing, shift: int, cols: list) -> Lattice2:
     if b >= ring.budget:
         raise WittError("precision budget exhausted")
     q = p**b
-    c = tuple(e % q for e in c)
-    basis = ((ring.from_int(pa), ring.zero()), (c, ring.from_int(q)))
-    return Lattice2(ring, shift, basis, hermite=True)
-
-
-def lattice_normalize(l: Lattice2) -> Lattice2:
-    if l.hermite:
-        return l
-    cols = [(l.basis[0][0], l.basis[1][0]), (l.basis[0][1], l.basis[1][1])]
-    return _hnf(l.ring, l.shift, cols)
-
-
-def lattice_equal(a: Lattice2, b: Lattice2) -> bool:
-    if a.ring != b.ring:
-        raise WittError("lattices live over different rings")
-    na, nb = lattice_normalize(a), lattice_normalize(b)
-    return na.shift == nb.shift and na.basis == nb.basis
+    return Lattice2(ring, shift, a, b, tuple(e % q for e in c))
 
 
 def lattice_scale(l: Lattice2, k: int) -> Lattice2:
-    return Lattice2(l.ring, l.shift + k, l.basis, hermite=l.hermite)
+    return Lattice2(l.ring, l.shift + k, l.a, l.b, l.c)
 
 
 def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
@@ -545,46 +544,48 @@ def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
     cols = []
     for l in (a, b):
         scale = ring.p ** (l.shift - shift)
-        for j in range(2):
-            cols.append(
-                (ring.smul(scale, l.basis[0][j]), ring.smul(scale, l.basis[1][j]))
-            )
-    return _hnf(ring, shift, cols)
-
-
-def _hermite_det_val(l: Lattice2) -> int | None:
-    """a + b, the valuation of det(basis) = p^(a+b), for a Hermite lattice
-    with a + b < N; None for any other lattice."""
-    if l.hermite:
-        d = l.ring.val(l.basis[0][0]) + l.ring.val(l.basis[1][1])
-        if d < l.ring.N:
-            return d
-    return None
+        cols += [tuple(ring.smul(scale, e) for e in col) for col in mat_columns(l.basis)]
+    return lattice_normalize(ring, shift, cols)
 
 
 def lattice_index_val(l: Lattice2) -> int:
-    """Valuation of the index in the standard lattice (may be negative)."""
-    d = _hermite_det_val(l)
-    if d is None:
-        d = l.ring.val(mat_det(l.ring, l.basis))
-    return 2 * l.shift + d
+    """Valuation of the index in the standard lattice (may be negative): that of
+    det(basis) = p^(a+b), capped at N."""
+    return 2 * l.shift + min(l.a + l.b, l.ring.N)
+
+
+def _frame_det_val(l: Lattice2) -> int:
+    """a + b, the valuation of det(basis), which must lie below N."""
+    if l.a + l.b >= l.ring.N:
+        raise WittError("element indistinguishable from zero")
+    return l.a + l.b
 
 
 def frame_inverse(l: Lattice2) -> tuple[int, Mat2]:
-    """(d, p^d * basis^-1) with d the valuation of det(basis); for a Hermite
-    basis with a + b < N that is its adjugate."""
-    ring, basis = l.ring, l.basis
-    d = _hermite_det_val(l)
-    if d is not None:
-        return d, ((basis[1][1], ring.zero()), (ring.neg(basis[1][0]), basis[0][0]))
-    return scaled_inverse(ring, basis)
+    """(d, p^d * basis^-1) with d = a + b: the adjugate of the basis."""
+    return _frame_det_val(l), mat_adjugate(l.ring, l.basis)
+
+
+def _adjugate_product(outer: Lattice2, inner: Lattice2) -> tuple[int, int, WElem, int]:
+    """(a + b, b + a', p^a c' - p^a' c, a + b') for outer = H(a, b, c) and
+    inner = H(a', b', c'): d and the lower-triangular p^d * outer^-1 * inner
+    [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]], its diagonal as exponents."""
+    ring = outer.ring
+    pa, pa_inner = ring.p**outer.a, ring.p**inner.a
+    cross = tuple((pa * u - pa_inner * v) % ring.pn for u, v in zip(inner.c, outer.c))
+    return _frame_det_val(outer), outer.b + inner.a, cross, outer.a + inner.b
 
 
 def lattice_contains(outer: Lattice2, inner: Lattice2) -> bool:
-    ring = outer.ring
-    d, change = frame_inverse(outer)
-    image = mat_mul(ring, change, inner.basis)
-    return mat_val(ring, image) >= d - (inner.shift - outer.shift)
+    d, top, cross, bottom = _adjugate_product(outer, inner)
+    return min(top, bottom, outer.ring.val(cross)) >= d - (inner.shift - outer.shift)
+
+
+def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Lattice2:
+    """Rewrite a lattice in the coordinates in which ``frame`` is standard."""
+    d, top, cross, bottom = _adjugate_product(frame, lattice)
+    cols = [(ring.from_int(ring.p**top), cross), (ring.zero(), ring.from_int(ring.p**bottom))]
+    return lattice_normalize(ring, lattice.shift - frame.shift - d, cols)
 
 
 def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:
@@ -600,7 +601,7 @@ def lattice_dual(l: Lattice2, pairing: Mat2) -> Lattice2:
     if ring.val(mat_det(ring, mat)) >= ring.N:
         raise WittError("pairing degenerate beyond the declared valuation")
     d, basis = scaled_inverse(ring, mat)
-    return lattice_normalize(Lattice2(ring, -l.shift - d, basis))
+    return lattice_normalize(ring, -l.shift - d, mat_columns(basis))
 
 
 # --- serialization ------------------------------------------------------------

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess[str]:
+def _run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess[str]:
     return subprocess.run(
         [sys.executable, "-m", "gostrata.cli", *args],
         text=True,
         capture_output=True,
         check=False,
+        env=env,
     )
 
 
@@ -55,6 +57,40 @@ def test_strata_verb_rejects_ramified_t(tmp_path: Path) -> None:
     proc = _run_cli("strata", "--datum", str(datum), "--T", "1")
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+def test_strata_verb_names_the_same_place_under_any_hash_seed(tmp_path: Path) -> None:
+    # both places of T lie in S_infty; the message names the first in order
+    datum = _write_datum(tmp_path, 5, False, [0, 2])
+    lines = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = _run_cli("strata", "--datum", str(datum), "--T", "0,2", env=env)
+        _assert_one_line_error(proc, 1)
+        lines.add(proc.stderr)
+    assert lines == {"error: ArchPlace(prime_id='p1', i=0) lies in S_infty; "
+                     "strata index only S-free embeddings\n"}
+
+
+def test_strata_verb_refuses_a_huge_inertia_degree(tmp_path: Path) -> None:
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"primes": [{"id": "p1", "f": 1e9, "e_split": True}]}))
+    proc = _run_cli("strata", "--datum", str(path), "--T", "1")
+    _assert_one_line_error(proc, 1)
+    assert "inertia degree must be <=" in proc.stderr
+
+
+def test_a_huge_prime_is_a_usage_error_before_any_primality_test(tmp_path: Path) -> None:
+    datum = _write_datum(tmp_path, 3, True)
+    huge = str(10**18 + 9)  # a prime; trial division would take minutes
+    for argv in (
+        ("ample", "--datum", str(datum), "--p", huge, "--t", "1,1,1"),
+        ("picard", "--datum", str(datum), "--p", huge, "--matrix"),
+        ("dieudonne", "--classify", "--seed", "1", "--p", huge, "--f", "2"),
+    ):
+        proc = _run_cli(*argv)
+        _assert_one_line_error(proc, 2)
+        assert "--p" in proc.stderr
 
 
 def test_strata_table_quartic_has_sixteen_rows(tmp_path: Path) -> None:

@@ -53,8 +53,6 @@ from gostrata.strata import (
 from gostrata.witt import (
     WittError,
     lattice_colength,
-    lattice_equal,
-    lattice_normalize,
     lattice_scale,
     mat2,
     mat_identity,
@@ -121,9 +119,9 @@ def _roundtrip(ring, datum, pt, t):
         dict(triple.h_lines),
     )
     for emb in pt.embeddings():
-        frame = lattice_normalize(triple.b_at(emb))
-        assert lattice_equal(m[emb], lattice_in_frame(ring, frame, triple.c_at(emb)))
-        assert lattice_equal(l[emb], lattice_in_frame(ring, frame, triple.a_at(emb)))
+        frame = triple.b_at(emb)
+        assert m[emb] == lattice_in_frame(ring, frame, triple.c_at(emb))
+        assert l[emb] == lattice_in_frame(ring, frame, triple.a_at(emb))
     back = reconstruct_point(
         triple.b_point, dict(triple.j_lines), t, lift, datum, descriptor,
         dict(triple.h_lines),

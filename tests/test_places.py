@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gostrata.places import (
     ArchPlace,
     EmbE,
+    MAX_INERTIA_DEGREE,
     Level,
     PlaceError,
     PlaceSystem,
@@ -51,6 +52,15 @@ def test_build_place_system_two_primes():
 def test_build_place_system_rejects_zero_f():
     with pytest.raises(PlaceError):
         build_place_system([(0, True)])
+
+
+def test_build_place_system_bounds_f():
+    assert build_place_system([(MAX_INERTIA_DEGREE, False)]).primes[0].f == MAX_INERTIA_DEGREE
+    for f in (MAX_INERTIA_DEGREE + 1, 10**9):
+        with pytest.raises(PlaceError, match="inertia degree must be <="):
+            build_place_system([(f, True)])
+    with pytest.raises(PlaceError, match="inertia degree must be <="):
+        datum_from_json({"primes": [{"id": "p1", "f": 1e9, "e_split": True}]})
 
 
 def test_frobenius_shift_cycle():

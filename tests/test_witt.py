@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from gostrata.dieudonne import lattice_in_frame
 from gostrata.witt import (
     NOT_SPLIT,
-    Lattice2,
     WittError,
     elementary_divisors,
     frame_inverse,
@@ -15,17 +15,19 @@ from gostrata.witt import (
     lattice_colength,
     lattice_contains,
     lattice_dual,
-    lattice_equal,
     lattice_index_val,
     lattice_normalize,
     lattice_scale,
     lattice_sum,
     mat2,
+    mat_columns,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_val,
     ring_from_json,
     ring_to_json,
+    scaled_inverse,
     standard_lattice,
     witt_ring,
 )
@@ -49,10 +51,19 @@ def _pow(ring, a, k):
     return out
 
 
-def _rand_lattice(rng, ring):
+def _span(ring, shift, basis):
+    """p^shift times the column span of a basis matrix."""
+    return lattice_normalize(ring, shift, mat_columns(basis))
+
+
+def _rand_shift_and_basis(rng, ring):
     diag = mat2(ring, [[ring.p ** rng.randrange(2), 0], [0, ring.p ** rng.randrange(2)]])
     basis = mat_mul(ring, _rand_unimodular(rng, ring), diag)
-    return Lattice2(ring, rng.randrange(-1, 2), basis)
+    return rng.randrange(-1, 2), basis
+
+
+def _rand_lattice(rng, ring):
+    return _span(ring, *_rand_shift_and_basis(rng, ring))
 
 
 # --- ring construction -------------------------------------------------------
@@ -304,8 +315,7 @@ def test_elementary_divisors_unimodular_invariant():
 
 def test_lattice_normalize_pulls_out_p():
     ring = witt_ring(3, 2, 8)
-    l = Lattice2(ring, 1, mat2(ring, [[3, 0], [0, 3]]))
-    n = lattice_normalize(l)
+    n = _span(ring, 1, mat2(ring, [[3, 0], [0, 3]]))
     assert n.shift == 2
     assert n.basis == mat_identity(ring)
 
@@ -314,69 +324,82 @@ def test_lattice_normalize_idempotent_and_basis_independent():
     rng = random.Random(13)
     ring = witt_ring(3, 2, 8)
     for _ in range(40):
-        l = _rand_lattice(rng, ring)
-        n = lattice_normalize(l)
-        assert lattice_normalize(n) == n
+        shift, basis = _rand_shift_and_basis(rng, ring)
+        n = _span(ring, shift, basis)
+        assert _span(ring, n.shift, n.basis) == n
         # right multiplication by a unimodular matrix preserves the span
-        scrambled = Lattice2(
-            ring, l.shift, mat_mul(ring, l.basis, _rand_unimodular(rng, ring))
-        )
-        assert lattice_equal(l, scrambled)
-
-
-def _plain(l):
-    """The same lattice, not flagged as Hermite: it takes the general paths."""
-    return Lattice2(l.ring, l.shift, l.basis)
+        scrambled = _span(ring, shift, mat_mul(ring, basis, _rand_unimodular(rng, ring)))
+        assert scrambled == n
 
 
 def _hermite_lattices(rng, ring, count):
     """Hermite lattices from products of two random lattices, so that a, b
     range over 0..2 and c is a general element."""
     for _ in range(count):
-        a, b = _rand_lattice(rng, ring), _rand_lattice(rng, ring)
-        yield lattice_normalize(Lattice2(ring, a.shift, mat_mul(ring, a.basis, b.basis)))
+        (shift, a), (_, b) = _rand_shift_and_basis(rng, ring), _rand_shift_and_basis(rng, ring)
+        yield _span(ring, shift, mat_mul(ring, a, b))
 
 
 def test_lattice_normalize_returns_hermite_input_unchanged():
     rng = random.Random(29)
     ring = witt_ring(3, 2, 8)
-    assert standard_lattice(ring).hermite
+    std = standard_lattice(ring)
+    assert (std.shift, std.a, std.b, std.c) == (0, 0, 0, ring.zero())
+    assert std.basis == mat_identity(ring)
     for h in _hermite_lattices(rng, ring, 20):
-        assert h.hermite and lattice_normalize(h) is h
-        assert lattice_scale(h, 2).hermite
-        assert lattice_normalize(_plain(h)).hermite
+        pb = ring.p**h.b
+        assert 0 <= h.a < ring.budget and 0 <= h.b < ring.budget
+        assert all(0 <= e < pb for e in h.c)
+        assert h.basis == mat2(ring, [[ring.p**h.a, 0], [h.c, pb]])
+        assert _span(ring, h.shift, h.basis) == h
+        scaled = lattice_scale(h, 2)
+        assert (scaled.shift, scaled.a, scaled.b, scaled.c) == (h.shift + 2, h.a, h.b, h.c)
 
 
-def test_hermite_flag_leaves_equality_hash_and_repr_alone():
+def test_one_span_is_one_value():
+    """Two bases of one span that differ by a unimodular matrix give one
+    lattice: equal, with the same hash and repr."""
     rng = random.Random(31)
     ring = witt_ring(2, 3, 8)
-    for h in _hermite_lattices(rng, ring, 10):
-        plain = _plain(h)
-        assert not plain.hermite
-        assert plain == h and hash(plain) == hash(h) and repr(plain) == repr(h)
-        assert len({plain, h}) == 1
+    cs = set()
+    for _ in range(10):
+        (shift, a), (_, b) = _rand_shift_and_basis(rng, ring), _rand_shift_and_basis(rng, ring)
+        basis = mat_mul(ring, a, b)
+        one = _span(ring, shift, basis)
+        other = _span(ring, shift, mat_mul(ring, basis, _rand_unimodular(rng, ring)))
+        assert other == one and hash(other) == hash(one) and repr(other) == repr(one)
+        assert len({other, one}) == 1
+        cs.add(one.c)
+    assert len(cs) > 2
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 3)])
 def test_hermite_paths_match_general_path(p, m):
-    from gostrata.dieudonne import lattice_in_frame
-
+    """The closed forms against the matrix path, which inverts the outer basis
+    and multiplies: p^d * outer^-1 * inner."""
     rng = random.Random(37 + p)
     ring = witt_ring(p, m, 8)
     lattices = list(_hermite_lattices(rng, ring, 12))
     answers = set()
     for outer in lattices:
-        assert frame_inverse(outer) == frame_inverse(_plain(outer))
+        d, change = scaled_inverse(ring, outer.basis)
+        assert frame_inverse(outer) == (d, change)
         for inner in lattices:
             for k in range(3):
                 shifted = lattice_scale(inner, k)
+                image = mat_mul(ring, change, shifted.basis)
                 got = lattice_contains(outer, shifted)
-                assert got == lattice_contains(_plain(outer), shifted)
+                assert got == (mat_val(ring, image) >= d - (shifted.shift - outer.shift))
                 answers.add(got)
-                assert lattice_in_frame(ring, outer, shifted) == lattice_in_frame(
-                    ring, _plain(outer), shifted
+                assert lattice_in_frame(ring, outer, shifted) == _span(
+                    ring, shifted.shift - outer.shift - d, image
                 )
     assert answers == {True, False}
+
+
+def _det_index_val(l):
+    """The index valuation by the matrix path: 2 shift + val(det(basis))."""
+    return 2 * l.shift + l.ring.val(mat_det(l.ring, l.basis))
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 4), (5, 3)])
@@ -384,21 +407,24 @@ def test_hermite_index_val_matches_determinant_path(p, m):
     rng = random.Random(43 + p)
     ring = witt_ring(p, m, 8)
     lattices = list(_hermite_lattices(rng, ring, 16))
-    # a + b >= N: the flag alone does not give the closed form
-    wide = Lattice2(ring, 0, mat2(ring, [[p**4, 0], [1, p**5]]), hermite=True)
+    # a + b >= N, reachable once N >= 10: det(basis) vanishes mod p^N
+    wide_ring = witt_ring(p, m, 16)
+    wide = _span(wide_ring, 0, mat2(wide_ring, [[p**7, 0], [1, p**10]]))
+    assert (wide.a, wide.b) == (7, 10)
     for h in lattices + [wide]:
         for k in (-1, 0, 2):
             l = lattice_scale(h, k)
-            assert lattice_index_val(l) == lattice_index_val(_plain(l))
+            assert lattice_index_val(l) == _det_index_val(l)
     for h in lattices:
         a, b = ring.val(h.basis[0][0]), ring.val(h.basis[1][1])
+        assert (a, b) == (h.a, h.b)
         assert lattice_index_val(h) == 2 * h.shift + a + b
     colengths = set()
     for outer in lattices:
         for inner in lattices:
             if lattice_contains(outer, inner):
                 got = lattice_colength(outer, inner)
-                assert got == lattice_colength(_plain(outer), _plain(inner))
+                assert got == _det_index_val(inner) - _det_index_val(outer)
                 colengths.add(got)
     assert len(colengths) > 1
 
@@ -406,24 +432,33 @@ def test_hermite_index_val_matches_determinant_path(p, m):
 def test_hermite_frame_beyond_precision_raises_like_general_path():
     # a + b = 17 >= N = 16 with a, b inside the budget of 12: det(basis) is 0 mod p^N
     ring = witt_ring(3, 2, 16)
-    h = lattice_normalize(Lattice2(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]])))
-    assert h.hermite and h.basis == mat2(ring, [[3**7, 0], [1, 3**10]])
-    for frame in (h, _plain(h)):
-        with pytest.raises(WittError):
-            frame_inverse(frame)
+    h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
+    assert (h.a, h.b) == (7, 10) and h.basis == mat2(ring, [[3**7, 0], [1, 3**10]])
+    std = standard_lattice(ring)
+    with pytest.raises(WittError):
+        scaled_inverse(ring, h.basis)
+    with pytest.raises(WittError):
+        frame_inverse(h)
+    with pytest.raises(WittError):
+        lattice_contains(h, std)
+    with pytest.raises(WittError):
+        lattice_in_frame(ring, h, std)
+    # as the inner lattice it needs no inverse
+    assert lattice_contains(std, h)
+    assert lattice_in_frame(ring, std, h) == h
 
 
 def test_lattice_scale_roundtrip():
     ring = witt_ring(2, 2, 8)
     l = _rand_lattice(random.Random(3), ring)
-    assert lattice_equal(l, lattice_scale(lattice_scale(l, 1), -1))
+    assert l == lattice_scale(lattice_scale(l, 1), -1)
 
 
 def test_lattice_sum_example():
     ring = witt_ring(3, 2, 8)
-    a = Lattice2(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
-    b = Lattice2(ring, 0, mat2(ring, [[3, 0], [0, 1]]))
-    assert lattice_equal(lattice_sum(a, b), standard_lattice(ring))
+    a = _span(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
+    b = _span(ring, 0, mat2(ring, [[3, 0], [0, 1]]))
+    assert lattice_sum(a, b) == standard_lattice(ring)
 
 
 def test_lattice_sum_is_least_upper_bound():
@@ -438,7 +473,7 @@ def test_lattice_sum_is_least_upper_bound():
 def test_lattice_colength():
     ring = witt_ring(3, 2, 8)
     std = standard_lattice(ring)
-    sub = Lattice2(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
+    sub = _span(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
     assert lattice_colength(std, sub) == 1
     assert lattice_colength(std, lattice_scale(std, 2)) == 4
     with pytest.raises(WittError):
@@ -450,22 +485,19 @@ def test_lattice_dual_examples():
     rng = random.Random(41)
     pairing = _rand_unimodular(rng, ring)
     std = standard_lattice(ring)
-    assert lattice_equal(lattice_dual(std, pairing), std)
+    assert lattice_dual(std, pairing) == std
     l = _rand_lattice(rng, ring)
-    assert lattice_equal(
-        lattice_dual(lattice_scale(l, 1), pairing),
-        lattice_scale(lattice_dual(l, pairing), -1),
-    )
+    assert lattice_dual(lattice_scale(l, 1), pairing) == lattice_scale(lattice_dual(l, pairing), -1)
 
 
 def test_lattice_dual_antidiagonal():
     ring = witt_ring(3, 2, 8)
     pairing = mat2(ring, [[0, 1], [ring.pn - 1, 0]])  # antidiag(1, -1)
-    sub = Lattice2(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
+    sub = _span(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
     dual = lattice_dual(sub, pairing)
     # dual of <e1, p e2> is <p^{-1} e1, e2> under a unimodular pairing
-    expected = Lattice2(ring, -1, mat2(ring, [[1, 0], [0, 3]]))
-    assert lattice_equal(dual, expected)
+    expected = _span(ring, -1, mat2(ring, [[1, 0], [0, 3]]))
+    assert dual == expected
 
 
 def test_lattice_double_dual():
@@ -477,7 +509,7 @@ def test_lattice_double_dual():
         pairing = ((ring.zero(), unit), (ring.neg(unit), ring.zero()))
         for _ in range(15):
             l = _rand_lattice(rng, ring)
-            assert lattice_equal(lattice_dual(lattice_dual(l, pairing), pairing), l)
+            assert lattice_dual(lattice_dual(l, pairing), pairing) == l
 
 
 # --- serialization ------------------------------------------------------------
