@@ -37,6 +37,7 @@ _DOMAIN_ERRORS = (
 
 
 MAX_P = 10**6  # --p is tested by trial division, so it is bounded first
+MAX_SIM_F = 32  # dieudonne --f: a run's time grows steeply with the Witt ring's degree
 
 
 class UsageError(ValueError):
@@ -146,7 +147,7 @@ def _table_rows(datum: ShimuraDatum):
                 ],
                 "S_p": sorted(descriptor.s_of_t.s_p),
                 "N": descriptor.n_bundle,
-                "level": {pid: level.value for pid, level in descriptor.level_t},
+                "level": {pid: level.value for pid, level in descriptor.level_t.items()},
             }
 
 
@@ -319,8 +320,8 @@ def _cmd_dieudonne(args) -> int:
     _require_prime(args.p)
     if args.N < 2:
         raise UsageError(f"--N {args.N} must be at least 2")
-    if args.f < 1:
-        raise UsageError(f"--f {args.f} must be at least 1")
+    if not 1 <= args.f <= MAX_SIM_F:
+        raise UsageError(f"--f {args.f} must be between 1 and {MAX_SIM_F}")
     if args.trials < 0:
         raise UsageError(f"--trials {args.trials} must not be negative")
     split = not args.inert if (args.split or args.inert) else (args.f % 2 == 0)
@@ -332,7 +333,7 @@ def _cmd_dieudonne(args) -> int:
         _emit(
             {
                 "signature": {
-                    f"{emb.sheet}:{emb.i}": value for emb, value in pt.signature.s
+                    f"{emb.sheet}:{emb.i}": value for emb, value in pt.signature.items()
                 },
                 "stratum": [_tau_key(tau) for tau in sorted(dieudonne.stratum_of_point(pt))],
             }
@@ -377,7 +378,7 @@ def _selftest_checks(quick: bool):
         assert far.s_of_t.s_infty == set(taus) and far.n_bundle == 2
         full = strata.stratum_descriptor(datum, frozenset(taus))
         assert full.n_bundle == 0
-        assert full.level_at("p1").value == "iwahori"
+        assert full.level_t["p1"].value == "iwahori"
 
     def decade_example():
         system = build_place_system([(10, True)])
@@ -387,7 +388,7 @@ def _selftest_checks(quick: bool):
         t = frozenset(ArchPlace("p1", k % 10) for k in (-3, -5, -7))
         descriptor = strata.stratum_descriptor(datum, t)
         expected = frozenset(ArchPlace("p1", k % 10) for k in (-3, -4, -5, -7))
-        assert descriptor.t_prime_at("p1") == expected
+        assert descriptor.t_prime_infty["p1"] == expected
         assert descriptor.i_t == {ArchPlace("p1", (-4) % 10)}
         assert descriptor.n_bundle == 1
 

@@ -17,6 +17,7 @@ from typing import Mapping
 from .places import (
     ArchPlace,
     EmbE,
+    FrozenMap,
     PrimeType,
     ShimuraDatum,
     canonical_lift,
@@ -32,7 +33,6 @@ from .strata import (
     CaseTag,
     DeltaSets,
     LiftChoice,
-    SignatureProfile,
     StratumDescriptor,
     chain_decompose,
     delta_sets,
@@ -44,8 +44,10 @@ from .strata import (
 from .witt import (
     NOT_SPLIT,
     RESERVE,
+    DieudonneError,
     Lattice2,
     Mat2,
+    PrecisionError,
     WittRing,
     elementary_divisors,
     frame_inverse,
@@ -69,14 +71,6 @@ from .witt import (
     standard_lattice,
     witt_ring,
 )
-
-
-class DieudonneError(ValueError):
-    """Raised when matrices or lattices violate the point axioms."""
-
-
-class PrecisionError(DieudonneError):
-    """Raised when the precision budget cannot decide a point axiom."""
 
 
 def _f_divisors(ring: WittRing, mat: Mat2, emb: EmbE) -> tuple[int, int]:
@@ -124,43 +118,21 @@ def _map_lattice(ring: WittRing, mat: Mat2, l: Lattice2, sigma_k: int, shift: in
 # --- the point ----------------------------------------------------------------
 
 
-def _lookup(table, emb: EmbE, what: str):
-    """The entry at ``emb`` of a sorted (embedding, value) table."""
-    for key, value in table:
-        if key == emb:
-            return value
-    raise DieudonneError(f"no {what} at {emb}")
-
-
 @dataclass(frozen=True)
 class DieudonnePoint:
+    """F, V, the pairing and the signature at each embedding of one prime:
+    FrozenMaps keyed by embedding, in embedding order."""
+
     ring: WittRing
     datum: ShimuraDatum
     prime_id: str
-    f_mats: tuple[tuple[EmbE, Mat2], ...]
-    v_mats: tuple[tuple[EmbE, Mat2], ...]
-    pairings: tuple[tuple[EmbE, Mat2], ...]
-    signature: SignatureProfile
+    f_mats: FrozenMap
+    v_mats: FrozenMap
+    pairings: FrozenMap
+    signature: FrozenMap
 
     def embeddings(self) -> tuple[EmbE, ...]:
         return self.datum.places.embeddings(self.prime_id)
-
-    def f_mat(self, emb: EmbE) -> Mat2:
-        return _lookup(self.f_mats, emb, "F-matrix")
-
-    def v_mat(self, emb: EmbE) -> Mat2:
-        return _lookup(self.v_mats, emb, "V-matrix")
-
-    def pairing(self, emb: EmbE) -> Mat2:
-        return _lookup(self.pairings, emb, "pairing")
-
-
-def _as_signature(datum: ShimuraDatum, prime_id: str, s) -> SignatureProfile:
-    if isinstance(s, SignatureProfile):
-        return s
-    return SignatureProfile(
-        tuple((emb, int(s[emb])) for emb in datum.places.embeddings(prime_id))
-    )
 
 
 def make_point(
@@ -183,15 +155,16 @@ def make_point(
         )
     system = datum.places
     embs = system.embeddings(pid)
-    expected = _as_signature(datum, pid, expected_signature)
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
     divisors = {emb: _f_divisors(ring, f_mats[emb], emb) for emb in embs}
-    v_mats = {
-        emb: mat_sigma(ring, _p_times_inverse(ring, f_mats[emb]), ring.m - 1) for emb in embs
-    }
-    signature = {emb: divisors[frobenius_shift(system, emb, 1)].count(0) for emb in embs}
+    v_mats = FrozenMap(
+        (emb, mat_sigma(ring, _p_times_inverse(ring, f_mats[emb]), ring.m - 1)) for emb in embs
+    )
+    signature = FrozenMap(
+        (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
+    )
 
     pairing_val = 1 if prime_type is PrimeType.BETA_SHARP else 0
     for emb in embs:
@@ -203,10 +176,10 @@ def make_point(
 
     for emb in embs:
         cemb = conjugate(system, emb)
-        if signature[emb] != expected.at(emb):
+        if signature[emb] != expected_signature[emb]:
             raise DieudonneError(
                 f"signature mismatch at {emb}: computed {signature[emb]}, "
-                f"declared {expected.at(emb)}"
+                f"declared {expected_signature[emb]}"
             )
         if signature[emb] + signature[cemb] != 2:
             raise DieudonneError(f"signatures at {emb} and its conjugate do not sum to 2")
@@ -223,10 +196,10 @@ def make_point(
         ring=ring,
         datum=datum,
         prime_id=pid,
-        f_mats=tuple(sorted(f_mats.items())),
-        v_mats=tuple(sorted(v_mats.items())),
-        pairings=tuple(sorted(pairings.items())),
-        signature=SignatureProfile(tuple(sorted(signature.items()))),
+        f_mats=FrozenMap((emb, f_mats[emb]) for emb in embs),
+        v_mats=v_mats,
+        pairings=FrozenMap((emb, pairings[emb]) for emb in embs),
+        signature=signature,
     )
 
 
@@ -247,9 +220,9 @@ def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> tuple[M
     for k in range(n - 1, -1, -1):
         mu = frobenius_shift(system, emb, -k)
         prev = frobenius_shift(system, mu, -1)
-        step = pt.f_mat(mu)
+        step = pt.f_mats[mu]
         mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, 1))
-        if pt.signature.at(prev) == 0:
+        if pt.signature[prev] == 0:
             shift -= 1
     return mat, shift
 
@@ -268,9 +241,9 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> tupl
     for k in range(n):
         mu = frobenius_shift(system, emb, -k)
         prev = frobenius_shift(system, mu, -1)
-        step = pt.v_mat(mu)
+        step = pt.v_mats[mu]
         mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, ring.m - 1))
-        if pt.signature.at(prev) == 2:
+        if pt.signature[prev] == 2:
             shift -= 1
     return mat, shift
 
@@ -284,15 +257,15 @@ def essential_frobenius_image(
     for k in range(n - 1, -1, -1):
         mu = frobenius_shift(system, emb, -k)
         prev = frobenius_shift(system, mu, -1)
-        extra = -1 if pt.signature.at(prev) == 0 else 0
-        lattice = _map_lattice(ring, pt.f_mat(mu), lattice, 1, extra)
+        extra = -1 if pt.signature[prev] == 0 else 0
+        lattice = _map_lattice(ring, pt.f_mats[mu], lattice, 1, extra)
     return lattice
 
 
 def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
     """The lattice V(D at sigma emb) + p D at ``emb``."""
     ring, system = pt.ring, pt.datum.places
-    v_mat = pt.v_mat(frobenius_shift(system, emb, 1))
+    v_mat = pt.v_mats[frobenius_shift(system, emb, 1)]
     p = ring.from_int(ring.p)
     return lattice_normalize(ring, 0, mat_columns(v_mat) + [(p, ring.zero()), (ring.zero(), p)])
 
@@ -325,22 +298,16 @@ def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
 
 @dataclass(frozen=True)
 class IsogenyTriple:
-    a: tuple[tuple[EmbE, Lattice2], ...]
-    b: tuple[tuple[EmbE, Lattice2], ...]
-    c: tuple[tuple[EmbE, Lattice2], ...]
-    j_lines: tuple[tuple[EmbE, Lattice2], ...]
-    h_lines: tuple[tuple[EmbE, Lattice2], ...]
+    """The lattice families a, b, c and the j- and h-lines: FrozenMaps from
+    embedding to lattice, in sorted order."""
+
+    a: FrozenMap
+    b: FrozenMap
+    c: FrozenMap
+    j_lines: FrozenMap
+    h_lines: FrozenMap
     b_point: DieudonnePoint
     delta: DeltaSets
-
-    def a_at(self, emb: EmbE) -> Lattice2:
-        return _lookup(self.a, emb, "lattice")
-
-    def b_at(self, emb: EmbE) -> Lattice2:
-        return _lookup(self.b, emb, "lattice")
-
-    def c_at(self, emb: EmbE) -> Lattice2:
-        return _lookup(self.c, emb, "lattice")
 
 
 def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
@@ -377,11 +344,11 @@ def _frame_point(
     ring, system = pt.ring, pt.datum.places
     embs = pt.embeddings()
     f_mats = {
-        emb: _frame_map(ring, frames[emb], pt.f_mat(emb), frames[frobenius_shift(system, emb, -1)])
+        emb: _frame_map(ring, frames[emb], pt.f_mats[emb], frames[frobenius_shift(system, emb, -1)])
         for emb in embs
     }
     pairings = {
-        emb: _frame_pairing(ring, frames[emb], pt.pairing(emb), frames[conjugate(system, emb)])
+        emb: _frame_pairing(ring, frames[emb], pt.pairings[emb], frames[conjugate(system, emb)])
         for emb in embs
     }
     return make_point(ring, datum, f_mats, pairings, expected)
@@ -407,10 +374,10 @@ def _check_stability(pt: DieudonnePoint, families, checked: set) -> None:
             key = (emb, lattice, prev)
             if key in checked:
                 continue
-            f_image = _map_lattice(ring, pt.f_mat(emb), prev, 1)
+            f_image = _map_lattice(ring, pt.f_mats[emb], prev, 1)
             if not lattice_contains(lattice, f_image):
                 raise DieudonneError(f"{label} is not F-stable at {emb}")
-            v_image = _map_lattice(ring, pt.v_mat(emb), lattice, -1)
+            v_image = _map_lattice(ring, pt.v_mats[emb], lattice, -1)
             if not lattice_contains(prev, v_image):
                 raise DieudonneError(f"{label} is not V-stable at {emb}")
             checked.add(key)
@@ -440,7 +407,7 @@ def build_isogeny_triple(
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
     if descriptor is None:
         descriptor = stratum_descriptor(datum, t)
-    zeros = frozenset(emb for emb, value in pt.signature.s if value == 0)
+    zeros = frozenset(emb for emb, value in pt.signature.items() if value == 0)
     if lift is None:
         lift = lift_assignment(datum, descriptor, s_lift=zeros)
     if _lift_zeros(lift, datum) != zeros:
@@ -488,11 +455,11 @@ def build_isogeny_triple(
             h_lines[emb] = lattice_in_frame(ring, b_lat[emb], lattice_scale(c_lat[emb], 1))
 
     return IsogenyTriple(
-        a=tuple(sorted(a_lat.items())),
-        b=tuple(sorted(b_lat.items())),
-        c=tuple(sorted(c_lat.items())),
-        j_lines=tuple(sorted(j_lines.items())),
-        h_lines=tuple(sorted(h_lines.items())),
+        a=FrozenMap(a_lat),
+        b=FrozenMap(b_lat),
+        c=FrozenMap(c_lat),
+        j_lines=FrozenMap(sorted(j_lines.items())),
+        h_lines=FrozenMap(sorted(h_lines.items())),
         b_point=b_point,
         delta=delta,
     )
@@ -521,11 +488,11 @@ def reconstruct_lattices(
     if descriptor is None:
         descriptor = stratum_descriptor(source_datum, t)
     delta = delta_sets(source_datum, descriptor, lift)
-    h_lines = dict(h_lines or {})
+    h_lines = h_lines or {}
     std = standard_lattice(ring)
 
     m_lat = {emb: std for emb in b_point.embeddings()}
-    recipe = lift.recipe_at(pid)
+    recipe = lift.recipes[pid]
     case = descriptor.case_at(pid)
     if case in (CaseTag.A1, CaseTag.B1):
         chains = {chain.top: chain for chain in chain_decompose(source_datum, pid, t)}
@@ -551,7 +518,7 @@ def reconstruct_lattices(
             m_lat[emb] = lattice_scale(h_lines[emb], -1)
     elif case is CaseTag.B2:
         for emb in delta.minus:
-            m_lat[emb] = lattice_dual(std, b_point.pairing(emb))
+            m_lat[emb] = lattice_dual(std, b_point.pairings[emb])
     checked: set = set()
     _check_stability(b_point, [("the rebuilt c-family", m_lat)], checked)
     for emb in b_point.embeddings():
@@ -562,7 +529,7 @@ def reconstruct_lattices(
     for emb in b_point.embeddings():
         if emb in delta.plus:
             l_lat[emb] = lattice_dual(
-                m_lat[conjugate(system, emb)], b_point.pairing(emb)
+                m_lat[conjugate(system, emb)], b_point.pairings[emb]
             )
         else:
             l_lat[emb] = m_lat[emb]
@@ -607,18 +574,17 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     t = frozenset(t)
     ring, datum = pt.ring, pt.datum
     descriptor = stratum_descriptor(datum, t)
-    zeros = frozenset(emb for emb, value in pt.signature.s if value == 0)
+    zeros = frozenset(emb for emb, value in pt.signature.items() if value == 0)
     lift = lift_assignment(datum, descriptor, s_lift=zeros)
     triple = build_isogeny_triple(pt, t, descriptor, lift)
     m_lat, l_lat = reconstruct_lattices(
-        triple.b_point, dict(triple.j_lines), t, lift, datum, descriptor,
-        dict(triple.h_lines),
+        triple.b_point, triple.j_lines, t, lift, datum, descriptor, triple.h_lines
     )
     for emb in pt.embeddings():
-        frame = triple.b_at(emb)
-        if m_lat[emb] != lattice_in_frame(ring, frame, triple.c_at(emb)):
+        frame = triple.b[emb]
+        if m_lat[emb] != lattice_in_frame(ring, frame, triple.c[emb]):
             raise DieudonneError(f"c-lattice mismatch at {emb}")
-        if l_lat[emb] != lattice_in_frame(ring, frame, triple.a_at(emb)):
+        if l_lat[emb] != lattice_in_frame(ring, frame, triple.a[emb]):
             raise DieudonneError(f"a-lattice mismatch at {emb}")
     back = _point_from_lattices(triple.b_point, l_lat, lift, datum)
     if back.signature != pt.signature:
@@ -645,9 +611,9 @@ def twisted_partial_frobenius(pt: DieudonnePoint) -> DieudonnePoint:
     signature = {}
     for emb in pt.embeddings():
         back = frobenius_shift(system, emb, -2)
-        f_mats[emb] = mat_sigma(ring, pt.f_mat(back), 2)
-        pairings[emb] = mat_sigma(ring, pt.pairing(back), 2)
-        signature[emb] = pt.signature.at(back)
+        f_mats[emb] = mat_sigma(ring, pt.f_mats[back], 2)
+        pairings[emb] = mat_sigma(ring, pt.pairings[back], 2)
+        signature[emb] = pt.signature[back]
     return make_point(ring, new_datum, f_mats, pairings, signature)
 
 
@@ -722,17 +688,15 @@ def random_point(
     """
     system = datum.places
     half = half_system(datum)
-    pid = datum.places.primes[0].id
     if signature is None:
         zeros = frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
         signature = signature_from_lift(datum, zeros)
-    signature = _as_signature(datum, pid, signature)
 
     pairings = {emb: _random_unimodular(rng, ring) for emb in half}
     f_mats: dict[EmbE, Mat2] = {}
     p = ring.p
     for emb in half:
-        behind = signature.at(frobenius_shift(system, emb, -1))
+        behind = signature[frobenius_shift(system, emb, -1)]
         if behind == 1:
             core = ((0, 1), (p, 0)) if rng.randrange(2) else ((1, 0), (0, p))
         elif behind == 0:
@@ -774,9 +738,9 @@ def point_to_json(pt: DieudonnePoint) -> dict:
     return {
         "ring": ring_to_json(pt.ring),
         "datum": datum_to_json(pt.datum),
-        "f_mats": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.f_mats},
-        "pairings": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.pairings},
-        "signature": {_emb_key(emb): value for emb, value in pt.signature.s},
+        "f_mats": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.f_mats.items()},
+        "pairings": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.pairings.items()},
+        "signature": {_emb_key(emb): value for emb, value in pt.signature.items()},
     }
 
 

@@ -30,9 +30,6 @@ class PicardVector:
                 return value
         return Fraction(0)
 
-    def as_dict(self) -> dict[ArchPlace, Fraction]:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class HasseMatrix:

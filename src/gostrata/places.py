@@ -61,6 +61,25 @@ class EmbE(NamedTuple):
 _PLACE_TYPES = (ArchPlace, EmbE)
 
 
+class FrozenMap(dict):
+    """A read-only dict, the one type of every keyed table: equal maps hash
+    equal, whatever order their items were inserted in."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class PlaceSystem:
     """The full collection of embedding cycles, one per p-adic prime.
@@ -123,9 +142,9 @@ class PlaceSystem:
         return self._emb[prime_id]
 
     def check_member(self, x: ArchPlace | EmbE) -> None:
-        self._lookup(self._cycle, x)
+        self._entry(self._cycle, x)
 
-    def _lookup(self, table: dict, x):
+    def _entry(self, table: dict, x):
         """``table[x]`` for a place ``x``; a PlaceError that says why if none."""
         if type(x) not in _PLACE_TYPES:
             raise PlaceError(f"{x!r} is neither an ArchPlace nor an EmbE")
@@ -154,18 +173,18 @@ def build_place_system(spec: Iterable[tuple[int, bool]]) -> PlaceSystem:
 
 def frobenius_shift(system: PlaceSystem, x: ArchPlace | EmbE, k: int):
     """Apply sigma^k to an embedding (rotation within its cycle or sheet)."""
-    cycle, pos = system._lookup(system._cycle, x)
+    cycle, pos = system._entry(system._cycle, x)
     return cycle[(pos + k) % len(cycle)]
 
 
 def conjugate(system: PlaceSystem, x: EmbE) -> EmbE:
     """Apply complex conjugation: swap sheets (split) or add f (inert)."""
-    return system._lookup(system._conj, x)
+    return system._entry(system._conj, x)
 
 
 def restrict(system: PlaceSystem, x: EmbE) -> ArchPlace:
     """The two-to-one restriction from CM-field embeddings to base embeddings."""
-    return system._lookup(system._restrict, x)
+    return system._entry(system._restrict, x)
 
 
 def lifts(system: PlaceSystem, tau: ArchPlace) -> tuple[EmbE, EmbE]:
@@ -232,24 +251,19 @@ class EvenPlaceSet:
 
 @dataclass(frozen=True)
 class ShimuraDatum:
-    """A place system, a ramification set, and a level flag per prime."""
+    """A place system, a ramification set, and a level flag per prime: a
+    FrozenMap from prime id to Level, hyperspecial where a prime has none."""
 
     places: PlaceSystem
     s: EvenPlaceSet
-    level_p: tuple[tuple[str, Level], ...]
-    _level: dict = field(init=False, repr=False, compare=False)
+    level_p: FrozenMap
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_level", dict(self.level_p))
         self.s.validate(self.places)
         known = {slot.id for slot in self.places.primes}
-        seen = set()
-        for pid, level in self.level_p:
+        for pid, level in self.level_p.items():
             if pid not in known:
                 raise PlaceError(f"level flag for unknown prime {pid!r}")
-            if pid in seen:
-                raise PlaceError(f"duplicate level flag for {pid!r}")
-            seen.add(pid)
             cycle = set(self.places.arch_places(pid))
             if level is Level.MAXIMAL_ORDER and pid not in self.s.s_p:
                 raise PlaceError(f"maximal-order level at unramified prime {pid!r}")
@@ -265,9 +279,9 @@ class ShimuraDatum:
                 raise PlaceError(f"ramified prime {pid!r} must carry maximal-order level")
 
     def level(self, prime_id: str) -> Level:
-        if prime_id not in self._level:
+        if prime_id not in self.level_p:
             self.places.prime(prime_id)
-        return self._level.get(prime_id, Level.HYPERSPECIAL)
+        return self.level_p.get(prime_id, Level.HYPERSPECIAL)
 
 
 def make_datum(
@@ -288,7 +302,7 @@ def make_datum(
     return ShimuraDatum(
         places=system,
         s=EvenPlaceSet(s_infty, s_p, n_other),
-        level_p=tuple(sorted(level_items.items(), key=lambda kv: kv[0])),
+        level_p=FrozenMap(sorted(level_items.items())),
     )
 
 
@@ -315,7 +329,7 @@ def n_tau(datum: ShimuraDatum, tau: ArchPlace) -> tuple[int, ArchPlace, ArchPlac
     ``tau``.
     """
     system = datum.places
-    cycle, pos = system._lookup(system._cycle, tau)
+    cycle, pos = system._entry(system._cycle, tau)
     s_infty = datum.s.s_infty
     if tau in s_infty:
         raise PlaceError(f"{tau} lies in the ramified archimedean set")
@@ -358,7 +372,7 @@ def datum_to_json(datum: ShimuraDatum) -> dict:
             "p": sorted(datum.s.s_p),
             "n_other": datum.s.n_other,
         },
-        "level": {pid: level.value for pid, level in datum.level_p},
+        "level": {pid: level.value for pid, level in datum.level_p.items()},
     }
 
 
@@ -379,5 +393,5 @@ def datum_from_json(data: Mapping) -> ShimuraDatum:
     return ShimuraDatum(
         places=system,
         s=EvenPlaceSet(s_infty, s_p, n_other),
-        level_p=tuple(sorted(level_items, key=lambda kv: kv[0])),
+        level_p=FrozenMap(sorted(level_items)),
     )

@@ -18,7 +18,9 @@ from .places import (
     ArchPlace,
     EmbE,
     EvenPlaceSet,
+    FrozenMap,
     Level,
+    PlaceError,
     PrimeType,
     ShimuraDatum,
     canonical_lift,
@@ -47,14 +49,6 @@ class CaseTag(Enum):
     B_SHARP_PASS = "BSharpPass"
 
 
-def _by_prime(pairs, prime_id: str):
-    """The value paired with ``prime_id`` in ``(prime id, value)`` pairs."""
-    for pid, value in pairs:
-        if pid == prime_id:
-            return value
-    raise StratumError(f"unknown prime id {prime_id!r}")
-
-
 @dataclass(frozen=True)
 class Chain:
     """A maximal cyclic run inside ``S_infty union T`` at one prime."""
@@ -71,23 +65,21 @@ class Chain:
 
 @dataclass(frozen=True)
 class StratumDescriptor:
+    """T, S(T), I_T and N, with the per-prime tables T' (the corrected places
+    at each prime), the case tags and the levels: FrozenMaps keyed by prime
+    id, in the order of the primes."""
+
     t: frozenset[ArchPlace]
-    t_prime_infty: tuple[tuple[str, frozenset[ArchPlace]], ...]
+    t_prime_infty: FrozenMap
     t_prime_p: frozenset[str]
     s_of_t: EvenPlaceSet
     i_t: frozenset[ArchPlace]
     n_bundle: int
-    case_tags: tuple[tuple[str, CaseTag], ...]
-    level_t: tuple[tuple[str, Level], ...]
-
-    def t_prime_at(self, prime_id: str) -> frozenset[ArchPlace]:
-        return _by_prime(self.t_prime_infty, prime_id)
+    case_tags: FrozenMap
+    level_t: FrozenMap
 
     def case_at(self, prime_id: str) -> CaseTag:
-        return _by_prime(self.case_tags, prime_id)
-
-    def level_at(self, prime_id: str) -> Level:
-        return _by_prime(self.level_t, prime_id)
+        return self.case_tags[prime_id]
 
 
 @dataclass(frozen=True)
@@ -109,12 +101,12 @@ class PrimeLiftRecipe:
 
 @dataclass(frozen=True)
 class LiftChoice:
+    """The chosen lifts, the marked bundle directions, and a FrozenMap from
+    prime id to that prime's PrimeLiftRecipe."""
+
     s_tilde_of_t: frozenset[EmbE]
     i_tilde_t: frozenset[EmbE]
-    recipes: tuple[PrimeLiftRecipe, ...]
-
-    def recipe_at(self, prime_id: str) -> PrimeLiftRecipe:
-        return _by_prime(((r.prime_id, r) for r in self.recipes), prime_id)
+    recipes: FrozenMap
 
 
 @dataclass(frozen=True)
@@ -123,25 +115,23 @@ class DeltaSets:
     minus: frozenset[EmbE]
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
-    s: tuple[tuple[EmbE, int], ...]
-
-    def at(self, emb: EmbE) -> int:
-        for key, value in self.s:
-            if key == emb:
-                return value
-        raise StratumError(f"no signature recorded at {emb}")
-
-    def as_dict(self) -> dict[EmbE, int]:
-        return dict(self.s)
+def _check_places(datum: ShimuraDatum, taus) -> None:
+    check_member, s_infty = datum.places.check_member, datum.s.s_infty
+    for tau in taus:
+        check_member(tau)
+        if tau in s_infty:
+            raise StratumError(f"{tau} lies in S_infty; strata index only S-free embeddings")
 
 
 def _check_t(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> None:
-    for tau in sorted(t):
-        datum.places.check_member(tau)
-        if tau in datum.s.s_infty:
-            raise StratumError(f"{tau} lies in S_infty; strata index only S-free embeddings")
+    """Check that T holds only S-free places of the datum.  Once a place
+    fails, T is walked again in sorted order, so the place reported does not
+    depend on the hash order of T."""
+    try:
+        _check_places(datum, t)
+    except (PlaceError, StratumError):
+        _check_places(datum, sorted(t))
+        raise
 
 
 def chain_decompose(
@@ -177,48 +167,40 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
     t = frozenset(t)
     _check_t(datum, t)
     system = datum.places
-    t_prime_infty: list[tuple[str, frozenset[ArchPlace]]] = []
+    t_prime_infty: dict[str, frozenset[ArchPlace]] = {}
     t_prime_p: set[str] = set()
-    case_tags: list[tuple[str, CaseTag]] = []
-    level_t: list[tuple[str, Level]] = []
+    case_tags: dict[str, CaseTag] = {}
+    level_t: dict[str, Level] = {}
     for slot in system.primes:
         pid = slot.id
         cycle = set(system.arch_places(pid))
-        t_here = {tau for tau in t if tau.prime_id == pid}
+        t_here = frozenset(tau for tau in t if tau.prime_id == pid)
         s_here = datum.s.infty_at(system, pid)
         prime_type = classify_prime(datum, pid)
+        level = datum.level(pid)
         if prime_type is PrimeType.BETA_SHARP:
-            t_prime_infty.append((pid, frozenset()))
-            case_tags.append((pid, CaseTag.B_SHARP_PASS))
-            level_t.append((pid, datum.level(pid)))
-            continue
-        if s_here == cycle:
-            t_prime_infty.append((pid, frozenset()))
-            case_tags.append((pid, CaseTag.A_SHARP_PASS))
-            level_t.append((pid, datum.level(pid)))
-            continue
-        if s_here | t_here == cycle:
+            block, tag = frozenset(), CaseTag.B_SHARP_PASS
+        elif s_here == cycle:
+            block, tag = frozenset(), CaseTag.A_SHARP_PASS
+        elif s_here | t_here == cycle:
+            block = t_here
             if prime_type is PrimeType.ALPHA:
-                t_prime_infty.append((pid, frozenset(t_here)))
-                case_tags.append((pid, CaseTag.A2))
-                level_t.append((pid, Level.IWAHORI if t_here else datum.level(pid)))
+                tag = CaseTag.A2
+                level = Level.IWAHORI if t_here else level
             else:
-                t_prime_infty.append((pid, frozenset(t_here)))
                 t_prime_p.add(pid)
-                case_tags.append((pid, CaseTag.B2))
-                level_t.append((pid, Level.MAXIMAL_ORDER))
-            continue
-        block: set[ArchPlace] = set()
-        for chain in chain_decompose(datum, pid, t):
-            hit = {tau for tau in chain.members(datum) if tau in t_here}
-            if len(hit) % 2 == 1:
-                hit.add(frobenius_shift(system, chain.top, -(chain.m + 1)))
-            block |= hit
-        t_prime_infty.append((pid, frozenset(block)))
-        tag = CaseTag.A1 if prime_type is PrimeType.ALPHA else CaseTag.B1
-        case_tags.append((pid, tag))
-        level_t.append((pid, datum.level(pid)))
-    all_t_prime = frozenset().union(*(block for _, block in t_prime_infty))
+                tag, level = CaseTag.B2, Level.MAXIMAL_ORDER
+        else:
+            hits: set[ArchPlace] = set()
+            for chain in chain_decompose(datum, pid, t):
+                hit = {tau for tau in chain.members(datum) if tau in t_here}
+                if len(hit) % 2 == 1:
+                    hit.add(frobenius_shift(system, chain.top, -(chain.m + 1)))
+                hits |= hit
+            block = frozenset(hits)
+            tag = CaseTag.A1 if prime_type is PrimeType.ALPHA else CaseTag.B1
+        t_prime_infty[pid], case_tags[pid], level_t[pid] = block, tag, level
+    all_t_prime = frozenset().union(*t_prime_infty.values())
     s_of_t = EvenPlaceSet(
         s_infty=datum.s.s_infty | all_t_prime,
         s_p=datum.s.s_p | t_prime_p,
@@ -228,13 +210,13 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
     i_t = frozenset(s_of_t.s_infty - (datum.s.s_infty | t))
     return StratumDescriptor(
         t=t,
-        t_prime_infty=tuple(t_prime_infty),
+        t_prime_infty=FrozenMap(t_prime_infty),
         t_prime_p=frozenset(t_prime_p),
         s_of_t=s_of_t,
         i_t=i_t,
         n_bundle=len(i_t),
-        case_tags=tuple(case_tags),
-        level_t=tuple(level_t),
+        case_tags=FrozenMap(case_tags),
+        level_t=FrozenMap(level_t),
     )
 
 
@@ -285,17 +267,17 @@ def lift_assignment(
         return lifts(system, tau)[choice]
 
     lifts_out: set[EmbE] = set(s_lift)
-    recipes: list[PrimeLiftRecipe] = []
+    recipes: dict[str, PrimeLiftRecipe] = {}
     for slot in system.primes:
         pid = slot.id
         case = descriptor.case_at(pid)
         t_here = {tau for tau in descriptor.t if tau.prime_id == pid}
         entries: list[tuple[EmbE, tuple[int, ...]]] = []
         if case in (CaseTag.A_SHARP_PASS, CaseTag.B_SHARP_PASS):
-            recipes.append(PrimeLiftRecipe(pid, case, ()))
+            recipes[pid] = PrimeLiftRecipe(pid, case, ())
             continue
         if case in (CaseTag.A1, CaseTag.B1):
-            corrected = set(descriptor.t_prime_at(pid))
+            corrected = descriptor.t_prime_infty[pid]
             for chain in chain_decompose(datum, pid, descriptor.t):
                 a_list = _offsets_below(system, chain.top, corrected, chain.m + 1)
                 if not a_list:
@@ -309,7 +291,7 @@ def lift_assignment(
                         emb = conjugate(system, emb)
                     lifts_out.add(emb)
                 entries.append((top_tilde, a_list))
-            recipes.append(PrimeLiftRecipe(pid, case, tuple(entries)))
+            recipes[pid] = PrimeLiftRecipe(pid, case, tuple(entries))
             continue
         if case is CaseTag.A2:
             anchor = a2_anchor.get(pid, min(t_here, key=lambda tau: tau.i))
@@ -324,7 +306,7 @@ def lift_assignment(
                 if rank % 2 == 1:
                     emb = conjugate(system, emb)
                 lifts_out.add(emb)
-            recipes.append(PrimeLiftRecipe(pid, case, ((anchor_tilde, a_list),)))
+            recipes[pid] = PrimeLiftRecipe(pid, case, ((anchor_tilde, a_list),))
             continue
         # Case B2: the sorted preimage of T in the double cycle, every other one.
         if slot.e_split:
@@ -346,7 +328,7 @@ def lift_assignment(
         for rank, a in enumerate(a_list):
             if rank % 2 == 0:
                 lifts_out.add(frobenius_shift(system, anchor_tilde, -a))
-        recipes.append(PrimeLiftRecipe(pid, CaseTag.B2, ((anchor_tilde, a_list),)))
+        recipes[pid] = PrimeLiftRecipe(pid, CaseTag.B2, ((anchor_tilde, a_list),))
 
     covered = {restrict(system, emb) for emb in lifts_out}
     if covered != set(descriptor.s_of_t.s_infty) or len(lifts_out) != len(covered):
@@ -363,7 +345,7 @@ def lift_assignment(
     return LiftChoice(
         s_tilde_of_t=frozenset(lifts_out),
         i_tilde_t=frozenset(i_tilde),
-        recipes=tuple(recipes),
+        recipes=FrozenMap(recipes),
     )
 
 
@@ -380,7 +362,7 @@ def delta_sets(
     system = datum.places
     minus: set[EmbE] = set()
     plus: set[EmbE] = set()
-    for recipe in lift.recipes:
+    for recipe in lift.recipes.values():
         if recipe.case in (CaseTag.A_SHARP_PASS, CaseTag.B_SHARP_PASS):
             continue
         local_minus: set[EmbE] = set()
@@ -394,10 +376,9 @@ def delta_sets(
     return DeltaSets(plus=frozenset(plus), minus=frozenset(minus))
 
 
-def signature_from_lift(
-    datum: ShimuraDatum, ramified_lift: frozenset[EmbE]
-) -> SignatureProfile:
-    """Signature 0 on the chosen lifts, 2 on their conjugates, 1 elsewhere."""
+def signature_from_lift(datum: ShimuraDatum, ramified_lift: frozenset[EmbE]) -> FrozenMap:
+    """The signature profile, a FrozenMap over every embedding in order:
+    0 on the chosen lifts, 2 on their conjugates, 1 elsewhere."""
     system = datum.places
     seen: set[ArchPlace] = set()
     for emb in ramified_lift:
@@ -405,21 +386,13 @@ def signature_from_lift(
         if tau in seen:
             raise StratumError(f"two lifts of {tau} supplied")
         seen.add(tau)
-    conj = {conjugate(system, emb) for emb in ramified_lift}
-    values = []
-    for emb in system.embeddings():
-        if emb in ramified_lift:
-            values.append((emb, 0))
-        elif emb in conj:
-            values.append((emb, 2))
-        else:
-            values.append((emb, 1))
-    return SignatureProfile(tuple(values))
+    values = dict.fromkeys(system.embeddings(), 1)
+    values.update((conjugate(system, emb), 2) for emb in ramified_lift)
+    values.update(dict.fromkeys(ramified_lift, 0))
+    return FrozenMap(values)
 
 
-def dimension_count_check(
-    datum: ShimuraDatum, s: SignatureProfile, delta: DeltaSets
-) -> SignatureProfile:
+def dimension_count_check(datum: ShimuraDatum, s: FrozenMap, delta: DeltaSets) -> FrozenMap:
     """Transfer a signature profile across the delta sets.
 
     Returns the profile ``s(x) - (d-(x) - d+(x)) + (d-(sigma x) - d+(sigma x))``
@@ -431,13 +404,14 @@ def dimension_count_check(
     def weight(emb: EmbE) -> int:
         return (emb in delta.minus) - (emb in delta.plus)
 
-    values = []
-    for emb, value in s.s:
-        out = value - weight(emb) + weight(frobenius_shift(system, emb, 1))
+    values = {
+        emb: value - weight(emb) + weight(frobenius_shift(system, emb, 1))
+        for emb, value in s.items()
+    }
+    for emb, out in values.items():
         if out not in (0, 1, 2):
             raise StratumError(f"inconsistent signature transfer at {emb}: {out}")
-        values.append((emb, out))
-    return SignatureProfile(tuple(values))
+    return FrozenMap(values)
 
 
 def descriptor_to_json(descriptor: StratumDescriptor) -> dict:
@@ -450,6 +424,6 @@ def descriptor_to_json(descriptor: StratumDescriptor) -> dict:
         },
         "I_T": sorted([tau.prime_id, tau.i] for tau in descriptor.i_t),
         "N": descriptor.n_bundle,
-        "cases": {pid: tag.value for pid, tag in descriptor.case_tags},
-        "level_T": {pid: level.value for pid, level in descriptor.level_t},
+        "cases": {pid: tag.value for pid, tag in descriptor.case_tags.items()},
+        "level_T": {pid: level.value for pid, level in descriptor.level_t.items()},
     }

@@ -39,7 +39,7 @@ A constant unit is inverted directly mod p^N.
 
 Precision policy: every ring carries a budget of N - RESERVE trusted p-adic
 digits.  Operations that would need valuations at or beyond the budget raise
-instead of silently truncating.
+instead of silently truncating; the lattice layer raises ``PrecisionError``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,19 @@ Mat2 = tuple  # ((a, b), (c, d)) row-major over WElem
 
 class WittError(ValueError):
     """Raised for out-of-range parameters or exhausted precision."""
+
+
+class DieudonneError(ValueError):
+    """Raised when matrices or lattices violate the point axioms.
+
+    Defined below the point layer that raises it, so that PrecisionError can
+    be one."""
+
+
+class PrecisionError(WittError, DieudonneError):
+    """Raised when the precision budget N - RESERVE cannot decide a result.
+
+    One type for every budget failure, caught by handlers of either parent."""
 
 
 class NotSplit:
@@ -502,7 +515,7 @@ def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
     Each entry's valuation is computed once, here, and every exact division
     below is by a power of p that those valuations show divides the entry."""
     if ring.budget <= 0:
-        raise WittError("precision budget exhausted")
+        raise PrecisionError("precision budget exhausted")
     p, N = ring.p, ring.N
     tops = [ring.val(col[0]) for col in cols]
     vmin = min(tops + [ring.val(col[1]) for col in cols])
@@ -516,7 +529,7 @@ def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
     # top pivot: column whose first coordinate has minimal valuation
     a = min(tops)
     if a >= ring.budget:
-        raise WittError("precision budget exhausted")
+        raise PrecisionError("precision budget exhausted")
     j = tops.index(a)
     pa = p**a
     c = ring.mul(ring.inv(tuple(e // pa for e in cols[j][0])), cols[j][1])
@@ -527,7 +540,7 @@ def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
     ]
     b = min(ring.val(e) for e in bottoms)
     if b >= ring.budget:
-        raise WittError("precision budget exhausted")
+        raise PrecisionError("precision budget exhausted")
     q = p**b
     return Lattice2(ring, shift, a, b, tuple(e % q for e in c))
 
@@ -557,7 +570,7 @@ def lattice_index_val(l: Lattice2) -> int:
 def _frame_det_val(l: Lattice2) -> int:
     """a + b, the valuation of det(basis), which must lie below N."""
     if l.a + l.b >= l.ring.N:
-        raise WittError("element indistinguishable from zero")
+        raise PrecisionError("element indistinguishable from zero")
     return l.a + l.b
 
 

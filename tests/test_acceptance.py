@@ -229,7 +229,7 @@ def test_criterion_02_decic_example() -> None:
     system = build_place_system([(10, True)])
     datum = make_datum(system, _places(10, [-2, -6]))
     descriptor = stratum_descriptor(datum, _places(10, [-3, -5, -7]))
-    assert descriptor.t_prime_at("p1") == _places(10, [-3, -4, -5, -7])
+    assert descriptor.t_prime_infty["p1"] == _places(10, [-3, -4, -5, -7])
     assert descriptor.i_t == _places(10, [-4])
     assert descriptor.n_bundle == 1
     print("criterion 2: PASS - decic example, T' and I_T exact, N=1")
@@ -306,7 +306,7 @@ def test_criterion_04_run_lemmas() -> None:
         t_prime_e = {
             e
             for e in system.embeddings()
-            if restrict(system, e) in descriptor.t_prime_at("p1")
+            if restrict(system, e) in descriptor.t_prime_infty["p1"]
         }
         marked = lift.s_tilde_of_t - {
             canonical_lift(system, tau) for tau in datum.s.s_infty
@@ -402,9 +402,9 @@ def test_criterion_07_essential_identities() -> None:
         system = datum.places
         p_id = mat_smul(ring, ring.p, mat_identity(ring))
         for emb in pt.embeddings():
-            fv = mat_mul(ring, pt.f_mat(emb), mat_sigma(ring, pt.v_mat(emb), 1))
+            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, pt.v_mats[emb], 1))
             vf = mat_mul(
-                ring, pt.v_mat(emb), mat_sigma(ring, pt.f_mat(emb), ring.m - 1)
+                ring, pt.v_mats[emb], mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
             )
             assert _close(ring, fv, p_id)
             assert _close(ring, vf, p_id)

@@ -394,10 +394,12 @@ def test_dieudonne_rejects_precision_below_two() -> None:
     assert "--N" in proc.stderr
 
 
-def test_dieudonne_rejects_degree_below_one() -> None:
-    proc = _run_cli("dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", "0")
-    _assert_one_line_error(proc, 2)
-    assert "--f" in proc.stderr
+def test_dieudonne_rejects_degree_out_of_range() -> None:
+    # 1025 is also above the place system's own bound, once a domain error
+    for f in ("0", "33", "1025"):
+        proc = _run_cli("dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", f)
+        _assert_one_line_error(proc, 2)
+        assert "--f" in proc.stderr
 
 
 def test_dieudonne_rejects_negative_trials() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -10,10 +12,13 @@ from gostrata.places import (
     ArchPlace,
     EmbE,
     MAX_INERTIA_DEGREE,
+    EvenPlaceSet,
+    FrozenMap,
     Level,
     PlaceError,
     PlaceSystem,
     PrimeType,
+    ShimuraDatum,
     build_place_system,
     canonical_lift,
     classify_prime,
@@ -341,3 +346,41 @@ def test_place_maps_match_their_closed_formulas(spec):
             assert type(got) is EmbE and got == want
             got = restrict(system, x)
             assert type(got) is ArchPlace and got == ArchPlace(x.prime_id, x.i % f)
+
+
+def test_frozen_map_is_read_only_and_hashes_by_content():
+    table = FrozenMap([(ArchPlace("p1", 0), 1), (ArchPlace("p1", 1), 2)])
+    mutators = [
+        lambda m: m.__setitem__(ArchPlace("p1", 2), 0),
+        lambda m: m.__delitem__(ArchPlace("p1", 0)),
+        lambda m: m.__ior__({}),
+        lambda m: m.clear(),
+        lambda m: m.pop(ArchPlace("p1", 0)),
+        lambda m: m.popitem(),
+        lambda m: m.setdefault(ArchPlace("p1", 2), 0),
+        lambda m: m.update({}),
+    ]
+    for mutate in mutators:
+        with pytest.raises(TypeError):
+            mutate(table)
+    assert table == {ArchPlace("p1", 0): 1, ArchPlace("p1", 1): 2}
+    reordered = FrozenMap([(ArchPlace("p1", 1), 2), (ArchPlace("p1", 0), 1)])
+    assert list(reordered) != list(table)
+    assert reordered == table and hash(reordered) == hash(table)
+    assert len({table, reordered}) == 1
+    assert hash(table) != hash(FrozenMap([(ArchPlace("p1", 0), 2), (ArchPlace("p1", 1), 1)]))
+    for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert type(twin) is FrozenMap and twin == table and list(twin) == list(table)
+
+
+def test_datum_levels_given_in_any_order_are_one_datum():
+    system = build_place_system([(1, True), (2, False)])
+    s = EvenPlaceSet(frozenset({ArchPlace("p1", 0)}), frozenset(), 1)
+    levels = [("p1", Level.IWAHORI), ("p2", Level.HYPERSPECIAL)]
+    one = ShimuraDatum(system, s, FrozenMap(levels))
+    other = ShimuraDatum(system, s, FrozenMap(reversed(levels)))
+    assert one == other and hash(one) == hash(other)
+    by_make = make_datum(system, s.s_infty, level=dict(reversed(levels)))
+    assert by_make == one and hash(by_make) == hash(one)
+    assert list(by_make.level_p) == ["p1", "p2"]
+    assert one.level("p1") is Level.IWAHORI and one.level("p2") is Level.HYPERSPECIAL

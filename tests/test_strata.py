@@ -114,7 +114,7 @@ def test_quartic_strata_table():
     d = stratum_descriptor(datum, _t(4, [0, 1, 2, 3]))
     assert d.s_of_t.s_infty == _t(4, [0, 1, 2, 3])
     assert d.case_at("p1") is CaseTag.A2
-    assert d.level_at("p1") is Level.IWAHORI
+    assert d.level_t["p1"] is Level.IWAHORI
     assert d.n_bundle == 0
 
 
@@ -123,14 +123,14 @@ def test_full_stratum_odd_degree_adds_prime():
     assert d.case_at("p1") is CaseTag.B2
     assert d.t_prime_p == frozenset({"p1"})
     assert d.s_of_t.s_p == frozenset({"p1"})
-    assert d.level_at("p1") is Level.MAXIMAL_ORDER
+    assert d.level_t["p1"] is Level.MAXIMAL_ORDER
     assert d.n_bundle == 0
 
 
 def test_ten_cycle_worked_example():
     datum = _datum(10, True, [-2, -6])
     d = stratum_descriptor(datum, _t(10, [-3, -5, -7]))
-    assert d.t_prime_at("p1") == _t(10, [-3, -4, -5, -7])
+    assert d.t_prime_infty["p1"] == _t(10, [-3, -4, -5, -7])
     assert d.i_t == _t(10, [-4])
     assert d.n_bundle == 1
 
@@ -140,7 +140,7 @@ def test_empty_stratum_is_identity():
     d = stratum_descriptor(datum, frozenset())
     assert d.s_of_t == datum.s
     assert d.n_bundle == 0
-    assert dict(d.level_t)["p1"] == datum.level("p1")
+    assert d.level_t["p1"] == datum.level("p1")
 
 
 def test_t_prime_even_everywhere_exhaustive():
@@ -156,7 +156,7 @@ def test_t_prime_even_everywhere_exhaustive():
                 t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
                 d = stratum_descriptor(datum, t)
                 marker = 1 if "p1" in d.t_prime_p else 0
-                assert (len(d.t_prime_at("p1")) + marker) % 2 == 0
+                assert (len(d.t_prime_infty["p1"]) + marker) % 2 == 0
                 # the new ramification set is a valid even set
                 d.s_of_t.validate(system)
                 assert d.i_t == d.s_of_t.s_infty - (datum.s.s_infty | t)
@@ -289,11 +289,13 @@ def test_delta_plus_is_conjugate_of_minus_outside_b2():
 def test_signature_from_lift_basics():
     datum = _datum(4, True)
     prof = signature_from_lift(datum, frozenset())
-    assert set(prof.as_dict().values()) == {1}
+    assert set(prof.values()) == {1}
+    # a profile is a FrozenMap: it equals the plain dict of its items
+    assert prof == dict.fromkeys(datum.places.embeddings(), 1)
     prof = signature_from_lift(datum, frozenset({EmbE("p1", 0, 1)}))
-    assert prof.at(EmbE("p1", 0, 1)) == 0
-    assert prof.at(EmbE("p1", 1, 1)) == 2
-    assert prof.at(EmbE("p1", 0, 0)) == 1
+    assert prof[EmbE("p1", 0, 1)] == 0
+    assert prof[EmbE("p1", 1, 1)] == 2
+    assert prof[EmbE("p1", 0, 0)] == 1
 
 
 def test_signature_rejects_double_lift():
@@ -308,8 +310,8 @@ def test_dimension_count_singleton():
     datum, d, lift, delta = _delta(4, True, (), [1])
     s = signature_from_lift(datum, frozenset())
     out = dimension_count_check(datum, s, delta)
-    assert out.at(EmbE("p1", 0, 1)) == 0
-    assert out.at(EmbE("p1", 0, 0)) == 2
+    assert out[EmbE("p1", 0, 1)] == 0
+    assert out[EmbE("p1", 0, 0)] == 2
     assert out == signature_from_lift(datum, lift.s_tilde_of_t)
 
 
@@ -349,7 +351,7 @@ def _runs_exit_correctly(datum, d, lift, delta):
     t_prime_e = {
         e
         for e in system.embeddings()
-        if restrict(system, e) in d.t_prime_at("p1")
+        if restrict(system, e) in d.t_prime_infty["p1"]
     }
     for part in (delta.minus, delta.plus):
         for emb in part:

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from gostrata.dieudonne import lattice_in_frame
+from gostrata import dieudonne
 from gostrata.witt import (
     NOT_SPLIT,
+    DieudonneError,
+    PrecisionError,
     WittError,
     elementary_divisors,
     frame_inverse,
@@ -446,6 +449,31 @@ def test_hermite_frame_beyond_precision_raises_like_general_path():
     # as the inner lattice it needs no inverse
     assert lattice_contains(std, h)
     assert lattice_in_frame(ring, std, h) == h
+
+
+def test_lattice_budget_failures_are_precision_errors():
+    assert dieudonne.PrecisionError is PrecisionError
+    for ring, rows in (
+        (witt_ring(3, 2, 4), [[1, 0], [0, 1]]),  # a budget N - RESERVE of 0
+        (witt_ring(3, 2, 8), [[3**4, 0], [0, 1]]),  # a at the budget of 4
+        (witt_ring(3, 2, 8), [[1, 0], [0, 3**4]]),  # b at the budget of 4
+    ):
+        with pytest.raises(PrecisionError, match="precision budget exhausted") as info:
+            lattice_normalize(ring, 0, mat_columns(mat2(ring, rows)))
+        assert isinstance(info.value, WittError) and isinstance(info.value, DieudonneError)
+
+
+def test_frame_beyond_precision_is_a_precision_error():
+    ring = witt_ring(3, 2, 16)
+    h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
+    std = standard_lattice(ring)
+    for call in (
+        lambda: frame_inverse(h),
+        lambda: lattice_contains(h, std),
+        lambda: lattice_in_frame(ring, h, std),
+    ):
+        with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+            call()
 
 
 def test_lattice_scale_roundtrip():
