@@ -286,7 +286,7 @@ def _cmd_picard(args) -> int:
             }
         )
         return 0
-    if args.cls:
+    if args.cls is not None:
         tau = _parse_tau(datum, args.cls)
         vector = picard.divisor_class(datum, args.p, tau)
         _emit(

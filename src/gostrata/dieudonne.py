@@ -492,11 +492,10 @@ def reconstruct_lattices(
     std = standard_lattice(ring)
 
     m_lat = {emb: std for emb in b_point.embeddings()}
-    recipe = lift.recipes[pid]
     case = descriptor.case_at(pid)
     if case in (CaseTag.A1, CaseTag.B1):
         chains = {chain.top: chain for chain in chain_decompose(source_datum, pid, t)}
-        for base_tilde, a_list in recipe.entries:
+        for base_tilde, a_list in lift.recipes[pid]:
             chain = chains[restrict(system, base_tilde)]
             anchor = frobenius_shift(system, base_tilde, -(chain.m + 1))
             if a_list[-1] == chain.m + 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .places import ArchPlace, EmbE, ShimuraDatum, n_tau
+from .places import ArchPlace, EmbE, FrozenMap, ShimuraDatum, n_tau
 
 
 class LinkError(ValueError):
@@ -40,17 +40,17 @@ class Band:
 
 @dataclass(frozen=True)
 class Link:
+    """A matching of band nodes; ``disp`` maps each source node to the
+    displacement of its curve, in node order."""
+
     source: Band
     target: Band
-    disp: tuple[tuple[int, int], ...]
-
-    def disp_map(self) -> dict[int, int]:
-        return dict(self.disp)
+    disp: FrozenMap
 
 
 def make_link(source: Band, target: Band, disp: Mapping[int, int]) -> Link:
     """Build and validate a link; raises LinkError on any violation."""
-    link = Link(source, target, tuple(sorted(disp.items())))
+    link = Link(source, target, FrozenMap(sorted(disp.items())))
     problems = validate_link(link)
     if problems:
         raise LinkError("; ".join(problems))
@@ -60,7 +60,7 @@ def make_link(source: Band, target: Band, disp: Mapping[int, int]) -> Link:
 def validate_link(link: Link) -> list[str]:
     """Check bijectivity and the non-crossing condition; return violations."""
     problems: list[str] = []
-    disp = link.disp_map()
+    disp = link.disp
     if link.source.n != link.target.n:
         problems.append("source and target bands have different lengths")
         return problems
@@ -94,13 +94,13 @@ def link_warnings(link: Link) -> list[str]:
     n = link.source.n
     return [
         f"curve at node {v} winds the cylinder (|disp| >= {n})"
-        for v, d in link.disp
+        for v, d in link.disp.items()
         if abs(d) >= n
     ]
 
 
 def total_displacement(link: Link) -> int:
-    return sum(d for _, d in link.disp)
+    return sum(link.disp.values())
 
 
 def compose(second: Link, first: Link) -> Link:
@@ -108,17 +108,17 @@ def compose(second: Link, first: Link) -> Link:
     if second.source != first.target:
         raise LinkError("bands do not match for composition")
     n = first.source.n
-    d2 = second.disp_map()
+    d2 = second.disp
     disp = {
         v: d + d2[(v + d) % n]
-        for v, d in first.disp
+        for v, d in first.disp.items()
     }
     return make_link(first.source, second.target, disp)
 
 
 def invert(link: Link) -> Link:
     n = link.source.n
-    disp = {(v + d) % n: -d for v, d in link.disp}
+    disp = {(v + d) % n: -d for v, d in link.disp.items()}
     return make_link(link.target, link.source, disp)
 
 
@@ -128,7 +128,7 @@ def identity_link(band: Band) -> Link:
 
 def is_right_turning(link: Link) -> bool:
     """Whether every curve has positive displacement."""
-    return all(d > 0 for _, d in link.disp)
+    return all(d > 0 for d in link.disp.values())
 
 
 def band_of(datum: ShimuraDatum, prime_id: str) -> Band:
@@ -298,7 +298,7 @@ def induced_link(
     source_band = band_of(datum, prime_id)
     if eta.source != source_band:
         raise LinkError("link does not start at the band of the datum")
-    turning = [(v, d) for v, d in eta.disp if d != 0]
+    turning = [(v, d) for v, d in eta.disp.items() if d != 0]
     if len(turning) > 1 or any(d < 0 for _, d in turning):
         raise LinkError("link must be straight except one right-turning curve")
     tau0_i, m_tau0 = turning[0] if turning else (None, 0)
@@ -308,7 +308,7 @@ def induced_link(
         raise LinkError("requires at least two unramified embeddings")
     if tau.i not in eta.source.nodes:
         raise LinkError(f"{tau} is not a node of the link")
-    disp = eta.disp_map()
+    disp = eta.disp
     removed = {tau.i, tau_minus.i}
     new_source = Band(slot.f, frozenset(eta.source.nodes - removed))
     removed_targets = {(v + disp[v]) % slot.f for v in removed}
@@ -341,7 +341,7 @@ def render_band_ascii(band: Band) -> str:
 def render_link_ascii(link: Link) -> str:
     """Three lines: source band, curve displacements, target band."""
     curves = " ".join(
-        f"{v}→{(v + d) % link.source.n}(disp={d})" for v, d in link.disp
+        f"{v}→{(v + d) % link.source.n}(disp={d})" for v, d in link.disp.items()
     )
     return "\n".join(
         [
@@ -357,7 +357,7 @@ def link_to_json(link: Link) -> dict:
         "n": link.source.n,
         "source_nodes": sorted(link.source.nodes),
         "target_nodes": sorted(link.target.nodes),
-        "disp": {str(v): d for v, d in link.disp},
+        "disp": {str(v): d for v, d in link.disp.items()},
     }
 
 
@@ -369,4 +369,4 @@ def link_from_json(data: Mapping, validate: bool = True) -> Link:
     disp = {int(v): int(d) for v, d in data["disp"].items()}
     if validate:
         return make_link(source, target, disp)
-    return Link(source, target, tuple(sorted(disp.items())))
+    return Link(source, target, FrozenMap(sorted(disp.items())))

@@ -245,7 +245,7 @@ class EvenPlaceSet:
                     "is not fully contained in s_infty"
                 )
 
-    def infty_at(self, system: PlaceSystem, prime_id: str) -> frozenset[ArchPlace]:
+    def infty_at(self, prime_id: str) -> frozenset[ArchPlace]:
         return frozenset(t for t in self.s_infty if t.prime_id == prime_id)
 
 

@@ -53,7 +53,6 @@ class CaseTag(Enum):
 class Chain:
     """A maximal cyclic run inside ``S_infty union T`` at one prime."""
 
-    prime_id: str
     top: ArchPlace
     m: int
 
@@ -83,26 +82,18 @@ class StratumDescriptor:
 
 
 @dataclass(frozen=True)
-class PrimeLiftRecipe:
-    """Per-prime lift bookkeeping: base lifts and sorted offset lists.
-
-    For cases A1/B1 there is one entry per chain with a nonempty corrected
-    intersection; each entry is the chosen lift of the chain top together with
-    the sorted offsets ``0 <= a_1 < ... < a_r`` of the corrected set below the
-    top.  For A2 the single entry is the anchor lift with the offsets of T
-    below it; for B2 it is the anchor lift with the 2r preimage offsets in the
-    double cycle.
-    """
-
-    prime_id: str
-    case: CaseTag
-    entries: tuple[tuple[EmbE, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class LiftChoice:
-    """The chosen lifts, the marked bundle directions, and a FrozenMap from
-    prime id to that prime's PrimeLiftRecipe."""
+    """The chosen lifts, the marked bundle directions, and the per-prime lift
+    bookkeeping: a FrozenMap from prime id to a tuple of (base lift, offsets)
+    pairs.
+
+    For cases A1/B1 there is one pair per chain with a nonempty corrected
+    intersection: the lift of the chain top together with the sorted offsets
+    ``0 <= a_1 < ... < a_r`` of the corrected set below the top.  For A2 the
+    single pair is the anchor lift with the offsets of T below it; for B2 it
+    is the anchor lift with the 2r preimage offsets in the double cycle.  The
+    pass-through cases have no pairs.
+    """
 
     s_tilde_of_t: frozenset[EmbE]
     i_tilde_t: frozenset[EmbE]
@@ -158,7 +149,7 @@ def chain_decompose(
         m = 0
         while (top_i - m - 1) % slot.f in covered:
             m += 1
-        chains.append(Chain(prime_id, ArchPlace(prime_id, top_i), m))
+        chains.append(Chain(ArchPlace(prime_id, top_i), m))
     return tuple(chains)
 
 
@@ -175,7 +166,7 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
         pid = slot.id
         cycle = set(system.arch_places(pid))
         t_here = frozenset(tau for tau in t if tau.prime_id == pid)
-        s_here = datum.s.infty_at(system, pid)
+        s_here = datum.s.infty_at(pid)
         prime_type = classify_prime(datum, pid)
         level = datum.level(pid)
         if prime_type is PrimeType.BETA_SHARP:
@@ -220,7 +211,7 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
     )
 
 
-def _offsets_below(system, base: ArchPlace, members: set[ArchPlace], span: int) -> tuple[int, ...]:
+def _offsets_below(system, base: ArchPlace | EmbE, members: set, span: int) -> tuple[int, ...]:
     """Sorted offsets a with sigma^{-a}(base) in ``members``, 0 <= a <= span."""
     return tuple(
         a
@@ -232,22 +223,17 @@ def _offsets_below(system, base: ArchPlace, members: set[ArchPlace], span: int) 
 def lift_assignment(
     datum: ShimuraDatum,
     descriptor: StratumDescriptor,
-    beta_choices: Mapping[tuple[str, int], int] | None = None,
     a2_anchor: Mapping[str, ArchPlace] | None = None,
     s_lift: frozenset[EmbE] | None = None,
 ) -> LiftChoice:
     """Choose lifts for S(T): alternating over each corrected chain.
 
-    ``beta_choices`` maps ``(prime_id, top_index)`` (or ``(prime_id, anchor
-    index)`` in cases A2/B2) to a sheet selection: for split primes the sheet
-    in {0, 1}, for inert primes 0 or 1 meaning the low or high preimage of the
-    base embedding.  ``a2_anchor`` overrides the anchor element of T per A2/B2
-    prime.  ``s_lift`` fixes the lifts of the untouched ramified embeddings
-    (default: canonical lifts).
+    Every base lift is canonical.  ``a2_anchor`` overrides the anchor element
+    of T per A2/B2 prime.  ``s_lift`` fixes the lifts of the untouched
+    ramified embeddings (default: canonical lifts).
     """
     system = datum.places
-    beta_choices = dict(beta_choices or {})
-    a2_anchor = dict(a2_anchor or {})
+    a2_anchor = a2_anchor or {}
 
     if s_lift is None:
         s_lift = frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
@@ -260,75 +246,45 @@ def lift_assignment(
             raise StratumError(f"two lifts supplied for {tau}")
         seen[tau] = emb
 
-    def base_lift(tau: ArchPlace, key_index: int) -> EmbE:
-        choice = beta_choices.get((tau.prime_id, key_index), 0)
-        if choice not in (0, 1):
-            raise StratumError(f"sheet choice must be 0 or 1, got {choice}")
-        return lifts(system, tau)[choice]
-
     lifts_out: set[EmbE] = set(s_lift)
-    recipes: dict[str, PrimeLiftRecipe] = {}
+    recipes: dict[str, tuple[tuple[EmbE, tuple[int, ...]], ...]] = {}
     for slot in system.primes:
         pid = slot.id
-        case = descriptor.case_at(pid)
-        t_here = {tau for tau in descriptor.t if tau.prime_id == pid}
+        case = descriptor.case_tags[pid]
         entries: list[tuple[EmbE, tuple[int, ...]]] = []
-        if case in (CaseTag.A_SHARP_PASS, CaseTag.B_SHARP_PASS):
-            recipes[pid] = PrimeLiftRecipe(pid, case, ())
-            continue
         if case in (CaseTag.A1, CaseTag.B1):
             corrected = descriptor.t_prime_infty[pid]
             for chain in chain_decompose(datum, pid, descriptor.t):
                 a_list = _offsets_below(system, chain.top, corrected, chain.m + 1)
-                if not a_list:
-                    continue
-                if len(a_list) % 2 != 0:
-                    raise AssertionError("corrected chain sets always have even size")
-                top_tilde = base_lift(chain.top, chain.top.i)
-                for rank, a in enumerate(a_list):
-                    emb = frobenius_shift(system, top_tilde, -a)
-                    if rank % 2 == 1:
-                        emb = conjugate(system, emb)
-                    lifts_out.add(emb)
-                entries.append((top_tilde, a_list))
-            recipes[pid] = PrimeLiftRecipe(pid, case, tuple(entries))
-            continue
-        if case is CaseTag.A2:
+                if a_list:
+                    entries.append((canonical_lift(system, chain.top), a_list))
+        elif case in (CaseTag.A2, CaseTag.B2):
+            if case is CaseTag.B2 and slot.e_split:
+                raise StratumError(
+                    f"case B2 at {pid!r} requires the prime to be inert upstairs"
+                )
+            t_here = {tau for tau in descriptor.t if tau.prime_id == pid}
             anchor = a2_anchor.get(pid, min(t_here, key=lambda tau: tau.i))
             if anchor not in t_here:
                 raise StratumError(f"anchor {anchor} is not in T at {pid!r}")
-            anchor_tilde = base_lift(anchor, anchor.i)
-            a_list = _offsets_below(system, anchor, t_here, slot.f - 1)
-            if len(a_list) % 2 != 0:
-                raise AssertionError("A2 requires an even number of elements of T")
-            for rank, a in enumerate(a_list):
-                emb = frobenius_shift(system, anchor_tilde, -a)
-                if rank % 2 == 1:
-                    emb = conjugate(system, emb)
-                lifts_out.add(emb)
-            recipes[pid] = PrimeLiftRecipe(pid, case, ((anchor_tilde, a_list),))
-            continue
-        # Case B2: the sorted preimage of T in the double cycle, every other one.
-        if slot.e_split:
-            raise StratumError(
-                f"case B2 at {pid!r} requires the prime to be inert upstairs"
+            # A2 walks the f places below the anchor, B2 the double cycle of 2f lifts
+            preimage = {emb for tau in t_here for emb in lifts(system, tau)}
+            span = 2 * slot.f - 1 if case is CaseTag.B2 else slot.f - 1
+            anchor_tilde = canonical_lift(system, anchor)
+            entries.append(
+                (anchor_tilde, _offsets_below(system, anchor_tilde, preimage, span))
             )
-        anchor = a2_anchor.get(pid, min(t_here, key=lambda tau: tau.i))
-        if anchor not in t_here:
-            raise StratumError(f"anchor {anchor} is not in T at {pid!r}")
-        anchor_tilde = base_lift(anchor, anchor.i)
-        preimage = {emb for tau in t_here for emb in lifts(system, tau)}
-        a_list = tuple(
-            a
-            for a in range(2 * slot.f)
-            if frobenius_shift(system, anchor_tilde, -a) in preimage
-        )
-        if len(a_list) % 2 != 0:
-            raise AssertionError("B2 preimage offsets come in conjugate pairs")
-        for rank, a in enumerate(a_list):
-            if rank % 2 == 0:
-                lifts_out.add(frobenius_shift(system, anchor_tilde, -a))
-        recipes[pid] = PrimeLiftRecipe(pid, CaseTag.B2, ((anchor_tilde, a_list),))
+        # the lift at even rank and, except in B2, the conjugate at odd rank
+        for base_tilde, a_list in entries:
+            if len(a_list) % 2 != 0:
+                raise AssertionError("lifts alternate over an even number of offsets")
+            for rank, a in enumerate(a_list):
+                emb = frobenius_shift(system, base_tilde, -a)
+                if rank % 2 == 0:
+                    lifts_out.add(emb)
+                elif case is not CaseTag.B2:
+                    lifts_out.add(conjugate(system, emb))
+        recipes[pid] = tuple(entries)
 
     covered = {restrict(system, emb) for emb in lifts_out}
     if covered != set(descriptor.s_of_t.s_infty) or len(lifts_out) != len(covered):
@@ -362,16 +318,14 @@ def delta_sets(
     system = datum.places
     minus: set[EmbE] = set()
     plus: set[EmbE] = set()
-    for recipe in lift.recipes.values():
-        if recipe.case in (CaseTag.A_SHARP_PASS, CaseTag.B_SHARP_PASS):
-            continue
+    for pid, entries in lift.recipes.items():
         local_minus: set[EmbE] = set()
-        for base_tilde, a_list in recipe.entries:
+        for base_tilde, a_list in entries:
             for j in range(0, len(a_list) - 1, 2):
                 for offset in range(a_list[j], a_list[j + 1]):
                     local_minus.add(frobenius_shift(system, base_tilde, -offset))
         minus |= local_minus
-        if recipe.case is not CaseTag.B2:
+        if descriptor.case_tags[pid] is not CaseTag.B2:
             plus |= {conjugate(system, emb) for emb in local_minus}
     return DeltaSets(plus=frozenset(plus), minus=frozenset(minus))
 

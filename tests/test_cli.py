@@ -322,6 +322,9 @@ def test_malformed_place_and_weight_tokens_are_usage_errors(tmp_path: Path) -> N
     _assert_one_line_error(
         _run_cli("ample", "--datum", str(datum), "--p", "3", "--t", "1,x,1"), 2
     )
+    _assert_one_line_error(
+        _run_cli("picard", "--datum", str(datum), "--p", "3", "--class", ""), 2
+    )
 
 
 def test_datum_missing_e_split_is_a_domain_error(tmp_path: Path) -> None:

@@ -213,6 +213,21 @@ def test_make_point_rejects_mismatched_ring_degree():
         random_point(random.Random(0), ring, datum)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda datum: make_point(witt_ring(3, 2, 8), datum, {}, {}, {}),
+        half_system,
+        lambda datum: ring_for_datum(datum, 3),
+    ],
+    ids=["make_point", "half_system", "ring_for_datum"],
+)
+def test_simulator_rejects_two_prime_datums(build):
+    datum = make_datum(build_place_system([(1, True), (1, False)]))
+    with pytest.raises(DieudonneError, match="the simulator works one prime at a time"):
+        build(datum)
+
+
 def test_random_point_respects_requested_signature():
     rng = random.Random(17)
     datum = _datum(4, True, [0, 2])
@@ -566,8 +581,7 @@ def test_roundtrip_odd_chain_uses_j_line():
         t = frozenset({target})
         descriptor = stratum_descriptor(datum, t)
         lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
-        recipe = lift.recipes["p1"]
-        (base, a_list), = recipe.entries
+        (base, a_list), = lift.recipes["p1"]
         triple = build_isogeny_triple(pt, t, descriptor, lift)
         if a_list[-1] == _chain_m(datum, t, base) + 1:
             assert triple.j_lines

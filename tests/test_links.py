@@ -28,7 +28,7 @@ from gostrata.links import (
     validate_link,
     Link,
 )
-from gostrata.places import ArchPlace, EmbE, build_place_system, make_datum
+from gostrata.places import ArchPlace, EmbE, FrozenMap, build_place_system, make_datum
 
 
 def _datum(f, e_split, s_indices=()):
@@ -60,7 +60,7 @@ def _curves_cross(n: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 
 def _oracle_valid(link: Link) -> bool:
     n = link.source.n
-    disp = link.disp_map()
+    disp = link.disp
     if set(disp) != set(link.source.nodes):
         return False
     ends = [(v + d) % n for v, d in disp.items()]
@@ -83,7 +83,7 @@ def test_validator_matches_geometric_oracle_randomized():
         if len(target_nodes) != k:
             target_nodes = frozenset(rng.sample(range(n), k))
         link = Link(
-            Band(n, source_nodes), Band(n, target_nodes), tuple(sorted(disp.items()))
+            Band(n, source_nodes), Band(n, target_nodes), FrozenMap(sorted(disp.items()))
         )
         assert (validate_link(link) == []) == _oracle_valid(link)
 
@@ -172,7 +172,7 @@ def test_band_of_and_render():
 def test_frobenius_link():
     datum = _datum(4, True)
     link = frobenius_link(datum, "p1", 2)
-    assert all(d == 2 for _, d in link.disp)
+    assert all(d == 2 for d in link.disp.values())
     assert total_displacement(link) == 8
     datum5 = _datum(5, True, [1, 3])
     assert total_displacement(frobenius_link(datum5, "p1", 1)) == 3
@@ -204,7 +204,7 @@ def test_partial_frobenius_indentation_split():
         MorphismKind.PARTIAL_FROBENIUS, datum, "p1", s_tilde=s_tilde
     )
     assert desc.indentation == 4
-    assert all(d == 2 for _, d in desc.link.disp)
+    assert all(d == 2 for d in desc.link.disp.values())
 
 
 def test_partial_frobenius_indentation_inert_zero():
@@ -254,7 +254,7 @@ def test_trivial_hecke():
         MorphismKind.TRIVIAL_HECKE, datum, "p1", tau=ArchPlace("p1", 0)
     )
     assert desc.indentation == 6
-    assert desc.link.disp == ()
+    assert desc.link.disp == {}
     with pytest.raises(LinkError):
         standard_morphism(
             MorphismKind.TRIVIAL_HECKE, _datum(5, True), "p1", tau=ArchPlace("p1", 0)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -49,6 +51,23 @@ def _oracle_runs(f: int, covered: set[int]) -> list[list[int]]:
                 run.append((run[-1] - 1) % f)
             runs.append(run)
     return runs
+
+
+def _small_strata():
+    """Every (datum, T) with f <= 6, split and inert, every S_infty and every
+    T, as ((f, e_split, s_bits, t_bits), system, datum, descriptor)."""
+    for f in range(1, 7):
+        for e_split in (True, False):
+            system = build_place_system([(f, e_split)])
+            for s_bits, t_bits in itertools.product(range(2**f), repeat=2):
+                if s_bits & t_bits:
+                    continue
+                datum = make_datum(
+                    system, {ArchPlace("p1", i) for i in range(f) if s_bits >> i & 1}
+                )
+                t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
+                key = (f, e_split, s_bits, t_bits)
+                yield key, system, datum, stratum_descriptor(datum, t)
 
 
 def test_chain_decompose_ten_cycle_example():
@@ -144,22 +163,12 @@ def test_empty_stratum_is_identity():
 
 
 def test_t_prime_even_everywhere_exhaustive():
-    for f in range(1, 7):
-        for e_split in (True, False):
-            system = build_place_system([(f, e_split)])
-            for s_bits, t_bits in itertools.product(range(2**f), repeat=2):
-                if s_bits & t_bits:
-                    continue
-                datum = make_datum(
-                    system, {ArchPlace("p1", i) for i in range(f) if s_bits >> i & 1}
-                )
-                t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
-                d = stratum_descriptor(datum, t)
-                marker = 1 if "p1" in d.t_prime_p else 0
-                assert (len(d.t_prime_infty["p1"]) + marker) % 2 == 0
-                # the new ramification set is a valid even set
-                d.s_of_t.validate(system)
-                assert d.i_t == d.s_of_t.s_infty - (datum.s.s_infty | t)
+    for _, system, datum, d in _small_strata():
+        marker = 1 if "p1" in d.t_prime_p else 0
+        assert (len(d.t_prime_infty["p1"]) + marker) % 2 == 0
+        # the new ramification set is a valid even set
+        d.s_of_t.validate(system)
+        assert d.i_t == d.s_of_t.s_infty - (datum.s.s_infty | d.t)
 
 
 def test_descriptor_json_shape():
@@ -200,30 +209,81 @@ def test_lift_b2_example():
 def test_lift_b2_requires_inert():
     datum = _datum(3, True)
     d = stratum_descriptor(datum, _t(3, [0, 1, 2]))
-    with pytest.raises(StratumError):
+    with pytest.raises(StratumError, match="requires the prime to be inert upstairs"):
         lift_assignment(datum, d)
 
 
+@pytest.mark.parametrize(
+    "s_lift, message",
+    [
+        ({EmbE("p1", 0, 1)}, "does not lift a ramified embedding"),
+        ({EmbE("p1", 0, 0), EmbE("p1", 1, 0)}, "two lifts supplied for"),
+    ],
+)
+def test_lift_rejects_bad_s_lift(s_lift, message):
+    datum = _datum(3, True, [0])
+    d = stratum_descriptor(datum, frozenset())
+    with pytest.raises(StratumError, match=message):
+        lift_assignment(datum, d, s_lift=frozenset(s_lift))
+
+
+@pytest.mark.parametrize("e_split, case", [(True, CaseTag.A2), (False, CaseTag.B2)])
+def test_lift_rejects_anchor_outside_t(e_split, case):
+    # S = {0} leaves three free places when inert (B2) and, with S = {0, 1},
+    # two when split (A2); T covers the rest of the cycle either way
+    s_indices = [0] if case is CaseTag.B2 else [0, 1]
+    datum = _datum(4, e_split, s_indices)
+    d = stratum_descriptor(datum, _t(4, set(range(4)) - set(s_indices)))
+    assert d.case_at("p1") is case
+    with pytest.raises(StratumError, match=r"is not in T at 'p1'"):
+        lift_assignment(datum, d, a2_anchor={"p1": ArchPlace("p1", 0)})
+
+
 def test_lift_bijectivity_exhaustive():
-    for f in range(1, 7):
-        for e_split in (True, False):
-            system = build_place_system([(f, e_split)])
-            for s_bits, t_bits in itertools.product(range(2**f), repeat=2):
-                if s_bits & t_bits:
-                    continue
-                datum = make_datum(
-                    system, {ArchPlace("p1", i) for i in range(f) if s_bits >> i & 1}
-                )
-                t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
-                d = stratum_descriptor(datum, t)
-                if d.case_at("p1") is CaseTag.B2 and e_split:
-                    continue
-                lift = lift_assignment(datum, d)
-                assert {restrict(system, e) for e in lift.s_tilde_of_t} == set(
-                    d.s_of_t.s_infty
-                )
-                assert len(lift.s_tilde_of_t) == len(d.s_of_t.s_infty)
-                assert {restrict(system, e) for e in lift.i_tilde_t} == set(d.i_t)
+    for (_, e_split, _, _), system, datum, d in _small_strata():
+        if d.case_at("p1") is CaseTag.B2 and e_split:
+            continue
+        lift = lift_assignment(datum, d)
+        assert {restrict(system, e) for e in lift.s_tilde_of_t} == set(
+            d.s_of_t.s_infty
+        )
+        assert len(lift.s_tilde_of_t) == len(d.s_of_t.s_infty)
+        assert {restrict(system, e) for e in lift.i_tilde_t} == set(d.i_t)
+
+
+def _sweep_lifts():
+    """Each of ``_small_strata`` with its lift choice and delta sets, or the
+    StratumError text."""
+    rows = []
+    for key, _, datum, d in _small_strata():
+        try:
+            lift = lift_assignment(datum, d)
+        except StratumError as exc:
+            rows.append([*key, str(exc)])
+            continue
+        delta = delta_sets(datum, d, lift)
+        recipes = [
+            [pid, [[base, offsets] for base, offsets in entries]]
+            for pid, entries in lift.recipes.items()
+        ]
+        rows.append([
+            *key,
+            sorted(lift.s_tilde_of_t), sorted(lift.i_tilde_t), recipes,
+            sorted(delta.plus), sorted(delta.minus),
+        ])
+    return rows
+
+
+def test_lift_choices_are_pinned():
+    # the rendering hides how a recipe is stored, so only a changed lift,
+    # recipe, delta set or error message moves the digest
+    rows = _sweep_lifts()
+    assert len(rows) == 2184
+    assert sum(isinstance(row[4], str) for row in rows) == 63
+    rendered = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(rendered).hexdigest() == (
+        "b6ccb259156cefb8fdec34000514693b916e7e30daff30bca5026405b03f7d5a"
+    )
 
 
 # --- delta sets --------------------------------------------------------------
@@ -260,27 +320,17 @@ def test_delta_b2_example():
 
 
 def test_delta_plus_is_conjugate_of_minus_outside_b2():
-    for f in range(1, 7):
-        for e_split in (True, False):
-            system = build_place_system([(f, e_split)])
-            for s_bits, t_bits in itertools.product(range(2**f), repeat=2):
-                if s_bits & t_bits:
-                    continue
-                datum = make_datum(
-                    system, {ArchPlace("p1", i) for i in range(f) if s_bits >> i & 1}
-                )
-                t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
-                d = stratum_descriptor(datum, t)
-                if d.case_at("p1") is CaseTag.B2 and e_split:
-                    continue
-                lift = lift_assignment(datum, d)
-                delta = delta_sets(datum, d, lift)
-                if d.case_at("p1") is CaseTag.B2:
-                    assert delta.plus == frozenset()
-                else:
-                    assert delta.plus == frozenset(
-                        conjugate(system, e) for e in delta.minus
-                    )
+    for (_, e_split, _, _), system, datum, d in _small_strata():
+        if d.case_at("p1") is CaseTag.B2 and e_split:
+            continue
+        lift = lift_assignment(datum, d)
+        delta = delta_sets(datum, d, lift)
+        if d.case_at("p1") is CaseTag.B2:
+            assert delta.plus == frozenset()
+        else:
+            assert delta.plus == frozenset(
+                conjugate(system, e) for e in delta.minus
+            )
 
 
 # --- signatures and the dimension count --------------------------------------
@@ -316,30 +366,21 @@ def test_dimension_count_singleton():
 
 
 def test_dimension_count_identity_exhaustive_small():
-    for f in range(1, 7):
-        for e_split in (True, False):
-            system = build_place_system([(f, e_split)])
-            for s_bits, t_bits in itertools.product(range(2**f), repeat=2):
-                if s_bits & t_bits:
-                    continue
-                s_set = {ArchPlace("p1", i) for i in range(f) if s_bits >> i & 1}
-                datum = make_datum(system, s_set)
-                t = frozenset(ArchPlace("p1", i) for i in range(f) if t_bits >> i & 1)
-                d = stratum_descriptor(datum, t)
-                if d.case_at("p1") is CaseTag.B2 and e_split:
-                    continue
-                lift = lift_assignment(datum, d)
-                delta = delta_sets(datum, d, lift)
-                base = signature_from_lift(
-                    datum,
-                    frozenset(
-                        e for e in lift.s_tilde_of_t
-                        if restrict(system, e) in datum.s.s_infty
-                    ),
-                )
-                assert dimension_count_check(datum, base, delta) == (
-                    signature_from_lift(datum, lift.s_tilde_of_t)
-                )
+    for (_, e_split, _, _), system, datum, d in _small_strata():
+        if d.case_at("p1") is CaseTag.B2 and e_split:
+            continue
+        lift = lift_assignment(datum, d)
+        delta = delta_sets(datum, d, lift)
+        base = signature_from_lift(
+            datum,
+            frozenset(
+                e for e in lift.s_tilde_of_t
+                if restrict(system, e) in datum.s.s_infty
+            ),
+        )
+        assert dimension_count_check(datum, base, delta) == (
+            signature_from_lift(datum, lift.s_tilde_of_t)
+        )
 
 
 # --- run lemmas (exit/entry structure of the delta sets) ----------------------
