@@ -196,7 +196,7 @@ def _link_payload(link: links.Link) -> dict:
 
 
 def _cmd_link(args) -> int:
-    if args.validate:
+    if args.validate is not None:
         link = _load_link(args.validate, validate=False)
         problems = links.validate_link(link)
         payload = _link_payload(link)
@@ -204,12 +204,12 @@ def _cmd_link(args) -> int:
         payload["warnings"] = links.link_warnings(link)
         _emit(payload)
         return 1 if problems else 0
-    if args.compose:
+    if args.compose is not None:
         first = _load_link(args.compose[0])
         second = _load_link(args.compose[1])
         _emit(_link_payload(links.compose(second, first)))
         return 0
-    if args.invert:
+    if args.invert is not None:
         _emit(_link_payload(links.invert(_load_link(args.invert))))
         return 0
     if args.frobenius:

@@ -34,7 +34,6 @@ from .strata import (
     DeltaSets,
     LiftChoice,
     StratumDescriptor,
-    chain_decompose,
     delta_sets,
     dimension_count_check,
     lift_assignment,
@@ -183,6 +182,8 @@ def make_point(
             )
         if signature[emb] + signature[cemb] != 2:
             raise DieudonneError(f"signatures at {emb} and its conjugate do not sum to 2")
+        if (signature[emb] == 1) == (restrict(system, emb) in datum.s.s_infty):
+            raise DieudonneError(f"signature {signature[emb]} at {emb} does not fit S_infty")
         # <F x, y> = sigma(<x, V y>)
         lhs = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
         prev = frobenius_shift(system, emb, -1)
@@ -299,7 +300,8 @@ def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
 @dataclass(frozen=True)
 class IsogenyTriple:
     """The lattice families a, b, c and the j- and h-lines: FrozenMaps from
-    embedding to lattice, in sorted order."""
+    embedding to lattice, in sorted order; the target point; and the stratum
+    descriptor, lift choice and delta sets they come from."""
 
     a: FrozenMap
     b: FrozenMap
@@ -308,6 +310,8 @@ class IsogenyTriple:
     h_lines: FrozenMap
     b_point: DieudonnePoint
     delta: DeltaSets
+    descriptor: StratumDescriptor
+    lift: LiftChoice
 
 
 def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
@@ -383,18 +387,15 @@ def _check_stability(pt: DieudonnePoint, families, checked: set) -> None:
             checked.add(key)
 
 
-def build_isogeny_triple(
-    pt: DieudonnePoint,
-    t: frozenset[ArchPlace],
-    descriptor: StratumDescriptor | None = None,
-    lift: LiftChoice | None = None,
-) -> IsogenyTriple:
+def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> IsogenyTriple:
     """Produce the lattice chain a Q c ⊇ b attached to a stratum membership.
 
-    The c-lattices blow up along the plus delta set via the essential Frobenius
-    image; the b-lattices shrink along the minus set.  The j-lines record the
-    fiber coordinates at the marked bundle directions, and the h-lines the
-    Iwahori data in the full-cycle even case.
+    The descriptor of T and the lift choice that keeps the point's signature
+    zeros as the lifts of S_infty are computed here and kept on the triple.
+    The c-lattices blow up along the plus delta set via the essential
+    Frobenius image; the b-lattices shrink along the minus set.  The j-lines
+    record the fiber coordinates at the marked bundle directions, and the
+    h-lines the Iwahori data in the full-cycle even case.
     """
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
@@ -405,13 +406,9 @@ def build_isogeny_triple(
     )
     if missing:
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
-    if descriptor is None:
-        descriptor = stratum_descriptor(datum, t)
+    descriptor = stratum_descriptor(datum, t)
     zeros = frozenset(emb for emb, value in pt.signature.items() if value == 0)
-    if lift is None:
-        lift = lift_assignment(datum, descriptor, s_lift=zeros)
-    if _lift_zeros(lift, datum) != zeros:
-        raise DieudonneError("the lift choice does not match the point's signature zeros")
+    lift = lift_assignment(datum, descriptor, s_lift=zeros)
     delta = delta_sets(datum, descriptor, lift)
 
     std = standard_lattice(ring)
@@ -462,6 +459,8 @@ def build_isogeny_triple(
         h_lines=FrozenMap(sorted(h_lines.items())),
         b_point=b_point,
         delta=delta,
+        descriptor=descriptor,
+        lift=lift,
     )
 
 
@@ -471,30 +470,25 @@ def build_isogeny_triple(
 def reconstruct_lattices(
     b_point: DieudonnePoint,
     j_lines: Mapping[EmbE, Lattice2],
-    t: frozenset[ArchPlace],
+    h_lines: Mapping[EmbE, Lattice2],
+    descriptor: StratumDescriptor,
     lift: LiftChoice,
     source_datum: ShimuraDatum,
-    descriptor: StratumDescriptor | None = None,
-    h_lines: Mapping[EmbE, Lattice2] | None = None,
 ) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2]]:
     """Rebuild the c- and a-lattice families in the b-frame.
 
     Returns ``(m, l)`` where ``m`` contains the overlattices recovering c and
     ``l`` the sublattices recovering a, every one in Hermite form.
     """
-    t = frozenset(t)
     ring, system = b_point.ring, b_point.datum.places
     pid = b_point.prime_id
-    if descriptor is None:
-        descriptor = stratum_descriptor(source_datum, t)
     delta = delta_sets(source_datum, descriptor, lift)
-    h_lines = h_lines or {}
     std = standard_lattice(ring)
 
     m_lat = {emb: std for emb in b_point.embeddings()}
     case = descriptor.case_at(pid)
     if case in (CaseTag.A1, CaseTag.B1):
-        chains = {chain.top: chain for chain in chain_decompose(source_datum, pid, t)}
+        chains = {chain.top: chain for chain in descriptor.chains[pid]}
         for base_tilde, a_list in lift.recipes[pid]:
             chain = chains[restrict(system, base_tilde)]
             anchor = frobenius_shift(system, base_tilde, -(chain.m + 1))
@@ -550,14 +544,13 @@ def _point_from_lattices(
 def reconstruct_point(
     b_point: DieudonnePoint,
     j_lines: Mapping[EmbE, Lattice2],
-    t: frozenset[ArchPlace],
+    h_lines: Mapping[EmbE, Lattice2],
+    descriptor: StratumDescriptor,
     lift: LiftChoice,
     source_datum: ShimuraDatum,
-    descriptor: StratumDescriptor | None = None,
-    h_lines: Mapping[EmbE, Lattice2] | None = None,
 ) -> DieudonnePoint:
     """Rebuild a point on the source datum from the target point and its lines."""
-    _, l_lat = reconstruct_lattices(b_point, j_lines, t, lift, source_datum, descriptor, h_lines)
+    _, l_lat = reconstruct_lattices(b_point, j_lines, h_lines, descriptor, lift, source_datum)
     return _point_from_lattices(b_point, l_lat, lift, source_datum)
 
 
@@ -570,14 +563,10 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     Returns the source point rebuilt from those same families, the point
     ``reconstruct_point`` gives for the triple.
     """
-    t = frozenset(t)
     ring, datum = pt.ring, pt.datum
-    descriptor = stratum_descriptor(datum, t)
-    zeros = frozenset(emb for emb, value in pt.signature.items() if value == 0)
-    lift = lift_assignment(datum, descriptor, s_lift=zeros)
-    triple = build_isogeny_triple(pt, t, descriptor, lift)
+    triple = build_isogeny_triple(pt, t)
     m_lat, l_lat = reconstruct_lattices(
-        triple.b_point, triple.j_lines, t, lift, datum, descriptor, triple.h_lines
+        triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, datum
     )
     for emb in pt.embeddings():
         frame = triple.b[emb]
@@ -585,7 +574,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
             raise DieudonneError(f"c-lattice mismatch at {emb}")
         if l_lat[emb] != lattice_in_frame(ring, frame, triple.a[emb]):
             raise DieudonneError(f"a-lattice mismatch at {emb}")
-    back = _point_from_lattices(triple.b_point, l_lat, lift, datum)
+    back = _point_from_lattices(triple.b_point, l_lat, triple.lift, datum)
     if back.signature != pt.signature:
         raise DieudonneError("reconstructed signature differs from the original")
     return back

@@ -66,7 +66,8 @@ class Chain:
 class StratumDescriptor:
     """T, S(T), I_T and N, with the per-prime tables T' (the corrected places
     at each prime), the case tags and the levels: FrozenMaps keyed by prime
-    id, in the order of the primes."""
+    id, in the order of the primes; ``chains`` holds each A1/B1 prime's
+    chain decomposition."""
 
     t: frozenset[ArchPlace]
     t_prime_infty: FrozenMap
@@ -76,6 +77,7 @@ class StratumDescriptor:
     n_bundle: int
     case_tags: FrozenMap
     level_t: FrozenMap
+    chains: FrozenMap
 
     def case_at(self, prime_id: str) -> CaseTag:
         return self.case_tags[prime_id]
@@ -162,6 +164,7 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
     t_prime_p: set[str] = set()
     case_tags: dict[str, CaseTag] = {}
     level_t: dict[str, Level] = {}
+    chains: dict[str, tuple[Chain, ...]] = {}
     for slot in system.primes:
         pid = slot.id
         cycle = set(system.arch_places(pid))
@@ -183,7 +186,8 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
                 tag, level = CaseTag.B2, Level.MAXIMAL_ORDER
         else:
             hits: set[ArchPlace] = set()
-            for chain in chain_decompose(datum, pid, t):
+            chains[pid] = chain_decompose(datum, pid, t)
+            for chain in chains[pid]:
                 hit = {tau for tau in chain.members(datum) if tau in t_here}
                 if len(hit) % 2 == 1:
                     hit.add(frobenius_shift(system, chain.top, -(chain.m + 1)))
@@ -208,6 +212,7 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
         n_bundle=len(i_t),
         case_tags=FrozenMap(case_tags),
         level_t=FrozenMap(level_t),
+        chains=FrozenMap(chains),
     )
 
 
@@ -254,7 +259,7 @@ def lift_assignment(
         entries: list[tuple[EmbE, tuple[int, ...]]] = []
         if case in (CaseTag.A1, CaseTag.B1):
             corrected = descriptor.t_prime_infty[pid]
-            for chain in chain_decompose(datum, pid, descriptor.t):
+            for chain in descriptor.chains[pid]:
                 a_list = _offsets_below(system, chain.top, corrected, chain.m + 1)
                 if a_list:
                     entries.append((canonical_lift(system, chain.top), a_list))

@@ -327,7 +327,7 @@ class WittRing:
     def unit_and_val(self, a: WElem) -> tuple[int, WElem]:
         v = self.val(a)
         if v >= self.N:
-            raise WittError("element indistinguishable from zero")
+            raise PrecisionError("element indistinguishable from zero")
         return v, self.div_p(a, v)
 
     def inv(self, a: WElem) -> WElem:

@@ -355,6 +355,9 @@ def test_malformed_link_and_datum_json_are_domain_errors(tmp_path: Path) -> None
         (("link", "--compose", write("ok.json", PAPER_LINK), str(tmp_path / "list.json")), "list.json"),
         (("ample", "--datum", write("datum.json", []), "--p", "3", "--t", "1"), "datum"),
         (("link", "--validate", str(not_utf8)), "utf-8"),
+        # an empty file name is a missing file, not a datum mode
+        (("link", "--validate", ""), "No such file"),
+        (("link", "--invert", ""), "No such file"),
     ]
     for argv, needle in cases:
         proc = _run_cli(*argv)

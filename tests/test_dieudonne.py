@@ -43,6 +43,7 @@ from gostrata.places import (
     n_tau,
     restrict,
 )
+from gostrata import strata
 from gostrata.strata import (
     CaseTag,
     delta_sets,
@@ -109,22 +110,23 @@ def _zeros(pt):
     return frozenset(emb for emb, value in pt.signature.items() if value == 0)
 
 
+def _lines(triple, datum):
+    """The arguments of reconstruct_lattices and reconstruct_point."""
+    return (triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, datum)
+
+
 def _roundtrip(ring, datum, pt, t):
     descriptor = stratum_descriptor(datum, t)
     lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
-    triple = build_isogeny_triple(pt, t, descriptor, lift)
-    m, l = reconstruct_lattices(
-        triple.b_point, triple.j_lines, t, lift, datum, descriptor,
-        triple.h_lines,
-    )
+    triple = build_isogeny_triple(pt, t)
+    assert triple.descriptor == descriptor and triple.lift == lift
+    assert triple.delta == delta_sets(datum, descriptor, lift)
+    m, l = reconstruct_lattices(*_lines(triple, datum))
     for emb in pt.embeddings():
         frame = triple.b[emb]
         assert m[emb] == lattice_in_frame(ring, frame, triple.c[emb])
         assert l[emb] == lattice_in_frame(ring, frame, triple.a[emb])
-    back = reconstruct_point(
-        triple.b_point, triple.j_lines, t, lift, datum, descriptor,
-        triple.h_lines,
-    )
+    back = reconstruct_point(*_lines(triple, datum))
     assert back.signature == pt.signature
     assert stratum_of_point(back) == stratum_of_point(pt)
     return triple
@@ -147,7 +149,8 @@ def test_point_and_triple_tables_hash_by_content():
     triple = _roundtrip(ring, datum, pt, t)
     descriptor = stratum_descriptor(datum, t)
     lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
-    assert hash(triple) == hash(build_isogeny_triple(pt, t, descriptor, lift))
+    assert hash(triple) == hash(build_isogeny_triple(pt, t))
+    assert hash(triple.descriptor) == hash(descriptor) and hash(triple.lift) == hash(lift)
     assert hash(descriptor) == hash(stratum_descriptor(datum, t))
     assert hash(lift) == hash(lift_assignment(datum, descriptor, s_lift=_zeros(pt)))
 
@@ -180,6 +183,19 @@ def test_make_point_rejects_wrong_signature():
     signature = {emb: 1 for emb in datum.places.embeddings()}
     with pytest.raises(DieudonneError):
         point_from_half_system(ring, datum, f_mats, pairings, signature)
+
+
+def test_make_point_rejects_a_signature_that_does_not_fit_s_infty():
+    # signature 1 over a place of S_infty
+    with pytest.raises(DieudonneError, match="does not fit S_infty"):
+        _antidiag_point(_datum(2, True, [0]))
+    # signature 0/2 over a place outside S_infty
+    datum = _datum(2, True, [0])
+    ring = ring_for_datum(datum, 3)
+    pt = random_point(random.Random(5), ring, datum)
+    assert sorted(pt.signature.values()) == [0, 1, 1, 2]
+    with pytest.raises(DieudonneError, match="does not fit S_infty"):
+        make_point(ring, _datum(2, True), pt.f_mats, pt.pairings, pt.signature)
 
 
 def test_make_point_rejects_bad_divisors():
@@ -326,7 +342,8 @@ def test_triple_colengths_and_target_signature():
         descriptor = stratum_descriptor(datum, t)
         lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
         delta = delta_sets(datum, descriptor, lift)
-        triple = build_isogeny_triple(pt, t, descriptor, lift)
+        triple = build_isogeny_triple(pt, t)
+        assert (triple.descriptor, triple.lift, triple.delta) == (descriptor, lift, delta)
         std = standard_lattice(ring)
         for emb in pt.embeddings():
             assert lattice_colength(triple.c[emb], triple.a[emb]) == int(
@@ -425,12 +442,27 @@ def test_verify_roundtrip_returns_the_reconstructed_point():
         for t in (frozenset(sorted(stratum_of_point(pt))[:1]), stratum_of_point(pt)):
             descriptor = stratum_descriptor(datum, t)
             lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
-            triple = build_isogeny_triple(pt, t, descriptor, lift)
-            expected = reconstruct_point(
-                triple.b_point, triple.j_lines, t, lift, datum, descriptor,
-                triple.h_lines,
-            )
+            triple = build_isogeny_triple(pt, t)
+            assert triple.descriptor == descriptor and triple.lift == lift
+            expected = reconstruct_point(*_lines(triple, datum))
             assert verify_roundtrip(pt, t) == expected
+
+
+def test_roundtrip_decomposes_the_chains_once(monkeypatch):
+    datum = _datum(4, True)
+    _, pt = _template_point(datum, {1})
+    t = frozenset(sorted(stratum_of_point(pt))[:1])
+    assert t and stratum_descriptor(datum, t).case_at("p1") is CaseTag.A1
+    calls = dict.fromkeys(("chain_decompose", "_check_t"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(strata, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(strata, name, counted)
+    verify_roundtrip(pt, t)
+    # the descriptor checks T, then decomposes it once, which checks T again
+    assert calls == {"chain_decompose": 1, "_check_t": 2}
 
 
 def test_precision_shortfall_is_a_precision_error():
@@ -582,14 +614,13 @@ def test_roundtrip_odd_chain_uses_j_line():
         descriptor = stratum_descriptor(datum, t)
         lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
         (base, a_list), = lift.recipes["p1"]
-        triple = build_isogeny_triple(pt, t, descriptor, lift)
-        if a_list[-1] == _chain_m(datum, t, base) + 1:
+        triple = build_isogeny_triple(pt, t)
+        assert triple.descriptor == descriptor and triple.lift == lift
+        if a_list[-1] == _chain_m(datum, descriptor, base) + 1:
             assert triple.j_lines
             # dropping the j-line breaks the reconstruction
             with pytest.raises(DieudonneError):
-                reconstruct_lattices(
-                    triple.b_point, {}, t, lift, datum, descriptor, {}
-                )
+                reconstruct_lattices(triple.b_point, {}, {}, descriptor, lift, datum)
             hits += 1
         _roundtrip(ring, datum, pt, t)
         if hits >= 3:
@@ -597,11 +628,9 @@ def test_roundtrip_odd_chain_uses_j_line():
     assert hits > 0
 
 
-def _chain_m(datum, t, base_tilde):
-    from gostrata.strata import chain_decompose
-
+def _chain_m(datum, descriptor, base_tilde):
     top = restrict(datum.places, base_tilde)
-    for chain in chain_decompose(datum, "p1", t):
+    for chain in descriptor.chains["p1"]:
         if chain.top == top:
             return chain.m
     raise AssertionError("no chain found")

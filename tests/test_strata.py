@@ -169,6 +169,11 @@ def test_t_prime_even_everywhere_exhaustive():
         # the new ramification set is a valid even set
         d.s_of_t.validate(system)
         assert d.i_t == d.s_of_t.s_infty - (datum.s.s_infty | d.t)
+        # the descriptor carries the chains of exactly its A1/B1 primes
+        chained = {pid for pid, tag in d.case_tags.items() if tag in (CaseTag.A1, CaseTag.B1)}
+        assert set(d.chains) == chained
+        for pid in chained:
+            assert d.chains[pid] == chain_decompose(datum, pid, d.t)
 
 
 def test_descriptor_json_shape():

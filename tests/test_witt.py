@@ -471,6 +471,7 @@ def test_frame_beyond_precision_is_a_precision_error():
         lambda: frame_inverse(h),
         lambda: lattice_contains(h, std),
         lambda: lattice_in_frame(ring, h, std),
+        lambda: scaled_inverse(ring, mat2(ring, [[3**7, 0], [1, 3**10]])),
     ):
         with pytest.raises(PrecisionError, match="indistinguishable from zero"):
             call()
