@@ -6,7 +6,9 @@ A point carries, for each embedding upstairs, a 2x2 matrix over a truncated
 Witt ring describing F on that component (x maps to f_mat times sigma(x)); V
 is derived from FV = p.  Pairings couple conjugate components.  All lattice
 manipulations happen inside a single shared isocrystal, so the roundtrip
-construction can be verified by componentwise lattice equality.
+construction can be verified by componentwise lattice equality.  Stability of
+a lattice family is read off the framed F-matrices that become the new point's
+F: F-stable where they are integral, V-stable where their divisors are <= 1.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .places import (
     ArchPlace,
     EmbE,
     FrozenMap,
+    PrimeSlot,
     PrimeType,
     ShimuraDatum,
     canonical_lift,
@@ -51,7 +54,6 @@ from .witt import (
     elementary_divisors,
     frame_inverse,
     lattice_colength,
-    lattice_contains,
     lattice_dual,
     lattice_in_frame,
     lattice_normalize,
@@ -64,6 +66,7 @@ from .witt import (
     mat_sigma,
     mat_smul,
     mat_transpose,
+    mat_val,
     ring_from_json,
     ring_to_json,
     scaled_inverse,
@@ -81,6 +84,14 @@ def _f_divisors(ring: WittRing, mat: Mat2, emb: EmbE) -> tuple[int, int]:
     if divisors[1] > 1:
         raise DieudonneError(f"F V = p fails at {emb}: bad divisors {divisors}")
     return divisors
+
+
+def _one_prime(datum: ShimuraDatum) -> tuple[PrimeSlot, int]:
+    """The datum's only prime and its cycle length: f split, 2f inert."""
+    if len(datum.places.primes) != 1:
+        raise DieudonneError("the simulator works one prime at a time")
+    slot = datum.places.primes[0]
+    return slot, slot.f if slot.e_split else 2 * slot.f
 
 
 # --- small matrix helpers -----------------------------------------------------
@@ -106,12 +117,6 @@ def _close(ring: WittRing, a: Mat2, b: Mat2) -> bool:
         for ra, rb in zip(a, b)
         for x, y in zip(ra, rb)
     )
-
-
-def _map_lattice(ring: WittRing, mat: Mat2, l: Lattice2, sigma_k: int, shift: int = 0) -> Lattice2:
-    """Image of a lattice under the semilinear map x -> p^shift mat sigma^k(x)."""
-    basis = mat_mul(ring, mat, mat_sigma(ring, l.basis, sigma_k % ring.m))
-    return lattice_normalize(ring, l.shift + shift, mat_columns(basis))
 
 
 # --- the point ----------------------------------------------------------------
@@ -142,12 +147,9 @@ def make_point(
     expected_signature,
 ) -> DieudonnePoint:
     """Assemble and validate a point from its F-matrices and pairings."""
-    if len(datum.places.primes) != 1:
-        raise DieudonneError("the simulator works one prime at a time")
-    slot = datum.places.primes[0]
+    slot, cycle = _one_prime(datum)
     pid = slot.id
     prime_type = classify_prime(datum, pid)
-    cycle = slot.f if slot.e_split else 2 * slot.f
     if ring.m % cycle != 0:
         raise DieudonneError(
             f"ring degree {ring.m} incompatible with cycle length {cycle}"
@@ -259,7 +261,8 @@ def essential_frobenius_image(
         mu = frobenius_shift(system, emb, -k)
         prev = frobenius_shift(system, mu, -1)
         extra = -1 if pt.signature[prev] == 0 else 0
-        lattice = _map_lattice(ring, pt.f_mats[mu], lattice, 1, extra)
+        basis = mat_mul(ring, pt.f_mats[mu], mat_sigma(ring, lattice.basis, 1))
+        lattice = lattice_normalize(ring, lattice.shift + extra, mat_columns(basis))
     return lattice
 
 
@@ -326,65 +329,58 @@ def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
     return n
 
 
-def _frame_map(ring: WittRing, frame_to: Lattice2, mat: Mat2, frame_from: Lattice2) -> Mat2:
-    """The matrix of x -> mat sigma(x) rewritten between lattice frames."""
-    d, inv = frame_inverse(frame_to)
-    out = mat_mul(ring, inv, mat_mul(ring, mat, mat_sigma(ring, frame_from.basis, 1)))
-    return _mat_shift(ring, out, frame_from.shift - frame_to.shift - d)
-
-
-def _frame_pairing(
-    ring: WittRing, frame: Lattice2, pairing: Mat2, frame_conj: Lattice2
-) -> Mat2:
-    out = mat_mul(ring, mat_transpose(frame.basis), mat_mul(ring, pairing, frame_conj.basis))
-    return _mat_shift(ring, out, frame.shift + frame_conj.shift)
-
-
 def _frame_point(
-    pt: DieudonnePoint, frames: Mapping[EmbE, Lattice2], datum: ShimuraDatum, expected
+    pt: DieudonnePoint, frames: Mapping[EmbE, Lattice2], f_mats, datum: ShimuraDatum, expected
 ) -> DieudonnePoint:
     """The point on ``datum`` whose module at each embedding is the lattice
-    ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame."""
+    ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame; its
+    F-matrices ``f_mats`` are the ones ``_framed_f_mats`` returned there."""
     ring, system = pt.ring, pt.datum.places
-    embs = pt.embeddings()
-    f_mats = {
-        emb: _frame_map(ring, frames[emb], pt.f_mats[emb], frames[frobenius_shift(system, emb, -1)])
-        for emb in embs
-    }
-    pairings = {
-        emb: _frame_pairing(ring, frames[emb], pt.pairings[emb], frames[conjugate(system, emb)])
-        for emb in embs
-    }
+    pairings = {}
+    for emb in pt.embeddings():
+        frame, conj = frames[emb], frames[conjugate(system, emb)]
+        out = mat_mul(ring, mat_transpose(frame.basis), mat_mul(ring, pt.pairings[emb], conj.basis))
+        pairings[emb] = _mat_shift(ring, out, frame.shift + conj.shift)
     return make_point(ring, datum, f_mats, pairings, expected)
 
 
-def _lift_zeros(lift: LiftChoice, datum: ShimuraDatum) -> frozenset[EmbE]:
-    """The lifted places of T that lie over S_infty: signature 0 there."""
-    return frozenset(
-        emb for emb in lift.s_tilde_of_t if restrict(datum.places, emb) in datum.s.s_infty
-    )
+def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat2]:
+    """Check that each ``(label, lattices)`` family, in order, is F- and
+    V-stable, and return the F-matrices of the last one in its Hermite frames.
 
-
-def _check_stability(pt: DieudonnePoint, families, checked: set) -> None:
-    """Check that each ``(label, lattices)`` family, in order, is F- and V-stable.
-
-    Both checks at ``emb`` depend only on (emb, its lattice, the one at sigma^-1
-    emb); a triple in ``checked`` passed before and is skipped, so a failure is
-    still reported under the label of the first family that has it."""
+    At ``emb``, from the lattice behind p^s' B' to p^s B, F is M = p^k P with
+    P = p^d B^-1 F sigma(B'), d = a + b and k = s' - s - d.  F-stable means M
+    integral and V-stable p M^-1 integral: P's elementary divisors v1 <= v2
+    have v1 + k >= 0 and v2 + k <= 1.  v1 + v2 = d + val det F + a' + b' is
+    exact (``make_point`` bounds val det F by 2), v1 only below N: a v1 capped
+    at N decides the triple only when N + k >= 2, as not V-stable.
+    ``framed`` keeps the matrix of each (emb, lattice, lattice behind) triple
+    that passed, so a caller that checks several families with one dict frames
+    a triple once and a failure keeps the label of the first family."""
     ring, system = pt.ring, pt.datum.places
     for label, lattices in families:
+        f_mats = {}
         for emb, lattice in lattices.items():
             prev = lattices[frobenius_shift(system, emb, -1)]
             key = (emb, lattice, prev)
-            if key in checked:
-                continue
-            f_image = _map_lattice(ring, pt.f_mats[emb], prev, 1)
-            if not lattice_contains(lattice, f_image):
-                raise DieudonneError(f"{label} is not F-stable at {emb}")
-            v_image = _map_lattice(ring, pt.v_mats[emb], lattice, -1)
-            if not lattice_contains(prev, v_image):
-                raise DieudonneError(f"{label} is not V-stable at {emb}")
-            checked.add(key)
+            if key not in framed:
+                f_mat = pt.f_mats[emb]
+                d, inv = frame_inverse(lattice)
+                product = mat_mul(ring, inv, mat_mul(ring, f_mat, mat_sigma(ring, prev.basis, 1)))
+                k = prev.shift - lattice.shift - d
+                v1 = mat_val(ring, product)
+                v2 = d + ring.val(mat_det(ring, f_mat)) + prev.a + prev.b - v1
+                if v1 >= ring.N and v1 + k <= 1:
+                    raise PrecisionError(
+                        f"precision N = {ring.N} cannot decide whether {label} is stable at {emb}"
+                    )
+                if v1 + k < 0:
+                    raise DieudonneError(f"{label} is not F-stable at {emb}")
+                if v2 + k > 1:
+                    raise DieudonneError(f"{label} is not V-stable at {emb}")
+                framed[key] = _mat_shift(ring, product, k)
+            f_mats[emb] = framed[key]
+    return f_mats
 
 
 def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> IsogenyTriple:
@@ -429,8 +425,8 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
         else:
             b_lat[emb] = c_lat[emb]
 
-    _check_stability(
-        pt, [("the c-lattice family", c_lat), ("the b-lattice family", b_lat)], set()
+    b_f_mats = _framed_f_mats(
+        pt, [("the c-lattice family", c_lat), ("the b-lattice family", b_lat)], {}
     )
     for emb in pt.embeddings():
         if lattice_colength(c_lat[emb], a_lat[emb]) != int(emb in delta.plus):
@@ -440,7 +436,7 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
 
     target_datum = ShimuraDatum(system, descriptor.s_of_t, descriptor.level_t)
     expected = dimension_count_check(datum, pt.signature, delta)
-    b_point = _frame_point(pt, b_lat, target_datum, expected)
+    b_point = _frame_point(pt, b_lat, b_f_mats, target_datum, expected)
 
     j_lines = {
         emb: lattice_in_frame(ring, b_lat[emb], omega_lattice(pt, emb))
@@ -512,8 +508,8 @@ def reconstruct_lattices(
     elif case is CaseTag.B2:
         for emb in delta.minus:
             m_lat[emb] = lattice_dual(std, b_point.pairings[emb])
-    checked: set = set()
-    _check_stability(b_point, [("the rebuilt c-family", m_lat)], checked)
+    framed: dict = {}
+    _framed_f_mats(b_point, [("the rebuilt c-family", m_lat)], framed)
     for emb in b_point.embeddings():
         if lattice_colength(m_lat[emb], std) != int(emb in delta.minus):
             raise DieudonneError(f"wrong rebuilt colength at {emb}")
@@ -526,7 +522,7 @@ def reconstruct_lattices(
             )
         else:
             l_lat[emb] = m_lat[emb]
-    _check_stability(b_point, [("the rebuilt a-family", l_lat)], checked)
+    _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
     for emb in b_point.embeddings():
         if lattice_colength(m_lat[emb], l_lat[emb]) != int(emb in delta.plus):
             raise DieudonneError(f"wrong a-in-c colength at {emb}")
@@ -536,9 +532,13 @@ def reconstruct_lattices(
 def _point_from_lattices(
     b_point: DieudonnePoint, l_lat: Mapping[EmbE, Lattice2], lift: LiftChoice, datum: ShimuraDatum
 ) -> DieudonnePoint:
-    """The point on the source ``datum`` whose module is the rebuilt a-family."""
-    expected = signature_from_lift(datum, _lift_zeros(lift, datum))
-    return _frame_point(b_point, l_lat, datum, expected)
+    """The point on the source ``datum`` whose module is the rebuilt a-family;
+    its signature is 0 at the lifted places of T that lie over S_infty."""
+    system, s_infty = datum.places, datum.s.s_infty
+    zeros = frozenset(emb for emb in lift.s_tilde_of_t if restrict(system, emb) in s_infty)
+    expected = signature_from_lift(datum, zeros)
+    f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], {})
+    return _frame_point(b_point, l_lat, f_mats, datum, expected)
 
 
 def reconstruct_point(
@@ -623,9 +623,7 @@ def _random_unimodular(rng, ring: WittRing) -> Mat2:
 
 def half_system(datum: ShimuraDatum) -> tuple[EmbE, ...]:
     """One embedding out of each conjugate pair, on the low sheet."""
-    if len(datum.places.primes) != 1:
-        raise DieudonneError("the simulator works one prime at a time")
-    slot = datum.places.primes[0]
+    slot, _ = _one_prime(datum)
     return tuple(EmbE(slot.id, 0, i) for i in range(slot.f))
 
 
@@ -698,11 +696,7 @@ def random_point(
 
 def ring_for_datum(datum: ShimuraDatum, p: int, N: int = 8) -> WittRing:
     """The Witt ring matching a one-prime datum's cycle length."""
-    if len(datum.places.primes) != 1:
-        raise DieudonneError("the simulator works one prime at a time")
-    slot = datum.places.primes[0]
-    m = slot.f if slot.e_split else 2 * slot.f
-    return witt_ring(p, m, N)
+    return witt_ring(p, _one_prime(datum)[1], N)
 
 
 # --- serialization ------------------------------------------------------------

@@ -135,6 +135,11 @@ def chain_decompose(
     Chains are ordered by the cycle index of their top element.
     """
     _check_t(datum, t)
+    return _chain_walk(datum, prime_id, t)
+
+
+def _chain_walk(datum: ShimuraDatum, prime_id: str, t: frozenset[ArchPlace]) -> tuple[Chain, ...]:
+    """``chain_decompose`` for a T that has already been checked."""
     slot = datum.places.prime(prime_id)
     covered = {
         tau.i
@@ -186,7 +191,7 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
                 tag, level = CaseTag.B2, Level.MAXIMAL_ORDER
         else:
             hits: set[ArchPlace] = set()
-            chains[pid] = chain_decompose(datum, pid, t)
+            chains[pid] = _chain_walk(datum, pid, t)
             for chain in chains[pid]:
                 hit = {tau for tau in chain.members(datum) if tau in t_here}
                 if len(hit) % 2 == 1:

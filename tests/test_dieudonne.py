@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gostrata.dieudonne import (
     DieudonneError,
     PrecisionError,
-    _check_stability,
+    _framed_f_mats,
     _close,
     build_isogeny_triple,
     essential_frobenius_image,
@@ -20,6 +20,7 @@ from gostrata.dieudonne import (
     hasse_vanishes,
     lattice_in_frame,
     make_point,
+    omega_lattice,
     point_from_half_system,
     point_from_json,
     point_to_json,
@@ -52,9 +53,13 @@ from gostrata.strata import (
     stratum_descriptor,
 )
 from gostrata.witt import (
+    Lattice2,
     lattice_colength,
+    lattice_contains,
+    lattice_normalize,
     lattice_scale,
     mat2,
+    mat_columns,
     mat_identity,
     mat_mul,
     mat_sigma,
@@ -379,7 +384,7 @@ def test_triple_names_every_place_outside_the_stratum():
 
 def _stability_message(pt, families, checked=None):
     with pytest.raises(DieudonneError) as info:
-        _check_stability(pt, families, set() if checked is None else checked)
+        _framed_f_mats(pt, families, {} if checked is None else checked)
     return str(info.value)
 
 
@@ -403,15 +408,15 @@ def test_stability_failure_only_in_the_second_family_gets_its_label():
     first = pt.embeddings()[0]
     # p D at one component: F maps D behind it onto a lattice with a unit vector
     bad = {first: lattice_scale(std, 1), **{e: std for e in pt.embeddings()[1:]}}
-    _check_stability(pt, [("the good family", good)], set())
+    _framed_f_mats(pt, [("the good family", good)], {})
     alone = _stability_message(pt, [("the b-family", bad)])
     assert alone == f"the b-family is not F-stable at {first}"
     assert _stability_message(
         pt, [("the good family", good), ("the b-family", bad)]
     ) == alone
     # the checked triples carry over between calls, as in reconstruct_lattices
-    checked: set = set()
-    _check_stability(pt, [("the good family", good)], checked)
+    checked: dict = {}
+    _framed_f_mats(pt, [("the good family", good)], checked)
     assert checked
     assert _stability_message(pt, [("the b-family", bad)], checked) == alone
 
@@ -435,6 +440,154 @@ def test_stability_failure_behind_a_shared_lattice_is_found():
     ) == alone
 
 
+def _reference_stability(pt, label, lattices):
+    """The stability message by images and containment, or None when stable:
+    F(sigma L') inside L, then V(sigma^-1 L) inside L', at each embedding in
+    turn.  Normalizing an image can exhaust the budget: PrecisionError."""
+    ring, system = pt.ring, pt.datum.places
+    for emb, lattice in lattices.items():
+        prev = lattices[frobenius_shift(system, emb, -1)]
+        f_image = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, prev.basis, 1))
+        if not lattice_contains(lattice, lattice_normalize(ring, prev.shift, mat_columns(f_image))):
+            return f"{label} is not F-stable at {emb}"
+        v_image = mat_mul(ring, pt.v_mats[emb], mat_sigma(ring, lattice.basis, ring.m - 1))
+        if not lattice_contains(prev, lattice_normalize(ring, lattice.shift, mat_columns(v_image))):
+            return f"{label} is not V-stable at {emb}"
+    return None
+
+
+def _verdict(pt, label, lattices):
+    """The stability message of the framing check, or None when stable."""
+    try:
+        _framed_f_mats(pt, [(label, lattices)], {})
+    except PrecisionError:  # a DieudonneError too, but no verdict
+        raise
+    except DieudonneError as error:
+        return str(error)
+    return None
+
+
+def _perturbed_lattice(rng, pt, emb):
+    """A lattice near the standard one at ``emb``: p^{+-1} D, an essential
+    Frobenius image, the omega lattice, or a random Hermite lattice."""
+    ring = pt.ring
+    kind = rng.randrange(6)
+    if kind == 0:
+        return lattice_scale(standard_lattice(ring), rng.choice((-1, 1)))
+    if kind == 1:
+        image = essential_frobenius_image(pt, emb, rng.randint(1, 2))
+        return lattice_scale(image, rng.choice((-1, 0)))
+    if kind == 2:
+        return omega_lattice(pt, emb)
+    a, b = rng.randrange(ring.budget), rng.randrange(ring.budget)
+    c = tuple(rng.randrange(ring.pn) for _ in range(ring.m))
+    cols = [(ring.from_int(ring.p**a), c), (ring.zero(), ring.from_int(ring.p**b))]
+    return lattice_normalize(ring, rng.choice((-1, 0, 0, 1)), cols)
+
+
+STABILITY_SHAPES = [  # (p, f, split, S_infty indices)
+    (3, 2, True, ()),
+    (2, 3, False, ()),
+    (3, 3, True, (0,)),
+    (2, 2, False, (1,)),
+    (5, 2, True, ()),
+    (2, 4, True, (0, 2)),
+]
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_stability_verdict_matches_images_and_containment(N):
+    rng = random.Random(1100 + N)
+    outcomes = {"agree": set(), "reference undecided": set()}
+    for p, f, split, s_indices in STABILITY_SHAPES:
+        datum = _datum(f, split, s_indices)
+        ring = ring_for_datum(datum, p, N)
+        for _ in range(20):
+            pt = random_point(rng, ring, datum)
+            family = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+            for emb in rng.sample(pt.embeddings(), rng.randint(1, 2)):
+                while True:  # an image may not normalize at this N: draw again
+                    try:
+                        family[emb] = _perturbed_lattice(rng, pt, emb)
+                        break
+                    except PrecisionError:
+                        pass
+            verdict = _verdict(pt, "the family", family)
+            kind = "stable" if verdict is None else verdict.split()[4]
+            try:
+                expected = _reference_stability(pt, "the family", family)
+            except PrecisionError:
+                outcomes["reference undecided"].add(kind)
+                continue
+            assert verdict == expected
+            outcomes["agree"].add(kind)
+    # every verdict is reached where the reference decides, and the framing
+    # check decides some families whose images do not normalize
+    assert outcomes["agree"] == {"stable", "F-stable", "V-stable"}
+    assert outcomes["reference undecided"]
+
+
+def test_p_inverse_d_at_one_embedding_is_not_v_stable_at_n_6():
+    # F maps D behind onto p^-1 D with divisors (1, 2): a second divisor of 2
+    # lies at the budget N - RESERVE = 2, yet the framing check decides it
+    datum = _datum(3, True)
+    ring, pt = _antidiag_point(datum, N=6)
+    first = pt.embeddings()[0]
+    family = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+    family[first] = lattice_scale(standard_lattice(ring), -1)
+    assert _verdict(pt, "the family", family) == f"the family is not V-stable at {first}"
+    assert _reference_stability(pt, "the family", family) == _verdict(pt, "the family", family)
+
+
+def test_standard_triples_pass_on_random_points():
+    # F has entries in W and V = sigma^-1(p F^-1) too, since make_point bounds
+    # F's divisors by (0, 1): every (D, D) triple is stable, framed as F itself
+    rng = random.Random(1131)
+    for p, f, split, s_indices in STABILITY_SHAPES:
+        datum = _datum(f, split, s_indices)
+        for N in (6, 8):
+            ring = ring_for_datum(datum, p, N)
+            for _ in range(3):
+                pt = random_point(rng, ring, datum)
+                family = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+                assert _reference_stability(pt, "D", family) is None
+                assert _framed_f_mats(pt, [("D", family)], {}) == dict(pt.f_mats)
+
+
+def test_capped_valuation_never_reads_stable():
+    # f = 1, so each lattice lies behind itself.  F = p at the signature-0
+    # embedding and B = diag(p^4, p^5): the product p^d B^-1 F sigma(B) is
+    # p^10 = 0 mod p^10, and the framed F, p^-9 times it, could be p or not.
+    # These bases share a power of p, so they are not in Hermite form; the
+    # framing check reads only the lattices they span
+    datum = _datum(1, True, (0,))
+    ring = ring_for_datum(datum, 3, 10)
+    (emb,) = half_system(datum)
+    signature = {e: 0 if e == emb else 2 for e in datum.places.embeddings()}
+    pt = point_from_half_system(
+        ring,
+        datum,
+        {emb: mat2(ring, [[3, 0], [0, 3]])},
+        {emb: mat2(ring, [[0, 1], [ring.pn - 1, 0]])},
+        signature,
+    )
+    family = {e: standard_lattice(ring) for e in pt.embeddings()}
+    family[emb] = Lattice2(ring, 0, 4, 5, ring.zero())
+    with pytest.raises(PrecisionError, match="cannot decide"):
+        _verdict(pt, "the family", family)
+    # f = 2: diag(p^4, p^5) behind p diag(p^5, p^5) under F = diag(1, p); the
+    # product is again 0 mod p^10, and p^-8 times it has divisors at least 2
+    datum = _datum(2, True)
+    ring, pt = _diag_point(datum, N=10)
+    first = pt.embeddings()[0]
+    behind = frobenius_shift(datum.places, first, -1)
+    assert pt.f_mats[first] == mat2(ring, [[1, 0], [0, 3]])
+    family = {first: Lattice2(ring, 0, 4, 5, ring.zero())}
+    family[behind] = Lattice2(ring, 1, 5, 5, ring.zero())
+    family.update({e: standard_lattice(ring) for e in pt.embeddings() if e not in family})
+    assert _verdict(pt, "the family", family) == f"the family is not V-stable at {first}"
+
+
 def test_verify_roundtrip_returns_the_reconstructed_point():
     for f, split, vanish in [(3, False, {0, 1}), (3, True, {1}), (2, True, {0, 1})]:
         datum = _datum(f, split)
@@ -453,7 +606,7 @@ def test_roundtrip_decomposes_the_chains_once(monkeypatch):
     _, pt = _template_point(datum, {1})
     t = frozenset(sorted(stratum_of_point(pt))[:1])
     assert t and stratum_descriptor(datum, t).case_at("p1") is CaseTag.A1
-    calls = dict.fromkeys(("chain_decompose", "_check_t"), 0)
+    calls = dict.fromkeys(("chain_decompose", "_chain_walk", "_check_t"), 0)
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(strata, name)):
             calls[_name] += 1
@@ -461,8 +614,8 @@ def test_roundtrip_decomposes_the_chains_once(monkeypatch):
 
         monkeypatch.setattr(strata, name, counted)
     verify_roundtrip(pt, t)
-    # the descriptor checks T, then decomposes it once, which checks T again
-    assert calls == {"chain_decompose": 1, "_check_t": 2}
+    # the descriptor checks T once, then walks its chains once without checking again
+    assert calls == {"chain_decompose": 0, "_chain_walk": 1, "_check_t": 1}
 
 
 def test_precision_shortfall_is_a_precision_error():

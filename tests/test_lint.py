@@ -1,0 +1,63 @@
+"""Static checks on the package source, made with the standard library's
+``ast`` alone: every imported name is used in its module, and every
+module-level private function is referenced somewhere in ``src/``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gostrata"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name read in ``tree``: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.AST) -> list[tuple[str, int]]:
+    """(bound name, line) for every import in ``tree``, ``__future__`` aside."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names]
+    return bound
+
+
+def test_the_lint_sees_every_module():
+    assert {"dieudonne.py", "strata.py", "witt.py"} <= set(TREES)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_imported_name_is_used(name: str):
+    tree = TREES[name]
+    used = _references(tree)
+    unused = [f"{bound} (line {line})" for bound, line in _imported(tree) if bound not in used]
+    assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*(_references(tree) for tree in TREES.values()))
+    referenced |= {bound for tree in TREES.values() for bound, _ in _imported(tree)}
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert not dead, f"module-level private functions that nothing calls: {dead}"

@@ -529,6 +529,20 @@ def test_lattice_dual_antidiagonal():
     assert dual == expected
 
 
+def test_degenerate_pairing_dual_is_a_precision_error():
+    ring = witt_ring(3, 2, 8)
+    std = standard_lattice(ring)
+    # each determinant is 0 mod 3^N = 3^8, so the ring cannot tell it from zero
+    for rows in ([[0, 0], [0, 0]], [[1, 0], [0, 3**8]], [[3**4, 0], [0, 3**4]]):
+        with pytest.raises(PrecisionError, match="indistinguishable from zero") as info:
+            lattice_dual(std, mat2(ring, rows))
+        assert isinstance(info.value, WittError)
+    # a determinant inside the budget still gives the exact dual
+    assert lattice_dual(std, mat2(ring, [[1, 0], [0, 3**3]])) == _span(
+        ring, -3, mat2(ring, [[3**3, 0], [0, 1]])
+    )
+
+
 def test_lattice_double_dual():
     rng = random.Random(55)
     for p in (2, 3, 5):
