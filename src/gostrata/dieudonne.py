@@ -470,11 +470,12 @@ def reconstruct_lattices(
     descriptor: StratumDescriptor,
     lift: LiftChoice,
     source_datum: ShimuraDatum,
-) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2]]:
+) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Mat2]]:
     """Rebuild the c- and a-lattice families in the b-frame.
 
-    Returns ``(m, l)`` where ``m`` contains the overlattices recovering c and
-    ``l`` the sublattices recovering a, every one in Hermite form.
+    Returns ``(m, l, f_mats)``: ``m`` the overlattices recovering c, ``l`` the
+    sublattices recovering a, every one in Hermite form, and ``f_mats`` the
+    rebuilt a-family's framed F-matrices, which become the source point's F.
     """
     ring, system = b_point.ring, b_point.datum.places
     pid = b_point.prime_id
@@ -517,27 +518,24 @@ def reconstruct_lattices(
     l_lat: dict[EmbE, Lattice2] = {}
     for emb in b_point.embeddings():
         if emb in delta.plus:
-            l_lat[emb] = lattice_dual(
-                m_lat[conjugate(system, emb)], b_point.pairings[emb]
-            )
+            l_lat[emb] = lattice_dual(m_lat[conjugate(system, emb)], b_point.pairings[emb])
         else:
             l_lat[emb] = m_lat[emb]
-    _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
+    f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
     for emb in b_point.embeddings():
         if lattice_colength(m_lat[emb], l_lat[emb]) != int(emb in delta.plus):
             raise DieudonneError(f"wrong a-in-c colength at {emb}")
-    return m_lat, l_lat
+    return m_lat, l_lat, f_mats
 
 
 def _point_from_lattices(
-    b_point: DieudonnePoint, l_lat: Mapping[EmbE, Lattice2], lift: LiftChoice, datum: ShimuraDatum
+    b_point: DieudonnePoint, l_lat, f_mats, lift: LiftChoice, datum: ShimuraDatum
 ) -> DieudonnePoint:
-    """The point on the source ``datum`` whose module is the rebuilt a-family;
-    its signature is 0 at the lifted places of T that lie over S_infty."""
+    """The point on the source ``datum`` whose module is the rebuilt a-family, with
+    F its framed ``f_mats``; signature 0 at the lifted places of T over S_infty."""
     system, s_infty = datum.places, datum.s.s_infty
     zeros = frozenset(emb for emb in lift.s_tilde_of_t if restrict(system, emb) in s_infty)
     expected = signature_from_lift(datum, zeros)
-    f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], {})
     return _frame_point(b_point, l_lat, f_mats, datum, expected)
 
 
@@ -550,8 +548,10 @@ def reconstruct_point(
     source_datum: ShimuraDatum,
 ) -> DieudonnePoint:
     """Rebuild a point on the source datum from the target point and its lines."""
-    _, l_lat = reconstruct_lattices(b_point, j_lines, h_lines, descriptor, lift, source_datum)
-    return _point_from_lattices(b_point, l_lat, lift, source_datum)
+    _, l_lat, f_mats = reconstruct_lattices(
+        b_point, j_lines, h_lines, descriptor, lift, source_datum
+    )
+    return _point_from_lattices(b_point, l_lat, f_mats, lift, source_datum)
 
 
 def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePoint:
@@ -565,7 +565,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     """
     ring, datum = pt.ring, pt.datum
     triple = build_isogeny_triple(pt, t)
-    m_lat, l_lat = reconstruct_lattices(
+    m_lat, l_lat, f_mats = reconstruct_lattices(
         triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, datum
     )
     for emb in pt.embeddings():
@@ -574,7 +574,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
             raise DieudonneError(f"c-lattice mismatch at {emb}")
         if l_lat[emb] != lattice_in_frame(ring, frame, triple.a[emb]):
             raise DieudonneError(f"a-lattice mismatch at {emb}")
-    back = _point_from_lattices(triple.b_point, l_lat, triple.lift, datum)
+    back = _point_from_lattices(triple.b_point, l_lat, f_mats, triple.lift, datum)
     if back.signature != pt.signature:
         raise DieudonneError("reconstructed signature differs from the original")
     return back

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -34,6 +35,7 @@ from gostrata.dieudonne import (
 )
 from gostrata.places import (
     ArchPlace,
+    FrozenMap,
     Level,
     PrimeType,
     build_place_system,
@@ -44,7 +46,7 @@ from gostrata.places import (
     n_tau,
     restrict,
 )
-from gostrata import strata
+from gostrata import dieudonne, strata
 from gostrata.strata import (
     CaseTag,
     delta_sets,
@@ -126,7 +128,7 @@ def _roundtrip(ring, datum, pt, t):
     triple = build_isogeny_triple(pt, t)
     assert triple.descriptor == descriptor and triple.lift == lift
     assert triple.delta == delta_sets(datum, descriptor, lift)
-    m, l = reconstruct_lattices(*_lines(triple, datum))
+    m, l, _ = reconstruct_lattices(*_lines(triple, datum))
     for emb in pt.embeddings():
         frame = triple.b[emb]
         assert m[emb] == lattice_in_frame(ring, frame, triple.c[emb])
@@ -616,6 +618,64 @@ def test_roundtrip_decomposes_the_chains_once(monkeypatch):
     verify_roundtrip(pt, t)
     # the descriptor checks T once, then walks its chains once without checking again
     assert calls == {"chain_decompose": 0, "_chain_walk": 1, "_check_t": 1}
+
+
+def _framing_triples(system, *families):
+    """The distinct (emb, lattice, lattice behind) triples of lattice families."""
+    return {
+        (emb, lattice, family[frobenius_shift(system, emb, -1)])
+        for family in families
+        for emb, lattice in family.items()
+    }
+
+
+def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
+    datum = _datum(4, True)
+    _, pt = _template_point(datum, {1})
+    t = frozenset(sorted(stratum_of_point(pt))[:1])
+    assert t == {ArchPlace("p1", 0)}
+    assert stratum_descriptor(datum, t).case_at("p1") is CaseTag.A1
+    triple = build_isogeny_triple(pt, t)
+    m, l, f_mats = reconstruct_lattices(*_lines(triple, datum))
+    frames = []
+
+    def counted(lattice, _inner=dieudonne.frame_inverse):
+        frames.append(lattice)
+        return _inner(lattice)
+
+    monkeypatch.setattr(dieudonne, "frame_inverse", counted)
+    back = verify_roundtrip(pt, t)
+    # forward: the c- and b-families; back: the rebuilt c- and a-families, whose
+    # framed F-matrices are the rebuilt point's F
+    forward = _framing_triples(datum.places, triple.c, triple.b)
+    rebuilt = _framing_triples(datum.places, m, l)
+    assert len(frames) == len(forward) + len(rebuilt)
+    assert back.f_mats == f_mats
+
+
+def test_roundtrip_rejects_every_other_j_line(monkeypatch):
+    datum = _datum(3, True)
+    ring, pt = _template_point(datum, {0, 1})
+    lines = [Lattice2(ring, 0, 0, 1, ring.from_int(c)) for c in range(ring.p)]
+    lines.append(Lattice2(ring, 0, 1, 0, ring.zero()))
+    swaps = 0
+    for tau in sorted(stratum_of_point(pt)):
+        t = frozenset({tau})
+        triple = build_isogeny_triple(pt, t)
+        (anchor, line), = triple.j_lines.items()
+        (emb,) = triple.delta.minus
+        assert line in lines
+        for other in lines:
+            if other == line:
+                continue
+            swapped = dataclasses.replace(triple, j_lines=FrozenMap({anchor: other}))
+            monkeypatch.setattr(dieudonne, "build_isogeny_triple", lambda *_, s=swapped: s)
+            with pytest.raises(DieudonneError) as info:
+                verify_roundtrip(pt, t)
+            # the j-line moves the rebuilt c-lattice only at the minus set's one embedding
+            assert str(info.value) == f"c-lattice mismatch at {emb}"
+            swaps += 1
+    assert swaps == 2 * ring.p
 
 
 def test_precision_shortfall_is_a_precision_error():

@@ -1,6 +1,7 @@
 """Static checks on the package source, made with the standard library's
-``ast`` alone: every imported name is used in its module, and every
-module-level private function is referenced somewhere in ``src/``.
+``ast`` alone: every imported name is used in its module, every module-level
+private function is referenced somewhere in ``src/``, and every named
+parameter is read in the body of its function.
 """
 
 from __future__ import annotations
@@ -61,3 +62,35 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not dead, f"module-level private functions that nothing calls: {dead}"
+
+
+def test_every_named_parameter_is_read():
+    """``*args``, ``**kwargs`` and a method's receiver are exempt; a lambda
+    counts as a function."""
+    unread = []
+    for name, tree in TREES.items():
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if id(node) in methods:
+                params = params[1:]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            label = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{name}:{node.lineno} {label}({arg.arg})" for arg in params if arg.arg not in read
+            ]
+    assert not unread, f"parameters that their function never reads: {unread}"

@@ -316,6 +316,26 @@ def test_delta_sharp_passthrough():
     assert delta.plus == frozenset() and delta.minus == frozenset()
 
 
+def test_prime_in_s_p_passes_through_every_descriptor():
+    # p2 is ramified at p, with its whole cycle in S_infty and a maximal order
+    system = build_place_system([(2, True), (3, True)])
+    datum = make_datum(system, system.arch_places("p2"), s_p={"p2"})
+    assert datum.s.n_other == 0 and datum.level("p2") is Level.MAXIMAL_ORDER
+    for indices in ((), (0,), (0, 1)):
+        t = frozenset(ArchPlace("p1", i) for i in indices)
+        d = stratum_descriptor(datum, t)
+        assert d.case_at("p2") is CaseTag.B_SHARP_PASS
+        assert d.level_t["p2"] is Level.MAXIMAL_ORDER
+        assert d.s_of_t.s_p == {"p2"}
+        lift = lift_assignment(datum, d)
+        assert lift.recipes["p2"] == ()
+        delta = delta_sets(datum, d, lift)
+        assert all(emb.prime_id == "p1" for emb in delta.plus | delta.minus)
+        assert bool(delta.minus) == bool(t)
+        if indices == (0,):
+            assert d.case_at("p1") is CaseTag.A1 and d.n_bundle == 1
+
+
 def test_delta_b2_example():
     _, _, _, delta = _delta(3, False, (), [0, 1, 2])
     assert delta.plus == frozenset()
