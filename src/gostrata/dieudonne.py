@@ -710,10 +710,13 @@ def _mat_to_json(mat: Mat2) -> list:
     return [[["%x" % c for c in e] for e in row] for row in mat]
 
 
-def _mat_from_json(data) -> Mat2:
-    return tuple(
-        tuple(tuple(int(c, 16) for c in e) for e in row) for row in data
-    )
+def _mat_from_json(ring: WittRing, where: str, data) -> Mat2:
+    """A 2x2 matrix of m-coefficient elements, each coefficient reduced mod p^N."""
+    if len(data) != 2 or any(len(row) != 2 for row in data):
+        raise DieudonneError(f"{where} is not a 2x2 matrix")
+    if any(len(e) != ring.m for row in data for e in row):
+        raise DieudonneError(f"{where} has an entry without exactly m = {ring.m} coefficients")
+    return tuple(tuple(tuple(int(c, 16) % ring.pn for c in e) for e in row) for row in data)
 
 
 def point_to_json(pt: DieudonnePoint) -> dict:
@@ -735,7 +738,9 @@ def point_from_json(data: Mapping) -> DieudonnePoint:
         sheet, i = key.split(":")
         return EmbE(pid, int(sheet), int(i))
 
-    f_mats = {parse_key(k): _mat_from_json(v) for k, v in data["f_mats"].items()}
-    pairings = {parse_key(k): _mat_from_json(v) for k, v in data["pairings"].items()}
+    f_mats, pairings = (
+        {parse_key(k): _mat_from_json(ring, f"{name} {k}", v) for k, v in data[name].items()}
+        for name in ("f_mats", "pairings")
+    )
     signature = {parse_key(k): int(v) for k, v in data["signature"].items()}
     return make_point(ring, datum, f_mats, pairings, signature)

@@ -7,22 +7,26 @@ by Newton iteration from x^p.  On top of the ring sit 2x2 matrices and rank-2
 lattices with a Hermite canonical form, which together form the substrate of
 the Dieudonne simulator.
 
-Each ring keeps two kinds of precomputed tables, so that its hot operations
-are single passes over plain ints:
+Each ring packs an element into one Python int of m slots of k bits, where
+k = (3 m p^(2N)).bit_length(), slot i holding coefficient i reduced mod p^N.
+A product of two packed elements is then one C-level multiply whose slot t
+holds the coefficient of x^t, at most m (p^N - 1)^2.  The ring keeps two
+precomputed packed tables:
 
-- the reduction table x^m, ..., x^(2m-2) modulo the modulus.  ``mul`` forms
-  the schoolbook product without reducing, folds the high coefficients back
-  through this table, and reduces mod p^N once per output coefficient;
-- per k, the images sigma^k(x^i) for i < m, built on first use.  ``frobenius``
-  then costs one O(m^2) pass for any k, sigma^-1 = sigma^(m-1) included.
+- the reduction rows x^m, ..., x^(2m-2) modulo the modulus.  Slots m to
+  2m - 2 of a product are folded back by m - 1 multiply-adds, each slot
+  reduced mod p^N first, and then m slots are read off mod p^N;
+- per k, the images sigma^k(x^i) for i < m, built on first use.
+  ``frobenius`` is m multiply-adds against that table, for any k,
+  sigma^-1 = sigma^(m-1) included.
 
-The unreduced product is a module-level function that accumulates into a
-given list.  Its outer loop skips zero coefficients, and a constant operand
-(zero, an integer, or any element at m = 1), the common case for Hermite-form
-lattice bases, is put on the outside, so it takes one linear pass.
-``mat_mul`` and ``mat_det`` build each entry as one two-term unreduced sum
-(for the determinant, ad - bc with the subtraction done first) and reduce it
-once.
+Every sum a slot ever holds is below 3 m p^(2N) < 2^k: ``mat_mul`` and
+``mat_det`` build each entry as a two-term sum of products (at most
+2 m (p^N - 1)^2 per slot, for the determinant ad + (-b)c) and fold it once,
+adding at most m - 1 more terms below p^(2N).  So no slot carries into the
+next and every result is exact.  Packing reduces each coefficient mod p^N,
+so negated or otherwise unreduced operands are exact too.  There is one
+product path: every operand, constant or not, is packed the same way.
 
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
@@ -191,31 +195,6 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
             return tuple(coeffs)
 
 
-def _apply(table, a: WElem, pn: int) -> WElem:
-    """The linear map sending x^i to table[i], applied to a, mod pn."""
-    acc = [0] * len(table)
-    for c, image in zip(a, table):
-        if c:
-            for j, e in enumerate(image):
-                acc[j] += c * e
-    return tuple([v % pn for v in acc])
-
-
-def _raw_mul(acc: list, a: WElem, b: WElem) -> list:
-    """Add the unreduced schoolbook product a*b into acc (2m - 1 slots).
-
-    The outer loop skips zero coefficients, so a constant operand (b[1:] all
-    zero: zero, an integer, or any element at m = 1) is swapped to the outside,
-    where it costs one linear pass instead of the quadratic one."""
-    if not any(b[1:]):
-        a, b = b, a
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                acc[j] += ai * bj
-    return acc
-
-
 @dataclass(frozen=True)
 class WittRing:
     p: int
@@ -226,36 +205,59 @@ class WittRing:
     # derived from the fields above, so left out of equality and hashing
     pn: int = field(init=False, repr=False, compare=False)
     budget: int = field(init=False, repr=False, compare=False)
+    _width: int = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
+    _shifts: tuple = field(init=False, repr=False, compare=False)
     _reduce: tuple = field(init=False, repr=False, compare=False)
     _sigma: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pn = self.p**self.N
+        m, pn = self.m, self.p**self.N
+        k = (3 * m * pn * pn).bit_length()  # the slot width: no slot sum reaches 2^k
+        object.__setattr__(self, "pn", pn)
+        object.__setattr__(self, "budget", self.N - RESERVE)
+        object.__setattr__(self, "_width", k)
+        object.__setattr__(self, "_mask", (1 << k) - 1)
+        object.__setattr__(self, "_shifts", tuple(range(0, k * m, k)))
         # rows x^m, ..., x^(2m-2) reduced modulo the monic modulus
         row = tuple(-c % pn for c in self.modulus[:-1])
         rows = []
-        for _ in range(self.m - 1):
+        for _ in range(m - 1):
             rows.append(row)
             top = row[-1]
-            row = tuple(
-                (lower + top * c) % pn for lower, c in zip((0,) + row[:-1], rows[0])
-            )
-        object.__setattr__(self, "pn", pn)
-        object.__setattr__(self, "budget", self.N - RESERVE)
-        object.__setattr__(self, "_reduce", tuple(rows))
+            row = tuple((lower + top * c) % pn for lower, c in zip((0,) + row[:-1], rows[0]))
+        # each packed row paired with the shift of the slot it folds
+        packed = tuple((k * (m + t), self._pack(r)) for t, r in enumerate(rows))
+        object.__setattr__(self, "_reduce", packed)
         object.__setattr__(self, "_sigma", {})
 
-    def _sigma_table(self, k: int) -> tuple[WElem, ...]:
-        """The images sigma^k(x^i) for i < m, for 0 < k < m."""
+    def _pack(self, a) -> int:
+        """One int with coefficient i, reduced mod p^N, in slot i."""
+        pn, k, packed = self.pn, self._width, 0
+        for c in reversed(a):
+            packed = packed << k | c % pn
+        return packed
+
+    def _unpack(self, packed: int) -> WElem:
+        """The element of a packed sum of products: slots m to 2m - 2 folded
+        back through the reduction rows, then m slots read off mod p^N."""
+        pn, mask = self.pn, self._mask
+        for s, row in self._reduce:
+            packed += (packed >> s & mask) % pn * row
+        return tuple([(packed >> s & mask) % pn for s in self._shifts])
+
+    def _sigma_table(self, k: int) -> tuple[int, ...]:
+        """The packed images sigma^k(x^i) for i < m, for 0 < k < m."""
         table = self._sigma.get(k)
         if table is None:
             image = self.frob_image  # sigma^k(x) = sigma^(k-1)(sigma(x))
             if k > 1:
-                image = _apply(self._sigma_table(k - 1), image, self.pn)
+                rows = self._sigma_table(k - 1)
+                image = self._unpack(sum([c * row for c, row in zip(image, rows)]))
             powers = [self.one()]
             for _ in range(self.m - 1):
                 powers.append(self.mul(powers[-1], image))
-            table = self._sigma[k] = tuple(powers)
+            table = self._sigma[k] = tuple(map(self._pack, powers))
         return table
 
     # --- element arithmetic -------------------------------------------------
@@ -284,20 +286,8 @@ class WittRing:
     def neg(self, a: WElem) -> WElem:
         return tuple(-u % self.pn for u in a)
 
-    def _fold(self, prod: list) -> WElem:
-        """Reduce an unreduced product (2m - 1 coefficients, any sign):
-        fold the high part through the reduction table, then mod p^N once."""
-        m, pn = self.m, self.pn
-        low = prod[:m]
-        for c, row in zip(prod[m:], self._reduce):
-            if c:
-                c %= pn
-                for j, r in enumerate(row):
-                    low[j] += c * r
-        return tuple([c % pn for c in low])
-
     def mul(self, a: WElem, b: WElem) -> WElem:
-        return self._fold(_raw_mul([0] * (2 * self.m - 1), a, b))
+        return self._unpack(self._pack(a) * self._pack(b))
 
     def smul(self, k: int, a: WElem) -> WElem:
         return tuple(k * u % self.pn for u in a)
@@ -395,7 +385,8 @@ def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
     k %= ring.m
     if not k:
         return a
-    return _apply(ring._sigma_table(k), a, ring.pn)
+    pn = ring.pn
+    return ring._unpack(sum([c % pn * row for c, row in zip(a, ring._sigma_table(k))]))
 
 
 # --- 2x2 matrices ------------------------------------------------------------
@@ -416,16 +407,12 @@ def mat_identity(ring: WittRing) -> Mat2:
 
 
 def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
-    """Each entry is one two-term product sum, reduced once."""
-    size = 2 * ring.m - 1
-    return tuple(
-        tuple(
-            ring._fold(
-                _raw_mul(_raw_mul([0] * size, row[0], b[0][j]), row[1], b[1][j])
-            )
-            for j in range(2)
-        )
-        for row in a
+    """Each entry is one two-term sum of packed products, folded once."""
+    (x0, x1), (y0, y1) = [[ring._pack(e) for e in row] for row in a]
+    cols = [(ring._pack(b0), ring._pack(b1)) for b0, b1 in zip(*b)]
+    return (
+        tuple([ring._unpack(x0 * b0 + x1 * b1) for b0, b1 in cols]),
+        tuple([ring._unpack(y0 * b0 + y1 * b1) for b0, b1 in cols]),
     )
 
 
@@ -450,9 +437,10 @@ def mat_sigma(ring: WittRing, a: Mat2, k: int = 1) -> Mat2:
 
 
 def mat_det(ring: WittRing, a: Mat2) -> WElem:
-    """ad - bc, subtracted before the one reduction."""
-    acc = _raw_mul([0] * (2 * ring.m - 1), a[0][0], a[1][1])
-    return ring._fold(_raw_mul(acc, [-u for u in a[0][1]], a[1][0]))
+    """ad + (-b)c, folded once."""
+    pack = ring._pack
+    (x, y), (z, w) = a
+    return ring._unpack(pack(x) * pack(w) + pack([-u for u in y]) * pack(z))
 
 
 def mat_val(ring: WittRing, a: Mat2) -> int:

@@ -890,6 +890,43 @@ def test_point_json_roundtrip():
     assert point_from_json(point_to_json(pt)) == pt
 
 
+def _json_point():
+    rng = random.Random(67)
+    datum = _datum(2, True)
+    ring = ring_for_datum(datum, 3)
+    return ring, random_point(rng, ring, datum)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda mat: mat[0][1].append("1"), "f_mats 0:1 has an entry without exactly m = 2"),
+        (lambda mat: mat[1][0].pop(), "f_mats 0:1 has an entry without exactly m = 2"),
+        (lambda mat: mat.append(mat[0]), "f_mats 0:1 is not a 2x2 matrix"),
+        (lambda mat: mat[1].pop(), "f_mats 0:1 is not a 2x2 matrix"),
+    ],
+    ids=["m_plus_one_coefficients", "m_minus_one_coefficients", "three_rows", "short_row"],
+)
+def test_malformed_point_json_is_a_one_line_error(edit, message):
+    _, pt = _json_point()
+    data = point_to_json(pt)
+    edit(data["f_mats"]["0:1"])
+    with pytest.raises(DieudonneError, match=message) as info:
+        point_from_json(data)
+    assert "\n" not in str(info.value)
+
+
+def test_point_json_coefficients_are_read_mod_p_n():
+    ring, pt = _json_point()
+    data = point_to_json(pt)
+    for name in ("f_mats", "pairings"):
+        for mat in data[name].values():
+            mat[0][0] = ["%x" % (int(c, 16) + ring.pn) for c in mat[0][0]]
+    loaded = point_from_json(data)
+    assert loaded == pt
+    assert point_to_json(loaded) == point_to_json(pt)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_random_points_always_validate(seed):

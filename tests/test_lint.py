@@ -1,7 +1,7 @@
 """Static checks on the package source, made with the standard library's
 ``ast`` alone: every imported name is used in its module, every module-level
-private function is referenced somewhere in ``src/``, and every named
-parameter is read in the body of its function.
+private function and every private method of a class is referenced somewhere
+in ``src/``, and every named parameter is read in the body of its function.
 """
 
 from __future__ import annotations
@@ -50,18 +50,36 @@ def test_every_imported_name_is_used(name: str):
     assert not unused, f"{name} imports names it never uses: {unused}"
 
 
+def _private_functions(tree: ast.Module):
+    """(qualified name, name) for every private module-level function and
+    every private method of a module-level class; dunders are not private."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for item in members:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name.startswith("_")
+                and not item.name.endswith("__")
+            ):
+                yield prefix + item.name, item.name
+
+
 def test_every_private_function_is_referenced():
     referenced = set().union(*(_references(tree) for tree in TREES.values()))
     referenced |= {bound for tree in TREES.values() for bound, _ in _imported(tree)}
     dead = [
-        f"{name}: {node.name}"
+        f"{name}: {qualified}"
         for name, tree in TREES.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and node.name not in referenced
+        for qualified, bare in _private_functions(tree)
+        if bare not in referenced
     ]
-    assert not dead, f"module-level private functions that nothing calls: {dead}"
+    assert not dead, f"private functions and methods that nothing calls: {dead}"
+
+
+def test_the_private_lint_sees_methods():
+    found = {qualified for tree in TREES.values() for qualified, _ in _private_functions(tree)}
+    assert {"WittRing._sigma_table", "WittRing._pack", "WittRing._unpack", "_poly_gcdex"} <= found
 
 
 def test_every_named_parameter_is_read():

@@ -284,6 +284,39 @@ def test_constant_operands_match_naive_reference(p, m, N):
             ring.inv(bad)
 
 
+@pytest.mark.parametrize(
+    "p, m, N",
+    [(2, 1, 4), (999983, 1, 8), (2, 2, 8), (3, 4, 8), (2, 8, 16), (3, 8, 16), (999983, 2, 8)],
+)
+def test_slot_width_holds_extreme_operands(p, m, N):
+    """Packed slots hold the largest sums the kernel forms: every coefficient
+    p^N - 1, two such products in one matrix entry, and operands given with
+    negative or unreduced coefficients, which packing reduces mod p^N."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(3000 * m + N)
+    top = tuple([ring.pn - 1] * m)
+    operands = [top] + [
+        tuple(rng.randrange(-3 * ring.pn, 3 * ring.pn) for _ in range(m)) for _ in range(3)
+    ]
+    for a in operands:
+        for b in operands:
+            assert ring.mul(a, b) == _naive_mul(ring, a, b)
+            full = mat2(ring, [[a, b], [b, a]])
+            assert mat_mul(ring, full, full)[0] == (
+                ring.add(_naive_mul(ring, a, a), _naive_mul(ring, b, b)),
+                ring.add(_naive_mul(ring, a, b), _naive_mul(ring, b, a)),
+            )
+            assert mat_det(ring, full) == _naive_sub(
+                ring, _naive_mul(ring, a, a), _naive_mul(ring, b, b)
+            )
+        image = tuple(c % ring.pn for c in a)
+        for k in range(1, m):
+            image = _naive_sigma(ring, image)
+            assert frobenius(ring, a, k) == image
+        if any(c % p for c in a):
+            assert _naive_mul(ring, a, ring.inv(a)) == ring.one()
+
+
 # --- elementary divisors ------------------------------------------------------
 
 
