@@ -226,7 +226,7 @@ def _cmd_link(args) -> int:
         _require_prime(args.p)
     datum = _load_datum(args.datum)
     prime_id = _default_prime(datum, args.prime)
-    kind = {k.value: k for k in links.MorphismKind}[args.standard]
+    kind = links.MorphismKind(args.standard)
     tau = _parse_tau(datum, args.tau, prime_id) if args.tau else None
     morphism = links.standard_morphism(
         kind, datum, prime_id, p=args.p, tau=tau, sheet=args.sheet
@@ -482,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--frobenius", action="store_true")
     mode.add_argument(
         "--standard",
-        choices=[k.value for k in links.MorphismKind],
+        choices=[k.value for k in links.STANDARD_KINDS],
         help="one of the standard correspondences",
     )
     p_link.add_argument("--datum")

@@ -254,16 +254,30 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> tupl
 def essential_frobenius_image(
     pt: DieudonnePoint, emb: EmbE, n: int, start: Lattice2 | None = None
 ) -> Lattice2:
-    """Image of F_es^n applied to a lattice at the component sigma^{-n}(emb)."""
-    ring, system = pt.ring, pt.datum.places
+    """Image of F_es^n applied to a lattice at the component sigma^{-n}(emb):
+    the composite ``essential_frobenius_matrix`` applied to sigma^n of the
+    start's basis, normalized once."""
+    ring = pt.ring
     lattice = standard_lattice(ring) if start is None else start
-    for k in range(n - 1, -1, -1):
-        mu = frobenius_shift(system, emb, -k)
-        prev = frobenius_shift(system, mu, -1)
-        extra = -1 if pt.signature[prev] == 0 else 0
-        basis = mat_mul(ring, pt.f_mats[mu], mat_sigma(ring, lattice.basis, 1))
-        lattice = lattice_normalize(ring, lattice.shift + extra, mat_columns(basis))
-    return lattice
+    mat, shift = essential_frobenius_matrix(pt, emb, n)
+    basis = mat_mul(ring, mat, mat_sigma(ring, lattice.basis, n))
+    return lattice_normalize(ring, lattice.shift + shift, mat_columns(basis))
+
+
+def _walk(pt: DieudonnePoint, run: frozenset[EmbE], behind: Mapping[EmbE, Lattice2]):
+    """(embedding, F_es image) along each run of consecutive embeddings in
+    ``run``, one step per lattice, runs in the order of their first members;
+    a run starts from the lattice ``behind`` holds behind its first member."""
+    system = pt.datum.places
+    for emb in pt.embeddings():
+        prev = frobenius_shift(system, emb, -1)
+        if emb not in run or prev in run:
+            continue
+        lattice = behind[prev]
+        while emb in run:
+            lattice = essential_frobenius_image(pt, emb, 1, lattice)
+            yield emb, lattice
+            emb = frobenius_shift(system, emb, 1)
 
 
 def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
@@ -315,18 +329,6 @@ class IsogenyTriple:
     delta: DeltaSets
     descriptor: StratumDescriptor
     lift: LiftChoice
-
-
-def _run_length(system, members: frozenset[EmbE], emb: EmbE) -> int:
-    """Consecutive membership run length at ``emb`` walking backwards."""
-    n = 0
-    cur = emb
-    while cur in members:
-        n += 1
-        cur = frobenius_shift(system, cur, -1)
-        if n > 2 * len(members) + 1:
-            raise DieudonneError("delta set wraps the whole cycle")
-    return n
 
 
 def _frame_point(
@@ -388,10 +390,11 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
 
     The descriptor of T and the lift choice that keeps the point's signature
     zeros as the lifts of S_infty are computed here and kept on the triple.
-    The c-lattices blow up along the plus delta set via the essential
-    Frobenius image; the b-lattices shrink along the minus set.  The j-lines
-    record the fiber coordinates at the marked bundle directions, and the
-    h-lines the Iwahori data in the full-cycle even case.
+    The c-lattices are p^-1 times the essential Frobenius walk from a along
+    each run of the plus delta set; the b-lattices are the walk from c along
+    each run of the minus set.  The j-lines record the fiber coordinates at
+    the marked bundle directions, and the h-lines the Iwahori data in the
+    full-cycle even case.
     """
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
@@ -407,23 +410,11 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
     lift = lift_assignment(datum, descriptor, s_lift=zeros)
     delta = delta_sets(datum, descriptor, lift)
 
-    std = standard_lattice(ring)
-    a_lat = {emb: std for emb in pt.embeddings()}
-    c_lat: dict[EmbE, Lattice2] = {}
-    for emb in pt.embeddings():
-        if emb in delta.plus:
-            n = _run_length(system, delta.plus, emb)
-            c_lat[emb] = lattice_scale(essential_frobenius_image(pt, emb, n), -1)
-        else:
-            c_lat[emb] = std
-    b_lat: dict[EmbE, Lattice2] = {}
-    for emb in pt.embeddings():
-        if emb in delta.minus:
-            n = _run_length(system, delta.minus, emb)
-            start = c_lat[frobenius_shift(system, emb, -n)]
-            b_lat[emb] = essential_frobenius_image(pt, emb, n, start=start)
-        else:
-            b_lat[emb] = c_lat[emb]
+    a_lat = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+    c_lat = dict(a_lat)
+    c_lat.update((emb, lattice_scale(image, -1)) for emb, image in _walk(pt, delta.plus, a_lat))
+    b_lat = dict(c_lat)
+    b_lat.update(_walk(pt, delta.minus, c_lat))
 
     b_f_mats = _framed_f_mats(
         pt, [("the c-lattice family", c_lat), ("the b-lattice family", b_lat)], {}
@@ -489,17 +480,16 @@ def reconstruct_lattices(
         for base_tilde, a_list in lift.recipes[pid]:
             chain = chains[restrict(system, base_tilde)]
             anchor = frobenius_shift(system, base_tilde, -(chain.m + 1))
+            start = std
             if a_list[-1] == chain.m + 1:
                 if anchor not in j_lines:
                     raise DieudonneError(f"missing j-line at {anchor}")
                 start = j_lines[anchor]
-            else:
-                start = std
-            for j in range(0, len(a_list) - 1, 2):
-                for offset in range(a_list[j], a_list[j + 1]):
-                    emb = frobenius_shift(system, base_tilde, -offset)
-                    steps = chain.m + 1 - offset
-                    image = essential_frobenius_image(b_point, emb, steps, start=start)
+            # one walk from the anchor to the lowest offset, kept on the minus set
+            offsets = range(a_list[0], chain.m + 1)
+            run = frozenset(frobenius_shift(system, base_tilde, -a) for a in offsets)
+            for emb, image in _walk(b_point, run, {anchor: start}):
+                if emb in delta.minus:
                     m_lat[emb] = lattice_scale(image, -1)
     elif case is CaseTag.A2:
         for emb in delta.minus:

@@ -160,6 +160,13 @@ class MorphismKind(Enum):
     COMPOSITE = "Composite"
 
 
+# the kinds ``standard_morphism`` constructs; INDUCED and COMPOSITE only label results
+STANDARD_KINDS = (
+    MorphismKind.PARTIAL_FROBENIUS, MorphismKind.DELTA_TAU0,
+    MorphismKind.ETA_TAU_MINUS_PLUS, MorphismKind.TRIVIAL_HECKE,
+)
+
+
 @dataclass(frozen=True)
 class LinkMorphismDescriptor:
     link: Link
@@ -205,6 +212,8 @@ def standard_morphism(
       trivial link, indentation 2(f - n_tau).
     """
     slot = datum.places.prime(prime_id)
+    if kind not in STANDARD_KINDS:
+        raise LinkError(f"no standard construction for {kind}")
     if kind is MorphismKind.PARTIAL_FROBENIUS:
         link = frobenius_link(datum, prime_id, 2)
         if not slot.e_split:
@@ -264,20 +273,16 @@ def standard_morphism(
         degree = None if p is None else p ** (n + n_plus)
         return LinkMorphismDescriptor(link, indent, kind, degree)
 
-    if kind is MorphismKind.TRIVIAL_HECKE:
-        if tau is None:
-            raise LinkError("tau required")
-        n, tau_minus, tau_plus = n_tau(datum, tau)
-        free = set(datum.places.arch_places(prime_id)) - datum.s.s_infty
-        if free != {tau, tau_minus} or tau_plus != tau_minus:
-            raise LinkError(
-                "requires exactly the two unramified embeddings tau and tau-minus"
-            )
-        empty = Band(slot.f, frozenset())
-        link = make_link(empty, empty, {})
-        return LinkMorphismDescriptor(link, 2 * (slot.f - n), kind)
-
-    raise LinkError(f"no standard construction for {kind}")
+    # TRIVIAL_HECKE
+    if tau is None:
+        raise LinkError("tau required")
+    n, tau_minus, tau_plus = n_tau(datum, tau)
+    free = set(datum.places.arch_places(prime_id)) - datum.s.s_infty
+    if free != {tau, tau_minus} or tau_plus != tau_minus:
+        raise LinkError("requires exactly the two unramified embeddings tau and tau-minus")
+    empty = Band(slot.f, frozenset())
+    link = make_link(empty, empty, {})
+    return LinkMorphismDescriptor(link, 2 * (slot.f - n), kind)
 
 
 def induced_link(

@@ -182,8 +182,13 @@ def _is_irreducible(modulus, p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Little-endian coefficients of the first monic irreducible of degree m."""
-    for k in itertools.count():
+    """Little-endian coefficients of the first monic irreducible of degree m.
+    The p binomials x^m + a0 come first; by Capelli's theorem all of them are
+    reducible when a prime factor of m does not divide p - 1, or when 4 | m and
+    p = 3 mod 4, and the search then starts past them."""
+    primes = [r for r in range(2, m + 1) if m % r == 0 and isprime(r)]
+    reducible = any((p - 1) % r for r in primes) or (m % 4 == 0 and p % 4 == 3)
+    for k in itertools.count(p if reducible else 0):
         digits, val = [], k
         for _ in range(m):
             digits.append(val % p)

@@ -7,13 +7,16 @@ import sys
 from pathlib import Path
 
 
-def _run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess[str]:
+def _run_cli(
+    *args: str, env: dict | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess[str]:
     return subprocess.run(
         [sys.executable, "-m", "gostrata.cli", *args],
         text=True,
         capture_output=True,
         check=False,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -372,6 +375,15 @@ def test_link_modes_on_a_datum_require_one() -> None:
         assert "requires --datum" in proc.stderr
 
 
+def test_link_standard_offers_only_the_constructible_kinds(tmp_path: Path) -> None:
+    # Induced and Composite label derived morphisms; no standard construction exists
+    datum = _write_datum(tmp_path, 4, True, [1, 2])
+    for kind in ("Induced", "Composite"):
+        proc = _run_cli("link", "--standard", kind, "--datum", str(datum), "--tau", "3")
+        _assert_one_line_error(proc, 2)
+        assert "invalid choice" in proc.stderr
+
+
 def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:
     datum = _write_datum(tmp_path, 2, True)
     _assert_one_line_error(
@@ -406,6 +418,17 @@ def test_dieudonne_rejects_degree_out_of_range() -> None:
         proc = _run_cli("dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", f)
         _assert_one_line_error(proc, 2)
         assert "--f" in proc.stderr
+
+
+def test_dieudonne_finds_its_witt_ring_fast_at_a_large_prime() -> None:
+    # p = 999983 is 3 mod 4 and 2 mod 3: every binomial x^4 + a and x^3 + a
+    # is reducible, and the modulus search skips them instead of testing each
+    for shape in (("--f", "2", "--inert"), ("--f", "3", "--split")):
+        proc = _run_cli(
+            "dieudonne", "--classify", "--seed", "1", "--p", "999983", *shape, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "stratum" in json.loads(proc.stdout)
 
 
 def test_dieudonne_rejects_negative_trials() -> None:

@@ -319,6 +319,84 @@ def _shifted(ring, mat, k):
     return _mat_shift(ring, mat, k)
 
 
+def _stepwise_image(pt, emb, n, start):
+    """F_es^n(start) one normalized step at a time: the reference for the
+    composite of ``essential_frobenius_image``."""
+    ring, system = pt.ring, pt.datum.places
+    lattice = start
+    for k in range(n - 1, -1, -1):
+        mu = frobenius_shift(system, emb, -k)
+        extra = -1 if pt.signature[frobenius_shift(system, mu, -1)] == 0 else 0
+        basis = mat_mul(ring, pt.f_mats[mu], mat_sigma(ring, lattice.basis, 1))
+        lattice = lattice_normalize(ring, lattice.shift + extra, mat_columns(basis))
+    return lattice
+
+
+def _reduced_point(pt, ring):
+    """A point drawn at a larger N, read mod p^N on ``ring``."""
+    def reduce(table):
+        return {
+            emb: tuple(tuple(tuple(c % ring.pn for c in e) for e in row) for row in mat)
+            for emb, mat in table.items()
+        }
+
+    return make_point(ring, pt.datum, reduce(pt.f_mats), reduce(pt.pairings), pt.signature)
+
+
+def _hermite_start(ring, shift, a, b, c):
+    cols = [(ring.from_int(ring.p**a), c), (ring.zero(), ring.from_int(ring.p**b))]
+    return lattice_normalize(ring, shift, cols)
+
+
+IMAGE_SHAPES = [  # (p, f, split, S_infty indices), every S_infty nonempty
+    (3, 3, True, (0,)),
+    (2, 4, True, (0, 2)),
+    (3, 4, True, (1, 2)),
+    (2, 2, False, (1,)),
+    (3, 3, False, (0,)),
+]
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_composite_image_matches_the_stepwise_image(N):
+    """One composite and one normalization give the lattice the step-by-step
+    walk gives wherever the walk answers; where an intermediate lattice of the
+    walk exhausts the budget and the composite answers, the composite is the
+    image of the same point and start drawn at N = 16."""
+    rng = random.Random(1300 + N)
+    outcomes = {"agree": 0, "composite only": 0}
+    for p, f, split, s_indices in IMAGE_SHAPES:
+        datum = _datum(f, split, s_indices)
+        ring, deep = ring_for_datum(datum, p, N), ring_for_datum(datum, p, 16)
+        for _ in range(12):
+            fine = random_point(rng, deep, datum)
+            pt = _reduced_point(fine, ring)
+            for _ in range(10):
+                emb, n = rng.choice(pt.embeddings()), rng.randint(1, 3)
+                shape = [rng.choice((-1, 0, 1))] + [rng.randrange(ring.budget) for _ in "ab"]
+                c = tuple(rng.randrange(ring.pn) for _ in range(ring.m))
+                start = _hermite_start(ring, *shape, c)
+                try:
+                    expected = _stepwise_image(pt, emb, n, start)
+                except PrecisionError:
+                    expected = None
+                try:
+                    got = essential_frobenius_image(pt, emb, n, start)
+                except PrecisionError:
+                    assert expected is None, (p, f, emb, n)
+                    continue
+                if expected is None:
+                    fine_start = _hermite_start(deep, *shape, c)
+                    lifted = essential_frobenius_image(fine, emb, n, fine_start)
+                    assert dataclasses.replace(lifted, ring=ring) == got
+                    outcomes["composite only"] += 1
+                else:
+                    assert got == expected
+                    outcomes["agree"] += 1
+    # both branches are reached: the walk fails where the composite answers
+    assert outcomes["agree"] and outcomes["composite only"]
+
+
 def test_hasse_invariant_is_conjugation_symmetric():
     rng = random.Random(31)
     for f, split in [(2, True), (3, True), (2, False)]:
@@ -653,6 +731,53 @@ def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     assert back.f_mats == f_mats
 
 
+@pytest.mark.parametrize(
+    "f, split, vanish", [(4, True, {1, 2, 3}), (3, True, {0, 1}), (3, False, {0, 1})]
+)
+def test_roundtrip_walks_one_step_per_lattice(monkeypatch, f, split, vanish):
+    datum = _datum(f, split)
+    _, pt = _template_point(datum, vanish)
+    t = stratum_of_point(pt)
+    triple = build_isogeny_triple(pt, t)
+    stages, calls = [], []
+
+    def staged(stage, inner):
+        def wrapped(*args):
+            stages.append(stage)
+            try:
+                return inner(*args)
+            finally:
+                stages.pop()
+
+        return wrapped
+
+    for name, stage in [
+        ("build_isogeny_triple", "forward"),
+        ("reconstruct_lattices", "inverse"),
+        ("hasse_vanishes", "hasse"),
+    ]:
+        monkeypatch.setattr(dieudonne, name, staged(stage, getattr(dieudonne, name)))
+
+    def counted(pt, emb, n, start=None, _inner=dieudonne.essential_frobenius_image):
+        calls.append((stages[-1], n))
+        return _inner(pt, emb, n, start)
+
+    monkeypatch.setattr(dieudonne, "essential_frobenius_image", counted)
+    verify_roundtrip(pt, t)
+    # the forward map walks every delta run once, the inverse map each recipe
+    # entry once from its anchor to its lowest offset; membership in the
+    # stratum is checked by the Hasse invariants and is not counted
+    walk = sum(
+        _chain_m(datum, triple.descriptor, base) + 1 - a_list[0]
+        for base, a_list in triple.lift.recipes["p1"]
+    )
+    steps = len(triple.delta.plus) + len(triple.delta.minus)
+    assert [n for stage, n in calls if stage == "forward"] == [1] * steps
+    assert [n for stage, n in calls if stage == "inverse"] == [1] * walk
+    if (f, split) == (4, True):  # T = {0, 1, 2}: one chain, ending on its j-line
+        assert t == {ArchPlace("p1", i) for i in range(3)} and (steps, walk) == (4, 3)
+
+
 def test_roundtrip_rejects_every_other_j_line(monkeypatch):
     datum = _datum(3, True)
     ring, pt = _template_point(datum, {0, 1})
@@ -700,12 +825,6 @@ def test_lowering_precision_never_changes_the_stratum():
         (3, 3, True, (0,)), (2, 3, False, ()), (3, 2, False, ()),
     ]
 
-    def reduce(table, pn):
-        return {
-            emb: tuple(tuple(tuple(c % pn for c in e) for e in row) for row in mat)
-            for emb, mat in table.items()
-        }
-
     outcomes = {"equal": 0, "nonempty": 0, "precision": 0}
     for p, f, split, s_indices in shapes:
         datum = _datum(f, split, s_indices)
@@ -716,11 +835,7 @@ def test_lowering_precision_never_changes_the_stratum():
             for n in (5, 6, 8):
                 low = ring_for_datum(datum, p, n)
                 try:
-                    lowered = make_point(
-                        low, datum, reduce(pt.f_mats, low.pn), reduce(pt.pairings, low.pn),
-                        pt.signature,
-                    )
-                    got = stratum_of_point(lowered)
+                    got = stratum_of_point(_reduced_point(pt, low))
                 except PrecisionError:
                     outcomes["precision"] += 1
                     continue

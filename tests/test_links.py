@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gostrata.links import (
+    STANDARD_KINDS,
     Band,
     LinkError,
     MorphismKind,
@@ -193,6 +194,14 @@ def test_link_json_roundtrip():
 
 
 # --- standard morphisms ------------------------------------------------------
+
+
+def test_only_the_standard_kinds_have_a_construction():
+    datum = _datum(4, True, [1, 2])
+    assert set(MorphismKind) - set(STANDARD_KINDS) == {MorphismKind.INDUCED, MorphismKind.COMPOSITE}
+    for kind in (MorphismKind.INDUCED, MorphismKind.COMPOSITE):
+        with pytest.raises(LinkError, match="no standard construction"):
+            standard_morphism(kind, datum, "p1", tau=ArchPlace("p1", 3))
 
 
 def test_partial_frobenius_indentation_split():

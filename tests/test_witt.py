@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from gostrata.witt import (
     DieudonneError,
     PrecisionError,
     WittError,
+    _is_irreducible,
     elementary_divisors,
     frame_inverse,
     frobenius,
@@ -124,6 +126,21 @@ PINNED_MODULI = {
 def test_pinned_moduli(p):
     for m, modulus in PINNED_MODULI[p].items():
         assert witt_ring(p, m, 2).modulus == modulus
+
+
+def _first_irreducible_by_enumeration(p, m):
+    """The first monic irreducible of degree m, every candidate tested in turn."""
+    for k in itertools.count():
+        digits = [k // p**i % p for i in range(m)]
+        if _is_irreducible(digits + [1], p):
+            return tuple(digits + [1])
+
+
+def test_modulus_search_skips_only_reducible_binomials():
+    # the grid holds both outcomes of Capelli's rule: skipped and searched blocks
+    for p in (q for q in range(2, 54) if isprime(q)):
+        for m in range(1, 9):
+            assert witt_ring(p, m, 2).modulus == _first_irreducible_by_enumeration(p, m), (p, m)
 
 
 def test_isprime_by_trial_division():
