@@ -9,13 +9,11 @@ error or failed check, 2 usage error.  Randomized verbs require --seed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import dieudonne, links, picard, strata, witt
+from . import GostrataError, isprime
 from .places import (
     ArchPlace,
     PlaceError,
@@ -26,15 +24,11 @@ from .places import (
     make_datum,
 )
 
-_DOMAIN_ERRORS = (
-    PlaceError,
-    strata.StratumError,
-    links.LinkError,
-    picard.PicardError,
-    witt.WittError,
-    dieudonne.DieudonneError,
-)
+if TYPE_CHECKING:
+    from . import links
 
+# Each verb imports the library modules it runs, and no others: a cold CLI
+# call spends most of its time loading modules, not in the verb.
 
 MAX_P = 10**6  # --p is tested by trial division, so it is bounded first
 MAX_SIM_F = 32  # dieudonne --f: a run's time grows steeply with the Witt ring's degree
@@ -57,7 +51,7 @@ def _load_json(path: str, kind: str, parse, error: type[ValueError]):
         data = json.load(handle)
     try:
         return parse(data)
-    except _DOMAIN_ERRORS:
+    except GostrataError:
         raise
     except KeyError as exc:
         raise error(f"{kind} {path} lacks the field {exc}") from None
@@ -72,6 +66,8 @@ def _load_datum(path: str | None) -> ShimuraDatum:
 
 
 def _load_link(path: str, validate: bool = True) -> links.Link:
+    from . import links
+
     return _load_json(
         path, "link", lambda data: links.link_from_json(data, validate), links.LinkError
     )
@@ -89,7 +85,7 @@ def _default_prime(datum: ShimuraDatum, prime_id: str | None) -> str:
 def _require_prime(p: int) -> None:
     if p > MAX_P:
         raise UsageError(f"--p {p} is above the largest supported prime bound {MAX_P}")
-    if not witt.isprime(p):
+    if not isprime(p):
         raise UsageError(f"--p {p} is not a prime")
 
 
@@ -125,6 +121,8 @@ def _tau_key(tau: ArchPlace) -> str:
 
 
 def _cmd_strata(args) -> int:
+    from . import strata
+
     datum = _load_datum(args.datum)
     t = _parse_tau_list(datum, args.t or "")
     descriptor = strata.stratum_descriptor(datum, t)
@@ -133,6 +131,10 @@ def _cmd_strata(args) -> int:
 
 
 def _table_rows(datum: ShimuraDatum):
+    import itertools
+
+    from . import picard, strata
+
     free = picard.basis_of(datum)
     if len(free) > 16:
         raise UsageError("table would have more than 2^16 rows")
@@ -190,12 +192,16 @@ def _cmd_strata_table(args) -> int:
 
 
 def _link_payload(link: links.Link) -> dict:
+    from . import links
+
     payload = links.link_to_json(link)
     payload["v"] = links.total_displacement(link)
     return payload
 
 
 def _cmd_link(args) -> int:
+    from . import links
+
     if args.validate is not None:
         link = _load_link(args.validate, validate=False)
         problems = links.validate_link(link)
@@ -245,6 +251,10 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_ample(args) -> int:
+    from fractions import Fraction
+
+    from . import picard
+
     _require_prime(args.p)
     try:
         weights = [Fraction(token) for token in args.t.split(",")]
@@ -274,6 +284,8 @@ def _cmd_ample(args) -> int:
 
 
 def _cmd_picard(args) -> int:
+    from . import picard
+
     _require_prime(args.p)
     datum = _load_datum(args.datum)
     if args.matrix:
@@ -317,6 +329,11 @@ def _simulation_datum(f: int, split: bool) -> ShimuraDatum:
 
 
 def _cmd_dieudonne(args) -> int:
+    import itertools
+    import random
+
+    from . import dieudonne
+
     _require_prime(args.p)
     if args.N < 2:
         raise UsageError(f"--N {args.N} must be at least 2")
@@ -369,6 +386,10 @@ def _cmd_dieudonne(args) -> int:
 
 
 def _selftest_checks(quick: bool):
+    from fractions import Fraction
+
+    from . import links, picard, strata, witt
+
     def quartic_table():
         datum = _simulation_datum(4, False)
         taus = datum.places.arch_places("p1")
@@ -413,6 +434,8 @@ def _selftest_checks(quick: bool):
         assert len(picard.ample_necessary(datum, 3, [Fraction(1), Fraction(5)])) == 1
 
     def point_roundtrips():
+        from . import dieudonne
+
         for f, split in [(2, True), (3, False)]:
             datum = _simulation_datum(f, split)
             ring = dieudonne.ring_for_datum(datum, 3)
@@ -457,6 +480,17 @@ def _cmd_selftest(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
+class _StandardKinds:
+    """The ``link --standard`` choices, read from ``links`` only when argparse
+    checks a value or formats help.  The explicit metavar keeps
+    ``add_argument`` from listing them for every verb."""
+
+    def __iter__(self):
+        from . import links
+
+        return (kind.value for kind in links.STANDARD_KINDS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gostrata",
@@ -482,8 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--frobenius", action="store_true")
     mode.add_argument(
         "--standard",
-        choices=[k.value for k in links.STANDARD_KINDS],
-        help="one of the standard correspondences",
+        choices=_StandardKinds(),
+        metavar="KIND",
+        help="one of the standard correspondences: %(choices)s",
     )
     p_link.add_argument("--datum")
     p_link.add_argument("--prime")
@@ -541,7 +576,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except GostrataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

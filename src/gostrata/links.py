@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
+from . import GostrataError
 from .places import ArchPlace, EmbE, FrozenMap, ShimuraDatum, n_tau
 
 
-class LinkError(ValueError):
+class LinkError(GostrataError):
     """Raised for structurally invalid link data or inapplicable morphisms."""
 
 

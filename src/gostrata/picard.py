@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import GostrataError
 from .places import ArchPlace, ShimuraDatum, n_tau
 
 
-class PicardError(ValueError):
+class PicardError(GostrataError):
     """Raised for inputs outside the Picard bookkeeping domain."""
 
 

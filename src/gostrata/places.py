@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
+from . import GostrataError
 
-class PlaceError(ValueError):
+
+class PlaceError(GostrataError):
     """Raised for structurally invalid place-system data."""
 
 

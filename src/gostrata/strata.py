@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
+from . import GostrataError
 from .places import (
     ArchPlace,
     EmbE,
@@ -32,7 +33,7 @@ from .places import (
 )
 
 
-class StratumError(ValueError):
+class StratumError(GostrataError):
     """Raised for inputs outside the domain of the stratum recipe."""
 
 

@@ -52,17 +52,19 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import GostrataError, isprime
+
 RESERVE = 4
 
 WElem = tuple  # coefficient tuple of length m over Z/p^N
 Mat2 = tuple  # ((a, b), (c, d)) row-major over WElem
 
 
-class WittError(ValueError):
+class WittError(GostrataError):
     """Raised for out-of-range parameters or exhausted precision."""
 
 
-class DieudonneError(ValueError):
+class DieudonneError(GostrataError):
     """Raised when matrices or lattices violate the point axioms.
 
     Defined below the point layer that raises it, so that PrecisionError can
@@ -83,18 +85,6 @@ class NotSplit:
 
 
 NOT_SPLIT = NotSplit()
-
-
-def isprime(n: int) -> bool:
-    """Primality by trial division (the primes used here are small)."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # --- polynomials over F_p: little-endian coefficient lists, trimmed ----------
@@ -167,14 +157,31 @@ def _poly_gcdex(a: list, b: list, p: int) -> tuple[list, list]:
 
 def _is_irreducible(modulus, p: int) -> bool:
     """Rabin's test: x^(p^m) = x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for
-    every prime r dividing m = deg f."""
+    every prime r dividing m = deg f.
+
+    Only x^p mod f is found by squaring.  The p-power map g -> g^p is F_p-linear
+    on F_p[x]/f and sends g(x) to g(x^p), so each further x^(p^k) is the one
+    before with x replaced by x^p: a combination of the powers (x^p)^i, i < m.
+    """
     m = len(modulus) - 1
     x = _poly_rem([0, 1], modulus, p)
-    if _poly_pow_mod(x, p**m, modulus, p) != x:
+    h = _poly_pow_mod(x, p, modulus, p)
+    columns = [[1]]  # (x^p)^i mod f: the columns of the p-power map
+    for _ in range(m - 1):
+        columns.append(_poly_rem(_poly_mul(columns[-1], h, p), modulus, p))
+    powers = [x, h]  # powers[k] = x^(p^k) mod f
+    for _ in range(m - 1):
+        image = [0] * m
+        for c, column in zip(powers[-1], columns):
+            if c:
+                for j, u in enumerate(column):
+                    image[j] += c * u
+        powers.append(_poly_trim([c % p for c in image]))
+    if powers[m] != x:
         return False
     for r in range(2, m + 1):
         if m % r == 0 and isprime(r):
-            h = _poly_pow_mod(x, p ** (m // r), modulus, p)
+            h = powers[m // r]
             h_minus_x = [u - v for u, v in itertools.zip_longest(h, x, fillvalue=0)]
             if len(_poly_gcdex(h_minus_x, modulus, p)[0]) != 1:
                 return False

@@ -381,7 +381,10 @@ def test_link_standard_offers_only_the_constructible_kinds(tmp_path: Path) -> No
     for kind in ("Induced", "Composite"):
         proc = _run_cli("link", "--standard", kind, "--datum", str(datum), "--tau", "3")
         _assert_one_line_error(proc, 2)
-        assert "invalid choice" in proc.stderr
+        assert proc.stderr == (
+            f"usage error: gostrata link: argument --standard: invalid choice: '{kind}' "
+            "(choose from 'PartialFrobenius', 'DeltaTau0', 'EtaTauMinusPlus', 'TrivialHecke')\n"
+        )
 
 
 def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:
@@ -437,6 +440,53 @@ def test_dieudonne_rejects_negative_trials() -> None:
     )
     _assert_one_line_error(proc, 2)
     assert "--trials" in proc.stderr
+
+
+def test_every_verb_answers_help() -> None:
+    for verb in ("strata", "strata-table", "link", "ample", "picard", "dieudonne", "selftest"):
+        proc = _run_cli(verb, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"usage: gostrata {verb} "), verb
+
+
+# Runs one verb in a fresh interpreter, then prints its exit code and every
+# gostrata module it left loaded.
+_LOADED_MODULES = """\
+import contextlib, io, sys
+from gostrata import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("gostrata")))
+"""
+
+
+def test_each_verb_loads_only_the_library_modules_it_runs(tmp_path: Path) -> None:
+    datum = str(_write_datum(tmp_path, 4, True, [1]))
+    link = tmp_path / "link.json"
+    link.write_text(json.dumps(PAPER_LINK), encoding="utf-8")
+    cases = [
+        (["strata", "--datum", datum, "--T", "2"], {"strata"}),
+        (["strata-table", "--datum", datum, "--format", "json"], {"strata", "picard"}),
+        (["link", "--validate", str(link)], {"links"}),
+        (["ample", "--datum", datum, "--p", "3", "--t", "1,1,1"], {"picard"}),
+        (["picard", "--datum", datum, "--p", "3", "--matrix"], {"picard"}),
+        (
+            ["dieudonne", "--classify", "--seed", "1", "--p", "3", "--f", "2"],
+            {"strata", "witt", "dieudonne"},
+        ),
+        (["selftest", "--quick"], {"strata", "links", "picard", "witt"}),
+    ]
+    for argv, modules in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, *argv],
+            text=True,
+            capture_output=True,
+            check=True,
+        )
+        expected = {"gostrata", "gostrata.cli", "gostrata.places"}
+        expected |= {f"gostrata.{name}" for name in modules}
+        code, *loaded = proc.stdout.split()
+        assert (code, set(loaded)) == ("0", expected), argv
 
 
 def test_cli_import_does_not_load_sympy() -> None:

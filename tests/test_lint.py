@@ -1,12 +1,14 @@
 """Static checks on the package source, made with the standard library's
 ``ast`` alone: every imported name is used in its module, every module-level
 private function and every private method of a class is referenced somewhere
-in ``src/``, and every named parameter is read in the body of its function.
+in ``src/``, every named parameter is read in the body of its function, and
+every exception class derives from ``GostrataError``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,37 @@ def test_every_named_parameter_is_read():
                 f"{name}:{node.lineno} {label}({arg.arg})" for arg in params if arg.arg not in read
             ]
     assert not unread, f"parameters that their function never reads: {unread}"
+
+
+def test_every_error_class_derives_from_gostrata_error():
+    """The CLI reports a ``GostrataError`` on one line with exit 1, so an error
+    class outside that hierarchy would escape as a traceback.  Only the CLI's
+    own ``UsageError`` (exit 2) stands apart."""
+    bases = {
+        node.name: [ast.unparse(base).split(".")[-1] for base in node.bases]
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def ancestors(name: str) -> set[str]:
+        seen, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), []):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    def builtin_exception(name: str) -> bool:
+        value = getattr(builtins, name, None)
+        return isinstance(value, type) and issubclass(value, BaseException)
+
+    errors = {name for name in bases if any(map(builtin_exception, ancestors(name)))}
+    assert {"PlaceError", "FullCycleError", "PrecisionError", "UsageError"} <= errors
+    outside = sorted(
+        name
+        for name in errors - {"GostrataError", "UsageError"}
+        if "GostrataError" not in ancestors(name)
+    )
+    assert not outside, f"error classes outside GostrataError: {outside}"

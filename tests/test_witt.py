@@ -13,6 +13,9 @@ from gostrata.witt import (
     PrecisionError,
     WittError,
     _is_irreducible,
+    _poly_gcdex,
+    _poly_pow_mod,
+    _poly_rem,
     elementary_divisors,
     frame_inverse,
     frobenius,
@@ -128,11 +131,41 @@ def test_pinned_moduli(p):
         assert witt_ring(p, m, 2).modulus == modulus
 
 
+def _rabin_by_squaring(modulus, p):
+    """Rabin's test with every x^(p^k) mod f found by repeated squaring: the
+    reference for the library's test, which squares only up to x^p."""
+    m = len(modulus) - 1
+    x = _poly_rem([0, 1], modulus, p)
+    if _poly_pow_mod(x, p**m, modulus, p) != x:
+        return False
+    for r in range(2, m + 1):
+        if m % r == 0 and isprime(r):
+            h = _poly_pow_mod(x, p ** (m // r), modulus, p)
+            h_minus_x = [u - v for u, v in itertools.zip_longest(h, x, fillvalue=0)]
+            if len(_poly_gcdex(h_minus_x, modulus, p)[0]) != 1:
+                return False
+    return True
+
+
+def test_rabin_test_agrees_with_the_squaring_reference():
+    rng = random.Random(15)
+    verdicts = set()
+    for p in (q for q in range(2, 54) if isprime(q)):
+        for m in range(1, 9):
+            for _ in range(8):
+                modulus = [rng.randrange(p) for _ in range(m)] + [1]
+                verdict = _is_irreducible(modulus, p)
+                assert verdict == _rabin_by_squaring(modulus, p), (p, modulus)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def _first_irreducible_by_enumeration(p, m):
-    """The first monic irreducible of degree m, every candidate tested in turn."""
+    """The first monic irreducible of degree m, every candidate tested in turn
+    by the squaring reference."""
     for k in itertools.count():
         digits = [k // p**i % p for i in range(m)]
-        if _is_irreducible(digits + [1], p):
+        if _rabin_by_squaring(digits + [1], p):
             return tuple(digits + [1])
 
 
