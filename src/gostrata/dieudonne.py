@@ -65,6 +65,7 @@ from .witt import (
     mat_mul,
     mat_sigma,
     mat_smul,
+    mat_times_sigma_basis,
     mat_transpose,
     mat_val,
     ring_from_json,
@@ -260,7 +261,7 @@ def essential_frobenius_image(
     ring = pt.ring
     lattice = standard_lattice(ring) if start is None else start
     mat, shift = essential_frobenius_matrix(pt, emb, n)
-    basis = mat_mul(ring, mat, mat_sigma(ring, lattice.basis, n))
+    basis = mat_times_sigma_basis(ring, mat, lattice, n)
     return lattice_normalize(ring, lattice.shift + shift, mat_columns(basis))
 
 
@@ -341,7 +342,9 @@ def _frame_point(
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
-        out = mat_mul(ring, mat_transpose(frame.basis), mat_mul(ring, pt.pairings[emb], conj.basis))
+        out = mat_mul(
+            ring, mat_transpose(frame.basis), mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0)
+        )
         pairings[emb] = _mat_shift(ring, out, frame.shift + conj.shift)
     return make_point(ring, datum, f_mats, pairings, expected)
 
@@ -368,7 +371,7 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
             if key not in framed:
                 f_mat = pt.f_mats[emb]
                 d, inv = frame_inverse(lattice)
-                product = mat_mul(ring, inv, mat_mul(ring, f_mat, mat_sigma(ring, prev.basis, 1)))
+                product = mat_mul(ring, inv, mat_times_sigma_basis(ring, f_mat, prev, 1))
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
                 v2 = d + ring.val(mat_det(ring, f_mat)) + prev.a + prev.b - v1

@@ -26,13 +26,20 @@ Every sum a slot ever holds is below 3 m p^(2N) < 2^k: ``mat_mul`` and
 adding at most m - 1 more terms below p^(2N).  So no slot carries into the
 next and every result is exact.  Packing reduces each coefficient mod p^N,
 so negated or otherwise unreduced operands are exact too.  There is one
-product path: every operand, constant or not, is packed the same way.
+product path: every operand, constant or not, is packed the same way.  Two
+exits skip work on constants, elements of W_N(F_p): a packed sum with
+nothing above slot 0 is read off as (slot 0 mod p^N, 0, ..., 0) without the
+fold, and ``frobenius`` returns a constant, reduced mod p^N, without the
+table pass, since sigma fixes W_N(F_p).
 
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
 so dataclass equality is lattice equality.  ``lattice_normalize`` builds one
-from generators; ``basis`` is derived.  Containment and ``lattice_in_frame``
-read adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
+from generators; ``basis`` is derived.  ``mat_times_sigma_basis`` multiplies
+a matrix by sigma^n of a basis from the coordinates: sigma^n fixes p^a and
+p^b, so only c moves, and the product is one sigma and two ring products.
+Containment and ``lattice_in_frame`` read
+adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
 coordinates, and the index valuation is 2 shift + a + b, capped at N.  Once
 a + b >= N (possible for N >= 10) det(basis) is zero mod p^N and inverting
 that frame raises.
@@ -94,6 +101,10 @@ def _poly_trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
+
+
+def _poly_minus(a: list, b: list) -> list:
+    return [u - v for u, v in itertools.zip_longest(a, b, fillvalue=0)]
 
 
 def _poly_mul(a: list, b: list, p: int) -> list:
@@ -162,10 +173,14 @@ def _is_irreducible(modulus, p: int) -> bool:
     Only x^p mod f is found by squaring.  The p-power map g -> g^p is F_p-linear
     on F_p[x]/f and sends g(x) to g(x^p), so each further x^(p^k) is the one
     before with x replaced by x^p: a combination of the powers (x^p)^i, i < m.
+    For m >= 2, an f with a root in F_p, gcd(x^p - x, f) != 1, is rejected
+    before that map is built.
     """
     m = len(modulus) - 1
     x = _poly_rem([0, 1], modulus, p)
     h = _poly_pow_mod(x, p, modulus, p)
+    if m > 1 and len(_poly_gcdex(_poly_minus(h, x), modulus, p)[0]) != 1:
+        return False  # f has a root in F_p
     columns = [[1]]  # (x^p)^i mod f: the columns of the p-power map
     for _ in range(m - 1):
         columns.append(_poly_rem(_poly_mul(columns[-1], h, p), modulus, p))
@@ -181,9 +196,7 @@ def _is_irreducible(modulus, p: int) -> bool:
         return False
     for r in range(2, m + 1):
         if m % r == 0 and isprime(r):
-            h = powers[m // r]
-            h_minus_x = [u - v for u, v in itertools.zip_longest(h, x, fillvalue=0)]
-            if len(_poly_gcdex(h_minus_x, modulus, p)[0]) != 1:
+            if len(_poly_gcdex(_poly_minus(powers[m // r], x), modulus, p)[0]) != 1:
                 return False
     return True
 
@@ -221,6 +234,7 @@ class WittRing:
     _mask: int = field(init=False, repr=False, compare=False)
     _shifts: tuple = field(init=False, repr=False, compare=False)
     _reduce: tuple = field(init=False, repr=False, compare=False)
+    _zeros: tuple = field(init=False, repr=False, compare=False)
     _sigma: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -241,6 +255,7 @@ class WittRing:
         # each packed row paired with the shift of the slot it folds
         packed = tuple((k * (m + t), self._pack(r)) for t, r in enumerate(rows))
         object.__setattr__(self, "_reduce", packed)
+        object.__setattr__(self, "_zeros", (0,) * (m - 1))
         object.__setattr__(self, "_sigma", {})
 
     def _pack(self, a) -> int:
@@ -252,8 +267,11 @@ class WittRing:
 
     def _unpack(self, packed: int) -> WElem:
         """The element of a packed sum of products: slots m to 2m - 2 folded
-        back through the reduction rows, then m slots read off mod p^N."""
+        back through the reduction rows, then m slots read off mod p^N.  A sum
+        with nothing above slot 0 is a constant and skips both passes."""
         pn, mask = self.pn, self._mask
+        if packed <= mask:
+            return (packed % pn,) + self._zeros
         for s, row in self._reduce:
             packed += (packed >> s & mask) % pn * row
         return tuple([(packed >> s & mask) % pn for s in self._shifts])
@@ -281,7 +299,7 @@ class WittRing:
         return self.from_int(1)
 
     def from_int(self, k: int) -> WElem:
-        return (k % self.pn,) + (0,) * (self.m - 1)
+        return (k % self.pn,) + self._zeros
 
     def gen(self) -> WElem:
         """The image of x (zero when m = 1)."""
@@ -393,10 +411,13 @@ def witt_ring(p: int, m: int, N: int) -> WittRing:
 
 
 def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
-    """k-fold application of the Frobenius lift x -> frob_image."""
+    """k-fold application of the Frobenius lift x -> frob_image, which fixes
+    every constant."""
     k %= ring.m
     if not k:
         return a
+    if not any(a[1:]):
+        return ring.from_int(a[0])
     pn = ring.pn
     return ring._unpack(sum([c % pn * row for c, row in zip(a, ring._sigma_table(k))]))
 
@@ -577,6 +598,15 @@ def _frame_det_val(l: Lattice2) -> int:
 def frame_inverse(l: Lattice2) -> tuple[int, Mat2]:
     """(d, p^d * basis^-1) with d = a + b: the adjugate of the basis."""
     return _frame_det_val(l), mat_adjugate(l.ring, l.basis)
+
+
+def mat_times_sigma_basis(ring: WittRing, mat: Mat2, l: Lattice2, n: int) -> Mat2:
+    """mat * sigma^n(basis(l)).  sigma^n fixes p^a and p^b, so the product is
+    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products."""
+    pa, pb, c = ring.p**l.a, ring.p**l.b, frobenius(ring, l.c, n)
+    return tuple(
+        (ring.add(ring.smul(pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat
+    )
 
 
 def _adjugate_product(outer: Lattice2, inner: Lattice2) -> tuple[int, int, WElem, int]:

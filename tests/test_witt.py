@@ -32,6 +32,8 @@ from gostrata.witt import (
     mat_det,
     mat_identity,
     mat_mul,
+    mat_sigma,
+    mat_times_sigma_basis,
     mat_val,
     ring_from_json,
     ring_to_json,
@@ -260,11 +262,31 @@ def _naive_sigma(ring, a):
     return acc
 
 
-@pytest.mark.parametrize(
-    "p, m, N",
-    [(2, 1, 4), (3, 1, 8), (2, 2, 8), (2, 3, 16), (2, 8, 16), (3, 4, 8),
-     (3, 5, 16), (5, 3, 8), (7, 2, 16), (5, 6, 5)],
-)
+def _naive_sub(ring, a, b):
+    return tuple((u - v) % ring.pn for u, v in zip(a, b))
+
+
+def _naive_mat_mul(ring, x, y):
+    return tuple(
+        tuple(
+            ring.add(_naive_mul(ring, row[0], y[0][j]), _naive_mul(ring, row[1], y[1][j]))
+            for j in range(2)
+        )
+        for row in x
+    )
+
+
+def _naive_det(ring, x):
+    return _naive_sub(ring, _naive_mul(ring, x[0][0], x[1][1]), _naive_mul(ring, x[0][1], x[1][0]))
+
+
+KERNEL_CASES = [
+    (2, 1, 4), (3, 1, 8), (2, 2, 8), (2, 3, 16), (2, 8, 16), (3, 4, 8),
+    (3, 5, 16), (5, 3, 8), (7, 2, 16), (5, 6, 5),
+]
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
 def test_kernel_matches_naive_reference(p, m, N):
     ring = witt_ring(p, m, N)
     rng = random.Random(1000 * p + 10 * m + N)
@@ -283,15 +305,7 @@ def test_kernel_matches_naive_reference(p, m, N):
             ring.inv(nonunit)
 
 
-def _naive_sub(ring, a, b):
-    return tuple((u - v) % ring.pn for u, v in zip(a, b))
-
-
-@pytest.mark.parametrize(
-    "p, m, N",
-    [(2, 1, 4), (3, 1, 8), (2, 2, 8), (2, 3, 16), (2, 8, 16), (3, 4, 8),
-     (3, 5, 16), (5, 3, 8), (7, 2, 16), (5, 6, 5)],
-)
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
 def test_constant_operands_match_naive_reference(p, m, N):
     ring = witt_ring(p, m, N)
     rng = random.Random(7000 * p + 10 * m + N)
@@ -306,19 +320,8 @@ def test_constant_operands_match_naive_reference(p, m, N):
         kinds = [ring.zero(), const(), _rand_elem(rng, ring)]
         x = [[rng.choice(kinds) for _ in range(2)] for _ in range(2)]
         y = [[rng.choice(kinds) for _ in range(2)] for _ in range(2)]
-        expected = tuple(
-            tuple(
-                ring.add(
-                    _naive_mul(ring, row[0], y[0][j]), _naive_mul(ring, row[1], y[1][j])
-                )
-                for j in range(2)
-            )
-            for row in x
-        )
-        assert mat_mul(ring, mat2(ring, x), mat2(ring, y)) == expected
-        assert mat_det(ring, mat2(ring, x)) == _naive_sub(
-            ring, _naive_mul(ring, x[0][0], x[1][1]), _naive_mul(ring, x[0][1], x[1][0])
-        )
+        assert mat_mul(ring, mat2(ring, x), mat2(ring, y)) == _naive_mat_mul(ring, x, y)
+        assert mat_det(ring, mat2(ring, x)) == _naive_det(ring, x)
     # a cross term far larger than the diagonal term before reduction
     top = ring.from_int(ring.pn - 1)
     big = tuple([ring.pn - 1] * m)
@@ -332,6 +335,94 @@ def test_constant_operands_match_naive_reference(p, m, N):
     for bad in (ring.zero(), ring.from_int(p), ring.from_int(p**(N - 1))):
         with pytest.raises(WittError, match="not a unit"):
             ring.inv(bad)
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES + [(999983, 1, 8), (999983, 2, 8)])
+def test_products_landing_in_slot_zero_match_naive_reference(p, m, N):
+    """mul, mat_mul and mat_det whose packed sums hold nothing above slot 0
+    (constants up to p^N - 1, the slot-width edge, and zero), and general
+    operands whose products happen to be constants."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(9000 * m + N + p)
+    top = ring.from_int(ring.pn - 1)
+    consts = [ring.zero(), ring.one(), top, ring.from_int(rng.randrange(ring.pn))]
+    for x in consts:
+        for y in consts:
+            assert ring.mul(x, y) == _naive_mul(ring, x, y)
+    edge = mat2(ring, [[top, top], [top, top]])
+    assert mat_mul(ring, edge, edge) == _naive_mat_mul(ring, edge, edge)
+    assert mat_det(ring, edge) == ring.zero()
+    skew = mat2(ring, [[top, 0], [top, top]])
+    assert mat_det(ring, skew) == _naive_det(ring, skew) == ring.one()
+    for _ in range(10):
+        x = [[rng.choice(consts) for _ in range(2)] for _ in range(2)]
+        y = [[rng.choice(consts) for _ in range(2)] for _ in range(2)]
+        assert mat_mul(ring, mat2(ring, x), mat2(ring, y)) == _naive_mat_mul(ring, x, y)
+        assert mat_det(ring, mat2(ring, x)) == _naive_det(ring, x)
+        # general operands: a unit a and a^-1 u multiply to the constant u
+        a, b, u = _rand_elem(rng, ring), _rand_elem(rng, ring), rng.choice(consts)
+        if ring.val(a):
+            continue
+        a_inv_u = ring.mul(ring.inv(a), u)
+        assert ring.mul(a, a_inv_u) == _naive_mul(ring, a, a_inv_u) == u
+        x = mat2(ring, [[a, b], [ring.zero(), ring.inv(a)]])
+        y = mat2(ring, [[a_inv_u, ring.zero()], [ring.zero(), ring.mul(a, top)]])
+        assert mat_mul(ring, x, y) == _naive_mat_mul(ring, x, y)
+        assert mat_mul(ring, x, y)[1] == (ring.zero(), top)
+        assert mat_det(ring, x) == _naive_det(ring, x) == ring.one()
+        assert mat_mul(ring, x, mat2(ring, [[0, 0], [0, 0]])) == mat2(ring, [[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES + [(999983, 1, 8), (999983, 2, 8)])
+def test_frobenius_fixes_constants(p, m, N):
+    """sigma^k of a constant, given zero, negative or at least p^N, is that
+    constant reduced mod p^N; for k = 0 mod m sigma^k returns its argument."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(11000 * m + N + p)
+    pn = ring.pn
+    raw = [0, -1, -pn, -rng.randrange(1, 5 * pn), pn - 1, pn, rng.randrange(pn, 5 * pn)]
+    for c in raw:
+        a = (c,) + (0,) * (m - 1)
+        reduced = ring.from_int(c)
+        assert _naive_sigma(ring, reduced) == reduced
+        for k in range(-m - 1, 2 * m + 2):
+            assert frobenius(ring, a, k) == (a if k % m == 0 else reduced)
+        mat = mat2(ring, [[a, ring.zero()], [reduced, a]])
+        assert mat_sigma(ring, mat, 1) == (mat if m == 1 else mat2(ring, [[c, 0], [c, c]]))
+
+
+def _hermite_lattice(ring, shift, a, b, c):
+    """The lattice p^shift H(a, b, c), with the coordinates asked for when c is
+    a unit."""
+    l = _span(ring, shift, mat2(ring, [[ring.p**a, 0], [c, ring.p**b]]))
+    assert (l.shift, l.a, l.b) == (shift, a, b)
+    return l
+
+
+@pytest.mark.parametrize("p, m, N", [(2, 1, 8), (2, 2, 8), (3, 4, 8), (5, 3, 12), (7, 2, 16)])
+def test_hermite_product_matches_mat_mul(p, m, N):
+    """mat * sigma^n(basis) in closed form against mat_mul with mat_sigma, on
+    random lattices, b = 0 and a + b near or past N, for general and constant
+    matrices."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(13000 * m + N + p)
+    top = ring.budget - 1
+    lattices = [_rand_lattice(rng, ring) for _ in range(8)]
+    for a, b in [(0, 0), (top, 0), (0, top), (top - 1, top), (top, top)]:
+        c = ring.add(ring.one(), ring.smul(p, _rand_elem(rng, ring)))  # a unit
+        lattices.append(_hermite_lattice(ring, rng.randrange(-1, 2), a, b, c))
+    assert m == 1 or any(any(l.c[1:]) for l in lattices)
+    assert max(l.a + l.b for l in lattices) >= N - 2
+    general = [
+        mat2(ring, [[_rand_elem(rng, ring) for _ in range(2)] for _ in range(2)])
+        for _ in range(3)
+    ]
+    constant = [mat2(ring, [[rng.randrange(-ring.pn, ring.pn) for _ in range(2)] for _ in range(2)])]
+    for l in lattices:
+        for mat in general + constant + [mat_identity(ring)]:
+            for n in sorted({0, 1, m - 1, m, m + 1}):
+                expected = mat_mul(ring, mat, mat_sigma(ring, l.basis, n))
+                assert mat_times_sigma_basis(ring, mat, l, n) == expected, (l, n)
 
 
 @pytest.mark.parametrize(
