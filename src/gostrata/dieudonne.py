@@ -51,8 +51,9 @@ from .witt import (
     Mat2,
     PrecisionError,
     WittRing,
+    basis_transpose_times,
     elementary_divisors,
-    frame_inverse,
+    frame_times,
     lattice_colength,
     lattice_dual,
     lattice_in_frame,
@@ -100,7 +101,9 @@ def _one_prime(datum: ShimuraDatum) -> tuple[PrimeSlot, int]:
 
 def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
     """Multiply by p^k; for negative k the division must be exact."""
-    if k >= 0:
+    if k == 0:
+        return mat
+    if k > 0:
         return mat_smul(ring, ring.p**k, mat)
     return tuple(tuple(ring.div_p(e, -k) for e in row) for row in mat)
 
@@ -111,12 +114,17 @@ def _p_times_inverse(ring: WittRing, mat: Mat2) -> Mat2:
     return _mat_shift(ring, inv, 1 - d)
 
 
-def _close(ring: WittRing, a: Mat2, b: Mat2) -> bool:
-    """Equality up to the trusted precision budget."""
+def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
+    """a = sign * b up to the trusted precision budget: p^budget divides each
+    coefficient of x - sign * y, which is val(x - sign * y) >= budget."""
+    if ring.budget <= 0:
+        return True
+    q = ring.p**ring.budget
     return all(
-        ring.val(ring.sub(x, y)) >= ring.budget
+        (u - sign * v) % q == 0
         for ra, rb in zip(a, b)
         for x, y in zip(ra, rb)
+        for u, v in zip(x, y)
     )
 
 
@@ -172,8 +180,7 @@ def make_point(
     for emb in embs:
         if ring.val(mat_det(ring, pairings[emb])) != pairing_val:
             raise DieudonneError(f"pairing at {emb} has the wrong determinant valuation")
-        anti = mat_smul(ring, -1, mat_transpose(pairings[emb]))
-        if not _close(ring, pairings[conjugate(system, emb)], anti):
+        if not _close(ring, pairings[conjugate(system, emb)], mat_transpose(pairings[emb]), -1):
             raise DieudonneError(f"pairing at {emb} is not conjugate-antisymmetric")
 
     for emb in embs:
@@ -342,9 +349,7 @@ def _frame_point(
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
-        out = mat_mul(
-            ring, mat_transpose(frame.basis), mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0)
-        )
+        out = basis_transpose_times(frame, mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0))
         pairings[emb] = _mat_shift(ring, out, frame.shift + conj.shift)
     return make_point(ring, datum, f_mats, pairings, expected)
 
@@ -357,8 +362,11 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
     P = p^d B^-1 F sigma(B'), d = a + b and k = s' - s - d.  F-stable means M
     integral and V-stable p M^-1 integral: P's elementary divisors v1 <= v2
     have v1 + k >= 0 and v2 + k <= 1.  v1 + v2 = d + val det F + a' + b' is
-    exact (``make_point`` bounds val det F by 2), v1 only below N: a v1 capped
-    at N decides the triple only when N + k >= 2, as not V-stable.
+    exact, v1 only below N: a v1 capped at N decides the triple only when
+    N + k >= 2, as not V-stable.  val det F is read off the point, not
+    recomputed: ``make_point`` sets the signature behind ``emb`` to the number
+    of zero divisors of F there, which it bounds by (0, 1), so val det F is
+    2 minus that signature.
     ``framed`` keeps the matrix of each (emb, lattice, lattice behind) triple
     that passed, so a caller that checks several families with one dict frames
     a triple once and a failure keeps the label of the first family."""
@@ -366,15 +374,15 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
     for label, lattices in families:
         f_mats = {}
         for emb, lattice in lattices.items():
-            prev = lattices[frobenius_shift(system, emb, -1)]
+            behind = frobenius_shift(system, emb, -1)
+            prev = lattices[behind]
             key = (emb, lattice, prev)
             if key not in framed:
-                f_mat = pt.f_mats[emb]
-                d, inv = frame_inverse(lattice)
-                product = mat_mul(ring, inv, mat_times_sigma_basis(ring, f_mat, prev, 1))
+                image = mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1)
+                d, product = frame_times(lattice, image)
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
-                v2 = d + ring.val(mat_det(ring, f_mat)) + prev.a + prev.b - v1
+                v2 = d + 2 - pt.signature[behind] + prev.a + prev.b - v1
                 if v1 >= ring.N and v1 + k <= 1:
                     raise PrecisionError(
                         f"precision N = {ring.N} cannot decide whether {label} is stable at {emb}"

@@ -35,14 +35,21 @@ table pass, since sigma fixes W_N(F_p).
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
 so dataclass equality is lattice equality.  ``lattice_normalize`` builds one
-from generators; ``basis`` is derived.  ``mat_times_sigma_basis`` multiplies
-a matrix by sigma^n of a basis from the coordinates: sigma^n fixes p^a and
-p^b, so only c moves, and the product is one sigma and two ring products.
+from generators; ``basis`` is derived, and no product by a basis goes
+through ``mat_mul``.  From the coordinates, each in two ring products:
+``mat_times_sigma_basis`` is a matrix times sigma^n(basis), since sigma^n
+fixes p^a and p^b and only c moves (one sigma more); ``frame_times`` is
+p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]] times a matrix; and
+``basis_transpose_times`` is basis^T times a matrix.  In these helpers and
+``lattice_sum`` a product by p^0 is the entry itself, exact for the reduced
+entries every ring op returns; only the column ``mat_times_sigma_basis``
+scales by p^b is always reduced, since its matrix may be a point's as given.
 Containment and ``lattice_in_frame`` read
 adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
 coordinates, and the index valuation is 2 shift + a + b, capped at N.  Once
-a + b >= N (possible for N >= 10) det(basis) is zero mod p^N and inverting
-that frame raises.
+a + b >= N (possible for N >= 10) det(basis) is zero mod p^N, and
+``frame_times``, ``lattice_contains`` and ``lattice_in_frame`` raise
+``PrecisionError`` on that frame.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -453,6 +460,12 @@ def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
     return tuple(tuple(ring.smul(k, e) for e in row) for row in a)
 
 
+def _scaled(ring: WittRing, k: int, a: WElem) -> WElem:
+    """k * a, and a itself when k = 1: for an a reduced mod p^N, as every
+    ring op returns it, or one that a reducing op consumes next."""
+    return a if k == 1 else ring.smul(k, a)
+
+
 def mat_elem_mul(ring: WittRing, e: WElem, a: Mat2) -> Mat2:
     return tuple(tuple(ring.mul(e, entry) for entry in row) for row in a)
 
@@ -578,7 +591,7 @@ def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
     cols = []
     for l in (a, b):
         scale = ring.p ** (l.shift - shift)
-        cols += [tuple(ring.smul(scale, e) for e in col) for col in mat_columns(l.basis)]
+        cols += [tuple(_scaled(ring, scale, e) for e in col) for col in mat_columns(l.basis)]
     return lattice_normalize(ring, shift, cols)
 
 
@@ -595,17 +608,37 @@ def _frame_det_val(l: Lattice2) -> int:
     return l.a + l.b
 
 
-def frame_inverse(l: Lattice2) -> tuple[int, Mat2]:
-    """(d, p^d * basis^-1) with d = a + b: the adjugate of the basis."""
-    return _frame_det_val(l), mat_adjugate(l.ring, l.basis)
+def frame_times(l: Lattice2, mat: Mat2) -> tuple[int, Mat2]:
+    """(d, p^d * basis^-1 * mat) with d = a + b.  p^d basis^-1 is the adjugate
+    [[p^b, 0], [-c, p^a]], so the product is [p^b X[0], p^a X[1] - c X[0]]
+    for the rows X of mat: two products.  Reduced when mat is."""
+    ring, (top, bottom) = l.ring, mat
+    d, pa, pb = _frame_det_val(l), ring.p**l.a, ring.p**l.b
+    return d, (
+        tuple([_scaled(ring, pb, x) for x in top]),
+        tuple([ring.sub(_scaled(ring, pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]),
+    )
+
+
+def basis_transpose_times(l: Lattice2, mat: Mat2) -> Mat2:
+    """basis(l)^T * mat = [p^a X[0] + c X[1], p^b X[1]] for the rows X of mat:
+    two products.  Reduced when mat is."""
+    ring, (top, bottom) = l.ring, mat
+    pa, pb = ring.p**l.a, ring.p**l.b
+    return (
+        tuple([ring.add(_scaled(ring, pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]),
+        tuple([_scaled(ring, pb, y) for y in bottom]),
+    )
 
 
 def mat_times_sigma_basis(ring: WittRing, mat: Mat2, l: Lattice2, n: int) -> Mat2:
     """mat * sigma^n(basis(l)).  sigma^n fixes p^a and p^b, so the product is
-    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products."""
+    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products.
+    Always reduced: mat may be a point's matrix as given, so p^b M[:,1] is
+    reduced even when b = 0."""
     pa, pb, c = ring.p**l.a, ring.p**l.b, frobenius(ring, l.c, n)
     return tuple(
-        (ring.add(ring.smul(pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat
+        (ring.add(_scaled(ring, pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat
     )
 
 
@@ -641,8 +674,7 @@ def lattice_dual(l: Lattice2, pairing: Mat2) -> Lattice2:
     """{v : <v, l> integral} under <v, w> = v^T * pairing * w.  A pairing whose
     determinant on ``l`` is zero mod p^N raises ``PrecisionError``."""
     ring = l.ring
-    mat = mat_mul(ring, mat_transpose(l.basis), mat_transpose(pairing))
-    d, basis = scaled_inverse(ring, mat)
+    d, basis = scaled_inverse(ring, basis_transpose_times(l, mat_transpose(pairing)))
     return lattice_normalize(ring, -l.shift - d, mat_columns(basis))
 
 

@@ -62,6 +62,7 @@ from gostrata.witt import (
     lattice_scale,
     mat2,
     mat_columns,
+    mat_det,
     mat_identity,
     mat_mul,
     mat_sigma,
@@ -717,11 +718,11 @@ def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     m, l, f_mats = reconstruct_lattices(*_lines(triple, datum))
     frames = []
 
-    def counted(lattice, _inner=dieudonne.frame_inverse):
+    def counted(lattice, mat, _inner=dieudonne.frame_times):
         frames.append(lattice)
-        return _inner(lattice)
+        return _inner(lattice, mat)
 
-    monkeypatch.setattr(dieudonne, "frame_inverse", counted)
+    monkeypatch.setattr(dieudonne, "frame_times", counted)
     back = verify_roundtrip(pt, t)
     # forward: the c- and b-families; back: the rebuilt c- and a-families, whose
     # framed F-matrices are the rebuilt point's F
@@ -1053,3 +1054,135 @@ def test_random_points_always_validate(seed):
         assert hasse_vanishes(pt, emb) == hasse_vanishes(
             pt, conjugate(datum.places, emb)
         )
+
+
+def _assert_det_val_is_read_off_the_signature(pt):
+    """val det F_e = 2 - signature at sigma^-1 e, the value ``_framed_f_mats``
+    reads in place of the determinant."""
+    ring, system = pt.ring, pt.datum.places
+    for emb in pt.embeddings():
+        behind = frobenius_shift(system, emb, -1)
+        assert ring.val(mat_det(ring, pt.f_mats[emb])) == 2 - pt.signature[behind], emb
+
+
+@pytest.mark.parametrize(
+    "f, split, vanish", [(2, True, {0}), (3, True, {0, 1}), (3, False, {1}), (4, True, {1, 2})]
+)
+def test_template_and_b_points_read_det_val_off_the_signature(f, split, vanish):
+    datum = _datum(f, split)
+    _, pt = _template_point(datum, vanish)
+    _assert_det_val_is_read_off_the_signature(pt)
+    stratum = sorted(stratum_of_point(pt))
+    assert stratum
+    for size in range(len(stratum) + 1):
+        for t in itertools.combinations(stratum, size):
+            b_point = build_isogeny_triple(pt, frozenset(t)).b_point
+            assert b_point.signature != pt.signature or not t
+            _assert_det_val_is_read_off_the_signature(b_point)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize(
+    "p, f, split, s_indices",
+    [(3, 2, True, ()), (2, 3, True, (0,)), (3, 2, False, ()), (2, 3, False, (1,)),
+     (5, 4, True, (0, 2))],
+)
+def test_random_points_read_det_val_off_the_signature(p, f, split, s_indices, N):
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, p, N)
+    rng = random.Random(100 * p + 10 * f + N)
+    zeros = set()
+    for _ in range(3):
+        pt = random_point(rng, ring, datum)
+        _assert_det_val_is_read_off_the_signature(pt)
+        _assert_det_val_is_read_off_the_signature(build_isogeny_triple(pt, frozenset()).b_point)
+        zeros |= {value for value in pt.signature.values() if value != 1}
+    assert zeros == ({0, 2} if s_indices else set())
+
+
+def test_framing_a_lattice_past_n_is_a_precision_error():
+    """A frame with a + b >= N has det(basis) = 0 mod p^N: the framing path
+    raises rather than divide by it."""
+    datum = _datum(2, True)
+    _, pt = _antidiag_point(datum, N=16)
+    ring = pt.ring
+    wide = lattice_normalize(ring, 0, mat_columns(mat2(ring, [[3**7, 0], [1, 3**10]])))
+    assert (wide.a, wide.b) == (7, 10)
+    embs = pt.embeddings()
+    family = {emb: standard_lattice(ring) for emb in embs}
+    family[embs[0]] = wide  # framed first, before any triple behind it
+    with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+        _framed_f_mats(pt, [("the wide family", family)], {})
+
+
+def _old_close(ring, a, b, sign):
+    """The valuation rule ``_close`` replaces: val(x - sign y) >= budget, with
+    sign y built as a reduced matrix."""
+    other = b if sign == 1 else mat_smul(ring, -1, b)
+    return all(
+        ring.val(ring.sub(x, y)) >= ring.budget for ra, rb in zip(a, other) for x, y in zip(ra, rb)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, m, N", [(2, 1, 4), (3, 2, 5), (2, 2, 8), (3, 4, 8), (5, 3, 12), (7, 2, 16)]
+)
+def test_close_matches_the_valuation_rule(p, m, N):
+    """_close against the valuation rule on seeded pairs b = sign (a + delta),
+    with delta a multiple of p^budget, exactly p^budget or p^(budget - 1) at one
+    coefficient, or random; both sides carry negative or unreduced coefficients."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(29000 * m + 10 * N + p)
+    budget, pn = ring.budget, ring.pn
+    steps = [0, pn, p**budget, -(p**budget), 3 * p**budget] if budget >= 0 else [0, pn]
+    if budget >= 1:
+        steps += [p ** (budget - 1), -(p ** (budget - 1))]
+    outcomes = {True: 0, False: 0}
+    for trial in range(240):
+        sign = rng.choice((1, -1))
+        step = rng.choice(steps + [None])
+        a = [[[rng.randrange(pn) for _ in range(m)] for _ in range(2)] for _ in range(2)]
+        delta = [[[0] * m for _ in range(2)] for _ in range(2)]
+        i, j, k = rng.randrange(2), rng.randrange(2), rng.randrange(m)
+        delta[i][j][k] = rng.randrange(-pn, pn) if step is None else step
+        if budget >= 0 and rng.randrange(2):  # more of delta, all of it within the budget
+            delta[1 - i][j][k] = rng.randrange(-3, 4) * p**budget
+        b = [
+            [[sign * (u + d) + rng.randrange(-2, 3) * pn for u, d in zip(x, dx)]
+             for x, dx in zip(ra, rd)]
+            for ra, rd in zip(a, delta)
+        ]
+        a = [[[u - rng.randrange(2) * pn for u in x] for x in row] for row in a]
+        as_mat = lambda rows: tuple(tuple(tuple(e) for e in row) for row in rows)  # noqa: E731
+        got = dieudonne._close(ring, as_mat(a), as_mat(b), sign)
+        assert got == _old_close(ring, as_mat(a), as_mat(b), sign)
+        if budget > 0:
+            assert got == all(d % p**budget == 0 for row in delta for x in row for d in x)
+        else:
+            assert got
+        outcomes[got] += 1
+    assert outcomes[True] and (outcomes[False] or budget <= 0)
+
+
+def test_unreduced_point_entries_frame_like_reduced_ones():
+    """A point whose matrices carry coefficients outside [0, p^N) frames to the
+    same target and source points as the reduced one: the p^0 exits of the
+    frame layer never pass such a coefficient on."""
+    datum = _datum(3, True)
+    ring, pt = _template_point(datum, {0, 1})
+    pn = ring.pn
+
+    def unreduced(mat, k):
+        return tuple(tuple(tuple(c + k * pn for c in e) for e in row) for row in mat)
+
+    f_mats = {emb: unreduced(mat, 1 + i % 2) for i, (emb, mat) in enumerate(pt.f_mats.items())}
+    pairings = {emb: unreduced(mat, -1) for emb, mat in pt.pairings.items()}
+    raw = make_point(ring, datum, f_mats, pairings, pt.signature)
+    assert raw != pt and stratum_of_point(raw) == stratum_of_point(pt)
+    stratum = sorted(stratum_of_point(pt))
+    assert stratum
+    for size in range(len(stratum) + 1):
+        for t in map(frozenset, itertools.combinations(stratum, size)):
+            b_point = build_isogeny_triple(pt, t).b_point
+            assert build_isogeny_triple(raw, t).b_point == b_point
+            assert point_to_json(verify_roundtrip(raw, t)) == point_to_json(verify_roundtrip(pt, t))

@@ -11,13 +11,15 @@ from gostrata.witt import (
     NOT_SPLIT,
     DieudonneError,
     PrecisionError,
+    Lattice2,
     WittError,
     _is_irreducible,
     _poly_gcdex,
     _poly_pow_mod,
     _poly_rem,
     elementary_divisors,
-    frame_inverse,
+    basis_transpose_times,
+    frame_times,
     frobenius,
     isprime,
     lattice_colength,
@@ -28,12 +30,14 @@ from gostrata.witt import (
     lattice_scale,
     lattice_sum,
     mat2,
+    mat_adjugate,
     mat_columns,
     mat_det,
     mat_identity,
     mat_mul,
     mat_sigma,
     mat_times_sigma_basis,
+    mat_transpose,
     mat_val,
     ring_from_json,
     ring_to_json,
@@ -425,6 +429,101 @@ def test_hermite_product_matches_mat_mul(p, m, N):
                 assert mat_times_sigma_basis(ring, mat, l, n) == expected, (l, n)
 
 
+def _frame_cases(rng, ring):
+    """Hermite coordinates (a, b, c) with a = 0, b = 0, a + b = N - 1 and
+    a + b >= N, each c reduced mod p^b; built directly, since a + b >= N - 1
+    lies past what ``lattice_normalize`` accepts at most of these N."""
+    N = ring.N
+    pairs = [(0, 0), (0, 1), (1, 0), (0, N - 1), (N - 1, 0), (N // 2, N - 1 - N // 2),
+             (N - 2, 1), (N // 2, N - N // 2), (N, 0), (1, N)]
+    for a, b in pairs:
+        q = ring.p**b
+        for c in (ring.zero(), tuple(x % q for x in _rand_elem(rng, ring))):
+            yield Lattice2(ring, rng.randrange(-1, 2), a, b, c)
+
+
+def _frame_operands(rng, ring):
+    """General, constant and identity 2x2 matrices."""
+    return [
+        mat2(ring, [[_rand_elem(rng, ring) for _ in range(2)] for _ in range(2)]),
+        mat2(ring, [[_rand_elem(rng, ring) for _ in range(2)] for _ in range(2)]),
+        mat2(ring, [[rng.randrange(ring.pn) for _ in range(2)] for _ in range(2)]),
+        mat_identity(ring),
+    ]
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
+def test_frame_times_matches_adjugate_product(p, m, N):
+    """(d, p^d basis^-1 X) from the coordinates against mat_mul(adj(basis), X),
+    and a PrecisionError once a + b >= N, where det(basis) is 0 mod p^N."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(17000 * m + 10 * N + p)
+    raised = 0
+    for l in _frame_cases(rng, ring):
+        for mat in _frame_operands(rng, ring):
+            if l.a + l.b >= N:
+                with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+                    frame_times(l, mat)
+                raised += 1
+                continue
+            expected = mat_mul(ring, mat_adjugate(ring, l.basis), mat)
+            assert frame_times(l, mat) == (l.a + l.b, expected), (l, mat)
+    assert raised == 3 * 2 * 4  # three (a, b) past N, two c, four operands
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
+def test_basis_transpose_product_matches_mat_mul(p, m, N):
+    """basis^T X from the coordinates against mat_mul(basis^T, X), at every
+    a + b: the product needs no inverse."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(19000 * m + 10 * N + p)
+    for l in _frame_cases(rng, ring):
+        for mat in _frame_operands(rng, ring):
+            expected = mat_mul(ring, mat_transpose(l.basis), mat)
+            assert basis_transpose_times(l, mat) == expected, (l, mat)
+
+
+def _assert_reduced(ring, e):
+    assert isinstance(e, tuple) and len(e) == ring.m, e
+    assert all(isinstance(c, int) and 0 <= c < ring.pn for c in e), e
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
+def test_ring_ops_return_reduced_elements(p, m, N):
+    """Every ring op returns m coefficients in [0, p^N) on reduced operands,
+    as the p^0 exits of the lattice helpers and ``_mat_shift(., 0)`` assume;
+    ``frobenius(a, 0)`` returns a itself."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(23000 * m + 10 * N + p)
+    top = tuple([ring.pn - 1] * m)
+    elems = [ring.zero(), ring.one(), top, ring.from_int(ring.pn - 1), ring.gen()] + [
+        _rand_elem(rng, ring) for _ in range(6)
+    ]
+    for k in (0, 1, -1, 2, p, -p, ring.pn, 3 * ring.pn + 1, -5 * ring.pn - 2):
+        _assert_reduced(ring, ring.from_int(k))
+        for a in elems:
+            _assert_reduced(ring, ring.smul(k, a))
+    for a in elems:
+        _assert_reduced(ring, ring.neg(a))
+        for k in range(-1, m + 2):
+            _assert_reduced(ring, frobenius(ring, a, k))
+        if a[0] % p:
+            _assert_reduced(ring, ring.inv(a))
+        for k in range(ring.val(a) + 1):
+            _assert_reduced(ring, ring.div_p(a, k))
+        for b in elems:
+            for op in (ring.mul, ring.add, ring.sub):
+                _assert_reduced(ring, op(a, b))
+    for _ in range(8):
+        x, y = (
+            mat2(ring, [[rng.choice(elems) for _ in range(2)] for _ in range(2)]) for _ in range(2)
+        )
+        _assert_reduced(ring, mat_det(ring, x))
+        for row in mat_mul(ring, x, y):
+            for e in row:
+                _assert_reduced(ring, e)
+
+
 @pytest.mark.parametrize(
     "p, m, N",
     [(2, 1, 4), (999983, 1, 8), (2, 2, 8), (3, 4, 8), (2, 8, 16), (3, 8, 16), (999983, 2, 8)],
@@ -560,11 +659,11 @@ def test_hermite_paths_match_general_path(p, m):
     answers = set()
     for outer in lattices:
         d, change = scaled_inverse(ring, outer.basis)
-        assert frame_inverse(outer) == (d, change)
         for inner in lattices:
             for k in range(3):
                 shifted = lattice_scale(inner, k)
                 image = mat_mul(ring, change, shifted.basis)
+                assert frame_times(outer, shifted.basis) == (d, image)
                 got = lattice_contains(outer, shifted)
                 assert got == (mat_val(ring, image) >= d - (shifted.shift - outer.shift))
                 answers.add(got)
@@ -615,7 +714,7 @@ def test_hermite_frame_beyond_precision_raises_like_general_path():
     with pytest.raises(WittError):
         scaled_inverse(ring, h.basis)
     with pytest.raises(WittError):
-        frame_inverse(h)
+        frame_times(h, mat_identity(ring))
     with pytest.raises(WittError):
         lattice_contains(h, std)
     with pytest.raises(WittError):
@@ -642,7 +741,7 @@ def test_frame_beyond_precision_is_a_precision_error():
     h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
     std = standard_lattice(ring)
     for call in (
-        lambda: frame_inverse(h),
+        lambda: frame_times(h, mat_identity(ring)),
         lambda: lattice_contains(h, std),
         lambda: lattice_in_frame(ring, h, std),
         lambda: scaled_inverse(ring, mat2(ring, [[3**7, 0], [1, 3**10]])),
