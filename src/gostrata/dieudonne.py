@@ -134,7 +134,9 @@ def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
 @dataclass(frozen=True)
 class DieudonnePoint:
     """F, V, the pairing and the signature at each embedding of one prime:
-    FrozenMaps keyed by embedding, in embedding order."""
+    FrozenMaps keyed by embedding, in embedding order.  Every coefficient of
+    every matrix lies in [0, p^N), so ``==`` and ``point_to_json`` compare
+    points as elements of W_N.  Built only by ``make_point``."""
 
     ring: WittRing
     datum: ShimuraDatum
@@ -155,7 +157,16 @@ def make_point(
     pairings: Mapping[EmbE, Mat2],
     expected_signature,
 ) -> DieudonnePoint:
-    """Assemble and validate a point from its F-matrices and pairings."""
+    """Assemble and validate a point from its F-matrices and pairings.
+
+    The one door through which outside matrices reach a point: each
+    coefficient is reduced mod p^N once, before any check, so matrices that
+    differ by multiples of p^N give the same point."""
+    pn = ring.pn
+    f_mats, pairings = (
+        {emb: tuple([tuple([tuple([c % pn for c in e]) for e in row]) for row in mat])
+         for emb, mat in mats.items()} for mats in (f_mats, pairings)
+    )
     slot, cycle = _one_prime(datum)
     pid = slot.id
     prime_type = classify_prime(datum, pid)
@@ -712,12 +723,12 @@ def _mat_to_json(mat: Mat2) -> list:
 
 
 def _mat_from_json(ring: WittRing, where: str, data) -> Mat2:
-    """A 2x2 matrix of m-coefficient elements, each coefficient reduced mod p^N."""
+    """A 2x2 matrix of m-coefficient elements, as read: ``make_point`` reduces it."""
     if len(data) != 2 or any(len(row) != 2 for row in data):
         raise DieudonneError(f"{where} is not a 2x2 matrix")
     if any(len(e) != ring.m for row in data for e in row):
         raise DieudonneError(f"{where} has an entry without exactly m = {ring.m} coefficients")
-    return tuple(tuple(tuple(int(c, 16) % ring.pn for c in e) for e in row) for row in data)
+    return tuple(tuple(tuple(int(c, 16) for c in e) for e in row) for row in data)
 
 
 def point_to_json(pt: DieudonnePoint) -> dict:

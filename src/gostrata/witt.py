@@ -30,7 +30,10 @@ product path: every operand, constant or not, is packed the same way.  Two
 exits skip work on constants, elements of W_N(F_p): a packed sum with
 nothing above slot 0 is read off as (slot 0 mod p^N, 0, ..., 0) without the
 fold, and ``frobenius`` returns a constant, reduced mod p^N, without the
-table pass, since sigma fixes W_N(F_p).
+table pass, since sigma fixes W_N(F_p).  Every op returns coefficients in
+[0, p^N) when its operands have them, and ``dieudonne.make_point`` reduces
+the matrices it is given, so every element a point or lattice holds is
+reduced: ``smul`` by 1, like ``frobenius`` by sigma^0, returns its operand.
 
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
@@ -40,11 +43,8 @@ through ``mat_mul``.  From the coordinates, each in two ring products:
 ``mat_times_sigma_basis`` is a matrix times sigma^n(basis), since sigma^n
 fixes p^a and p^b and only c moves (one sigma more); ``frame_times`` is
 p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]] times a matrix; and
-``basis_transpose_times`` is basis^T times a matrix.  In these helpers and
-``lattice_sum`` a product by p^0 is the entry itself, exact for the reduced
-entries every ring op returns; only the column ``mat_times_sigma_basis``
-scales by p^b is always reduced, since its matrix may be a point's as given.
-Containment and ``lattice_in_frame`` read
+``basis_transpose_times`` is basis^T times a matrix.  Containment and
+``lattice_in_frame`` read
 adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
 coordinates, and the index valuation is 2 shift + a + b, capped at N.  Once
 a + b >= N (possible for N >= 10) det(basis) is zero mod p^N, and
@@ -327,7 +327,10 @@ class WittRing:
         return self._unpack(self._pack(a) * self._pack(b))
 
     def smul(self, k: int, a: WElem) -> WElem:
-        return tuple(k * u % self.pn for u in a)
+        """k * a; for k = 1 that is a itself, as for ``frobenius(a, 0)``, since
+        every element a point or lattice holds is reduced: ring ops return
+        reduced elements, and ``make_point`` reduces a point's matrices."""
+        return a if k == 1 else tuple(k * u % self.pn for u in a)
 
     def val(self, a: WElem) -> int:
         """p-adic valuation, capped at N."""
@@ -460,12 +463,6 @@ def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
     return tuple(tuple(ring.smul(k, e) for e in row) for row in a)
 
 
-def _scaled(ring: WittRing, k: int, a: WElem) -> WElem:
-    """k * a, and a itself when k = 1: for an a reduced mod p^N, as every
-    ring op returns it, or one that a reducing op consumes next."""
-    return a if k == 1 else ring.smul(k, a)
-
-
 def mat_elem_mul(ring: WittRing, e: WElem, a: Mat2) -> Mat2:
     return tuple(tuple(ring.mul(e, entry) for entry in row) for row in a)
 
@@ -547,14 +544,17 @@ def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
     with min elementary divisor zero.
 
     Each entry's valuation is computed once, here, and every exact division
-    below is by a power of p that those valuations show divides the entry."""
+    below is by a power of p that those valuations show divides the entry.
+    Generators that all vanish mod p^N raise ``PrecisionError``: they come
+    from maps injective on the isocrystal, so N digits were too few to see
+    them."""
     if ring.budget <= 0:
         raise PrecisionError("precision budget exhausted")
     p, N = ring.p, ring.N
     tops = [ring.val(col[0]) for col in cols]
     vmin = min(tops + [ring.val(col[1]) for col in cols])
-    if vmin >= ring.N:
-        raise WittError("degenerate lattice generators")
+    if vmin >= N:
+        raise PrecisionError(f"precision N = {N} cannot tell the lattice generators from zero")
     if vmin > 0:
         q = p**vmin
         cols = [tuple(tuple(c // q for c in e) for e in col) for col in cols]
@@ -590,8 +590,7 @@ def lattice_sum(a: Lattice2, b: Lattice2) -> Lattice2:
     shift = min(a.shift, b.shift)
     cols = []
     for l in (a, b):
-        scale = ring.p ** (l.shift - shift)
-        cols += [tuple(_scaled(ring, scale, e) for e in col) for col in mat_columns(l.basis)]
+        cols += mat_columns(mat_smul(ring, ring.p ** (l.shift - shift), l.basis))
     return lattice_normalize(ring, shift, cols)
 
 
@@ -611,35 +610,31 @@ def _frame_det_val(l: Lattice2) -> int:
 def frame_times(l: Lattice2, mat: Mat2) -> tuple[int, Mat2]:
     """(d, p^d * basis^-1 * mat) with d = a + b.  p^d basis^-1 is the adjugate
     [[p^b, 0], [-c, p^a]], so the product is [p^b X[0], p^a X[1] - c X[0]]
-    for the rows X of mat: two products.  Reduced when mat is."""
+    for the rows X of mat: two products."""
     ring, (top, bottom) = l.ring, mat
     d, pa, pb = _frame_det_val(l), ring.p**l.a, ring.p**l.b
     return d, (
-        tuple([_scaled(ring, pb, x) for x in top]),
-        tuple([ring.sub(_scaled(ring, pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]),
+        tuple([ring.smul(pb, x) for x in top]),
+        tuple([ring.sub(ring.smul(pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]),
     )
 
 
 def basis_transpose_times(l: Lattice2, mat: Mat2) -> Mat2:
     """basis(l)^T * mat = [p^a X[0] + c X[1], p^b X[1]] for the rows X of mat:
-    two products.  Reduced when mat is."""
+    two products."""
     ring, (top, bottom) = l.ring, mat
     pa, pb = ring.p**l.a, ring.p**l.b
     return (
-        tuple([ring.add(_scaled(ring, pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]),
-        tuple([_scaled(ring, pb, y) for y in bottom]),
+        tuple([ring.add(ring.smul(pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]),
+        tuple([ring.smul(pb, y) for y in bottom]),
     )
 
 
 def mat_times_sigma_basis(ring: WittRing, mat: Mat2, l: Lattice2, n: int) -> Mat2:
     """mat * sigma^n(basis(l)).  sigma^n fixes p^a and p^b, so the product is
-    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products.
-    Always reduced: mat may be a point's matrix as given, so p^b M[:,1] is
-    reduced even when b = 0."""
+    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products."""
     pa, pb, c = ring.p**l.a, ring.p**l.b, frobenius(ring, l.c, n)
-    return tuple(
-        (ring.add(_scaled(ring, pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat
-    )
+    return tuple((ring.add(ring.smul(pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat)
 
 
 def _adjugate_product(outer: Lattice2, inner: Lattice2) -> tuple[int, int, WElem, int]:

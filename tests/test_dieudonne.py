@@ -818,6 +818,19 @@ def test_precision_shortfall_is_a_precision_error():
         )
 
 
+def test_generators_lost_below_n_are_a_precision_error():
+    """At f = 8 split with S_infty = {0, ..., 5}, n_tau = 7 carries the essential
+    composite's valuation up to N = 6, so its image's generators all vanish
+    mod p^N: a precision shortfall, reported as one that names N."""
+    datum = _datum(8, True, range(6))
+    ring = ring_for_datum(datum, 3, 6)
+    for seed in range(3):
+        pt = random_point(random.Random(seed), ring, datum)
+        with pytest.raises(PrecisionError, match="precision N = 6 ") as info:
+            stratum_of_point(pt)
+        assert "\n" not in str(info.value)
+
+
 def test_lowering_precision_never_changes_the_stratum():
     """A point drawn at N=12 and reduced to a lower N either raises a
     precision error or keeps its stratum: never a different answer."""
@@ -1100,6 +1113,69 @@ def test_random_points_read_det_val_off_the_signature(p, f, split, s_indices, N)
     assert zeros == ({0, 2} if s_indices else set())
 
 
+def _assert_point_reduced(pt):
+    """Every coefficient of every F, V and pairing matrix lies in [0, p^N)."""
+    ring = pt.ring
+    for mats in (pt.f_mats, pt.v_mats, pt.pairings):
+        for emb, mat in mats.items():
+            for e in itertools.chain(*mat):
+                assert len(e) == ring.m and all(0 <= c < ring.pn for c in e), (emb, e)
+
+
+def _unreduced_json(pt, rng):
+    """The point's JSON with a random multiple of p^N, up to 3, added to each
+    coefficient."""
+    data = point_to_json(pt)
+    for name in ("f_mats", "pairings"):
+        for mat in data[name].values():
+            for row in mat:
+                row[:] = [["%x" % (int(c, 16) + rng.randrange(4) * pt.ring.pn) for c in e]
+                          for e in row]
+    return data
+
+
+@pytest.mark.parametrize(
+    "f, split, vanish", [(2, True, {0}), (3, False, {0, 2}), (4, True, {1, 2})]
+)
+def test_template_points_and_their_images_are_reduced(f, split, vanish):
+    """Template points, each T's b-point and the point ``verify_roundtrip``
+    returns hold only coefficients in [0, p^N)."""
+    datum = _datum(f, split)
+    _, pt = _template_point(datum, vanish)
+    _assert_point_reduced(pt)
+    stratum = sorted(stratum_of_point(pt))
+    assert stratum
+    for size in range(len(stratum) + 1):
+        for t in map(frozenset, itertools.combinations(stratum, size)):
+            _assert_point_reduced(build_isogeny_triple(pt, t).b_point)
+            _assert_point_reduced(verify_roundtrip(pt, t))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize(
+    "p, f, split, s_indices", [(3, 2, True, ()), (2, 3, True, (0,)), (3, 2, False, ()),
+                               (2, 3, False, (1,))],
+)
+def test_random_points_and_their_images_are_reduced(p, f, split, s_indices, N):
+    """``random_point``, its twist, its empty-T b-point and roundtrip, and the
+    point read back from JSON whose coefficients carry multiples of p^N hold
+    only coefficients in [0, p^N)."""
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, p, N)
+    rng = random.Random(300 * p + 10 * f + N)
+    for _ in range(2):
+        pt = random_point(rng, ring, datum)
+        _assert_point_reduced(pt)
+        _assert_point_reduced(twisted_partial_frobenius(pt))
+        _assert_point_reduced(build_isogeny_triple(pt, frozenset()).b_point)
+        _assert_point_reduced(verify_roundtrip(pt, frozenset()))
+        data = _unreduced_json(pt, rng)
+        assert data != point_to_json(pt)
+        loaded = point_from_json(data)
+        _assert_point_reduced(loaded)
+        assert loaded == pt
+
+
 def test_framing_a_lattice_past_n_is_a_precision_error():
     """A frame with a + b >= N has det(basis) = 0 mod p^N: the framing path
     raises rather than divide by it."""
@@ -1165,9 +1241,10 @@ def test_close_matches_the_valuation_rule(p, m, N):
 
 
 def test_unreduced_point_entries_frame_like_reduced_ones():
-    """A point whose matrices carry coefficients outside [0, p^N) frames to the
-    same target and source points as the reduced one: the p^0 exits of the
-    frame layer never pass such a coefficient on."""
+    """Matrices whose coefficients differ from a point's by multiples of p^N,
+    given to ``make_point`` or to ``point_from_half_system``, give that very
+    point, with the same JSON; it frames to the same target and source
+    points."""
     datum = _datum(3, True)
     ring, pt = _template_point(datum, {0, 1})
     pn = ring.pn
@@ -1177,8 +1254,16 @@ def test_unreduced_point_entries_frame_like_reduced_ones():
 
     f_mats = {emb: unreduced(mat, 1 + i % 2) for i, (emb, mat) in enumerate(pt.f_mats.items())}
     pairings = {emb: unreduced(mat, -1) for emb, mat in pt.pairings.items()}
-    raw = make_point(ring, datum, f_mats, pairings, pt.signature)
-    assert raw != pt and stratum_of_point(raw) == stratum_of_point(pt)
+    half = half_system(datum)
+    for raw in (
+        make_point(ring, datum, f_mats, pairings, pt.signature),
+        point_from_half_system(
+            ring, datum, {emb: f_mats[emb] for emb in half},
+            {emb: pairings[emb] for emb in half}, pt.signature,
+        ),
+    ):
+        assert raw == pt
+        assert point_to_json(raw) == point_to_json(pt)
     stratum = sorted(stratum_of_point(pt))
     assert stratum
     for size in range(len(stratum) + 1):

@@ -1,0 +1,196 @@
+"""Independent oracles for the point simulator.
+
+The library decides a partial Hasse invariant by comparing lattices, and
+checks a stratum through the isogeny roundtrip, which tests itself.  The
+oracles here reach the same answers another way and stay in the test suite,
+since a copy in the library would share its code paths:
+
+- the mod-p Hasse rule reads vanishing off one composite matrix, with no
+  lattice, Hermite form or lattice sum;
+- base-change invariance moves a point to an isomorphic one, by a unimodular
+  change of basis at every embedding, which must keep its stratum, its
+  roundtrips and its target points.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from gostrata.dieudonne import (
+    build_isogeny_triple,
+    essential_frobenius_matrix,
+    half_system,
+    hasse_vanishes,
+    make_point,
+    point_from_half_system,
+    random_point,
+    ring_for_datum,
+    stratum_of_point,
+    verify_roundtrip,
+)
+from gostrata.places import (
+    ArchPlace,
+    build_place_system,
+    canonical_lift,
+    conjugate,
+    frobenius_shift,
+    make_datum,
+    n_tau,
+    restrict,
+)
+from gostrata.strata import signature_from_lift
+from gostrata.witt import (
+    mat2,
+    mat_det,
+    mat_mul,
+    mat_sigma,
+    mat_transpose,
+    mat_val,
+    scaled_inverse,
+)
+
+
+def _datum(f, split, s_indices=()):
+    system = build_place_system([(f, split)])
+    return make_datum(system, {ArchPlace("p1", i % f) for i in s_indices})
+
+
+def _template_point(datum, p, vanish, N=8):
+    """F on the half-system without a scramble: antidiag(1, p) at the
+    positions in ``vanish`` and diag(1, p) at the other free ones, p times
+    the identity behind a signature 0 and the identity behind a signature 2;
+    the standard alternating pairing."""
+    system = datum.places
+    ring = ring_for_datum(datum, p, N)
+    zeros = frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
+    signature = signature_from_lift(datum, zeros)
+    f_mats = {}
+    for k, emb in enumerate(half_system(datum)):
+        behind = signature[frobenius_shift(system, emb, -1)]
+        if behind == 1:
+            core = [[0, 1], [p, 0]] if k in vanish else [[1, 0], [0, p]]
+        else:
+            core = [[p, 0], [0, p]] if behind == 0 else [[1, 0], [0, 1]]
+        f_mats[emb] = mat2(ring, core)
+    pairings = {emb: mat2(ring, [[0, 1], [-1, 0]]) for emb in half_system(datum)}
+    return point_from_half_system(ring, datum, f_mats, pairings, signature)
+
+
+def _hasse_points():
+    """Template points with every vanishing pattern, split and inert, with
+    S_infty empty and not, then ``random_point`` draws of the same shapes."""
+    shapes = [
+        (2, 2, ()), (3, 3, ()), (5, 4, ()), (3, 2, ()),
+        (3, 3, (1,)), (2, 4, (0,)), (3, 4, (1, 2)), (2, 5, (0, 2, 3)),
+    ]
+    for p, f, s_indices in shapes:
+        for split in (True, False):
+            datum = _datum(f, split, s_indices)
+            for size in range(f + 1):
+                for vanish in itertools.combinations(range(f), size):
+                    yield _template_point(datum, p, set(vanish))
+    rng = random.Random(1308)
+    for p, f, s_indices in shapes:
+        for split in (True, False):
+            datum = _datum(f, split, s_indices)
+            ring = ring_for_datum(datum, p)
+            for _ in range(2):
+                yield random_point(rng, ring, datum)
+
+
+def test_hasse_invariant_matches_the_mod_p_rule():
+    """The partial Hasse invariant at a free place tau with lift e vanishes
+    exactly when the essential Frobenius F_es^(n+1) into sigma(e) is zero
+    mod p, for n = n_tau.
+
+    Why, from the definition of h_tau in arXiv 1308.0790: h_tau vanishes when
+    F_es^n carries D at sigma^-n(e) onto omega_e = V D_(sigma e) modulo p.
+    Modulo p, F_es^n is one F with a rank-1 reduction, out of the free place
+    sigma^-n(e), followed by n - 1 isomorphisms out of places in S_infty, so
+    its image is a line.  The next step, into sigma(e), is F itself, since e
+    has signature 1, and F kills exactly omega_e modulo p.  So F_es^(n+1) is
+    zero mod p exactly when that line is omega_e.  For S_infty empty every
+    n_tau is 1 and this is the Goren-Oort rule for Hilbert modular varieties
+    (J. Algebraic Geom. 2000): F into sigma(e) after F into e is zero mod p.
+    """
+    pairs = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+    for pt in _hasse_points():
+        datum, system = pt.datum, pt.datum.places
+        for emb in pt.embeddings():
+            tau = restrict(system, emb)
+            if tau in datum.s.s_infty:
+                continue
+            n = n_tau(datum, tau)[0]
+            mat, shift = essential_frobenius_matrix(pt, frobenius_shift(system, emb, 1), n + 1)
+            rule = mat_val(pt.ring, mat) + shift >= 1
+            assert hasse_vanishes(pt, emb) == rule, (pt.datum, emb)
+            pairs[n > 1, rule] += 1
+    assert min(pairs.values()) >= 200, pairs  # (n_tau > 1, vanishes): every case, often
+
+
+def _unimodular(rng, ring):
+    while True:
+        mat = tuple(
+            tuple(tuple(rng.randrange(ring.pn) for _ in range(ring.m)) for _ in range(2))
+            for _ in range(2)
+        )
+        if ring.val(mat_det(ring, mat)) == 0:
+            return mat
+
+
+def _inverse(ring, mat):
+    d, inv = scaled_inverse(ring, mat)
+    assert d == 0
+    return inv
+
+
+def _base_change(pt, rng):
+    """The point in the basis g_e x at each embedding e, for a unimodular g_e
+    drawn at each: F'_e = g_e F_e sigma(g_(sigma^-1 e))^-1 and
+    P'_e = (g_e^T)^-1 P_e g_(c(e))^-1, c the conjugation."""
+    ring, system = pt.ring, pt.datum.places
+    g = {emb: _unimodular(rng, ring) for emb in pt.embeddings()}
+    inv = {emb: _inverse(ring, mat) for emb, mat in g.items()}
+    f_mats, pairings = {}, {}
+    for emb in pt.embeddings():
+        behind = frobenius_shift(system, emb, -1)
+        sigma_inv = _inverse(ring, mat_sigma(ring, g[behind], 1))
+        f_mats[emb] = mat_mul(ring, g[emb], mat_mul(ring, pt.f_mats[emb], sigma_inv))
+        pairing = mat_mul(ring, pt.pairings[emb], inv[conjugate(system, emb)])
+        pairings[emb] = mat_mul(ring, mat_transpose(inv[emb]), pairing)
+    return make_point(ring, pt.datum, f_mats, pairings, pt.signature)
+
+
+@pytest.mark.parametrize(
+    "p, f, split, s_indices, vanish",
+    [
+        (3, 2, True, (), {0}), (2, 3, True, (), {0, 1}), (3, 3, False, (), {0, 2}),
+        (3, 4, True, (), {1, 2}), (2, 2, False, (), {0, 1}), (3, 3, True, (1,), {0}),
+        (2, 4, False, (0,), {1, 2}), (5, 4, True, (1, 2), {0, 3}),
+        (3, 2, True, (), None), (2, 3, False, (1,), None), (5, 3, True, (0,), None),
+    ],
+)
+def test_a_change_of_basis_keeps_the_stratum_and_the_targets(p, f, split, s_indices, vanish):
+    """An isomorphic point has the same stratum; every T inside it
+    roundtrips from it, and its target points have the stratum and the
+    signature of the original's.  The point is a template one with
+    ``vanish``, or a ``random_point`` draw when ``vanish`` is None."""
+    datum = _datum(f, split, s_indices)
+    rng = random.Random(1310 + 100 * p + 10 * f + split)
+    if vanish is None:
+        pt = random_point(rng, ring_for_datum(datum, p), datum)
+    else:
+        pt = _template_point(datum, p, vanish)
+    moved = _base_change(pt, rng)
+    assert moved != pt
+    stratum = stratum_of_point(moved)
+    assert stratum == stratum_of_point(pt)
+    for size in range(len(stratum) + 1):
+        for t in map(frozenset, itertools.combinations(sorted(stratum), size)):
+            verify_roundtrip(moved, t)
+            ours, theirs = (build_isogeny_triple(q, t).b_point for q in (moved, pt))
+            assert ours.signature == theirs.signature
+            assert stratum_of_point(ours) == stratum_of_point(theirs)

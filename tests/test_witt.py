@@ -491,8 +491,9 @@ def _assert_reduced(ring, e):
 @pytest.mark.parametrize("p, m, N", KERNEL_CASES)
 def test_ring_ops_return_reduced_elements(p, m, N):
     """Every ring op returns m coefficients in [0, p^N) on reduced operands,
-    as the p^0 exits of the lattice helpers and ``_mat_shift(., 0)`` assume;
-    ``frobenius(a, 0)`` returns a itself."""
+    so the elements of a point, whose matrices ``make_point`` reduces, and
+    of its lattices stay reduced; ``smul(1, a)`` and ``frobenius(a, 0)``
+    return a itself."""
     ring = witt_ring(p, m, N)
     rng = random.Random(23000 * m + 10 * N + p)
     top = tuple([ring.pn - 1] * m)
@@ -504,6 +505,7 @@ def test_ring_ops_return_reduced_elements(p, m, N):
         for a in elems:
             _assert_reduced(ring, ring.smul(k, a))
     for a in elems:
+        assert ring.smul(1, a) is a and frobenius(ring, a, m) is a
         _assert_reduced(ring, ring.neg(a))
         for k in range(-1, m + 2):
             _assert_reduced(ring, frobenius(ring, a, k))
