@@ -59,7 +59,6 @@ from .witt import (
     lattice_in_frame,
     lattice_normalize,
     lattice_scale,
-    lattice_sum,
     mat2,
     mat_columns,
     mat_det,
@@ -228,46 +227,46 @@ def make_point(
 # --- essential Frobenius calculus --------------------------------------------
 
 
-def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> tuple[Mat2, int]:
-    """The composite F_es^n into ``emb`` as (matrix, p-shift); semilinear sigma^n.
+def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
+    """The composite F_es^n into ``emb``, semilinear sigma^n: an integral
+    matrix, exact to at least N - 1 digits.
 
     Each step into a component uses F when the signature behind it is 1 or 2,
-    and V^{-1} (an extra p^{-1}) when it is 0.
+    and V^{-1} = F / p when it is 0, where ``make_point`` has checked that F
+    has divisors (1, 1), so the division is exact.
     """
     if n < 1:
         raise DieudonneError("n must be at least 1")
     ring, system = pt.ring, pt.datum.places
     mat = None
-    shift = 0
     for k in range(n - 1, -1, -1):
         mu = frobenius_shift(system, emb, -k)
-        prev = frobenius_shift(system, mu, -1)
         step = pt.f_mats[mu]
+        if pt.signature[frobenius_shift(system, mu, -1)] == 0:
+            step = _mat_shift(ring, step, -1)
         mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, 1))
-        if pt.signature[prev] == 0:
-            shift -= 1
-    return mat, shift
+    return mat
 
 
-def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> tuple[Mat2, int]:
-    """The composite V_es^n out of ``emb`` as (matrix, p-shift); semilinear sigma^{-n}.
+def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
+    """The composite V_es^n out of ``emb``, semilinear sigma^{-n}: an integral
+    matrix, exact to at least N - 1 digits.
 
     Each step out of a component uses V when the signature behind it is 0 or 1,
-    and F^{-1} (an extra p^{-1}) when it is 2.
+    and F^{-1} = V / p when it is 2, where F is a unit, so the division is
+    exact.
     """
     if n < 1:
         raise DieudonneError("n must be at least 1")
     ring, system = pt.ring, pt.datum.places
     mat = None
-    shift = 0
     for k in range(n):
         mu = frobenius_shift(system, emb, -k)
-        prev = frobenius_shift(system, mu, -1)
         step = pt.v_mats[mu]
+        if pt.signature[frobenius_shift(system, mu, -1)] == 2:
+            step = _mat_shift(ring, step, -1)
         mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, ring.m - 1))
-        if pt.signature[prev] == 2:
-            shift -= 1
-    return mat, shift
+    return mat
 
 
 def essential_frobenius_image(
@@ -278,9 +277,8 @@ def essential_frobenius_image(
     start's basis, normalized once."""
     ring = pt.ring
     lattice = standard_lattice(ring) if start is None else start
-    mat, shift = essential_frobenius_matrix(pt, emb, n)
-    basis = mat_times_sigma_basis(ring, mat, lattice, n)
-    return lattice_normalize(ring, lattice.shift + shift, mat_columns(basis))
+    basis = mat_times_sigma_basis(ring, essential_frobenius_matrix(pt, emb, n), lattice, n)
+    return lattice_normalize(ring, lattice.shift, mat_columns(basis))
 
 
 def _walk(pt: DieudonnePoint, run: frozenset[EmbE], behind: Mapping[EmbE, Lattice2]):
@@ -308,12 +306,25 @@ def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
 
 
 def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
-    """Whether the partial Hasse invariant vanishes in the ``emb`` direction."""
-    tau = restrict(pt.datum.places, emb)
-    n = n_tau(pt.datum, tau)[0]
-    image = essential_frobenius_image(pt, emb, n)
-    with_p = lattice_sum(image, lattice_scale(standard_lattice(pt.ring), 1))
-    return with_p == omega_lattice(pt, emb)
+    """Whether the partial Hasse invariant vanishes in the ``emb`` direction:
+    whether the essential Frobenius F_es^(n+1) into sigma(emb) is zero mod p,
+    for n = n_tau at the free place tau below ``emb``.
+
+    Why, from the definition of h_tau in arXiv 1308.0790: h_tau vanishes when
+    F_es^n carries D at sigma^-n(emb) onto omega = V D_(sigma emb) + p D at
+    ``emb`` modulo p.  Modulo p, F_es^n is one F with a rank-1 reduction, out
+    of the free place sigma^-n(emb), followed by n - 1 isomorphisms out of
+    places in S_infty, so its image is a line.  The next step, into
+    sigma(emb), is F itself, since ``emb`` has signature 1, and F kills
+    exactly omega modulo p.  So F_es^(n+1) is zero mod p exactly when that
+    line is omega.  For S_infty empty every n_tau is 1 and this is the
+    Goren-Oort rule for Hilbert modular varieties (J. Algebraic Geom. 2000):
+    F into sigma(emb) after F into emb is zero mod p.
+    """
+    system = pt.datum.places
+    n = n_tau(pt.datum, restrict(system, emb))[0]
+    composite = essential_frobenius_matrix(pt, frobenius_shift(system, emb, 1), n + 1)
+    return mat_val(pt.ring, composite) >= 1
 
 
 def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:

@@ -39,6 +39,7 @@ from gostrata.places import (
     Level,
     PrimeType,
     build_place_system,
+    canonical_lift,
     classify_prime,
     conjugate,
     frobenius_shift,
@@ -52,10 +53,12 @@ from gostrata.strata import (
     delta_sets,
     dimension_count_check,
     lift_assignment,
+    signature_from_lift,
     stratum_descriptor,
 )
 from gostrata.witt import (
     Lattice2,
+    elementary_divisors,
     lattice_colength,
     lattice_contains,
     lattice_normalize,
@@ -100,17 +103,24 @@ def _diag_point(datum, p=3, N=8):
 def _template_point(datum, vanish, p=3, N=8):
     """Antidiagonal template at the chosen half-system positions, diagonal at
     the rest; the Hasse invariant then vanishes exactly below the antidiagonal
-    spots."""
+    spots.  Behind a signature 0 F is p times the identity, behind a
+    signature 2 the identity."""
     ring = ring_for_datum(datum, p, N)
-    half = half_system(datum)
+    system = datum.places
+    signature = signature_from_lift(
+        datum, frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
+    )
     f_mats = {}
-    for k, emb in enumerate(half):
-        if k in vanish:
+    for k, emb in enumerate(half_system(datum)):
+        behind = signature[frobenius_shift(system, emb, -1)]
+        if behind != 1:
+            q = p if behind == 0 else 1
+            f_mats[emb] = mat2(ring, [[q, 0], [0, q]])
+        elif k in vanish:
             f_mats[emb] = mat2(ring, [[0, 1], [p, 0]])
         else:
             f_mats[emb] = mat2(ring, [[1, 0], [0, p]])
-    pairings = {emb: mat2(ring, [[0, 1], [ring.pn - 1, 0]]) for emb in half}
-    signature = {emb: 1 for emb in datum.places.embeddings()}
+    pairings = {emb: mat2(ring, [[0, 1], [ring.pn - 1, 0]]) for emb in half_system(datum)}
     return ring, point_from_half_system(ring, datum, f_mats, pairings, signature)
 
 
@@ -299,25 +309,17 @@ def test_essential_composites_are_p_at_free_embeddings():
             if tau in datum.s.s_infty:
                 continue
             n = n_tau(datum, tau)[0]
-            mf, sf = essential_frobenius_matrix(pt, emb, n)
-            mv, sv = essential_verschiebung_matrix(pt, emb, n)
+            mf = essential_frobenius_matrix(pt, emb, n)
+            mv = essential_verschiebung_matrix(pt, emb, n)
             # F_es^n after V_es^n is multiplication by p
             comp = mat_mul(ring, mf, mat_sigma(ring, mv, n % ring.m))
-            assert _close(ring, _shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, comp, p_id)
             # and in the other order as well
             comp = mat_mul(ring, mv, mat_sigma(ring, mf, (ring.m - n) % ring.m))
-            assert _close(ring, _shifted(ring, comp, sf + sv), p_id)
+            assert _close(ring, comp, p_id)
             # each composite has a one-dimensional cokernel
-            from gostrata.witt import elementary_divisors
-
-            assert elementary_divisors(ring, _shifted(ring, mf, sf)) == (0, 1)
-            assert elementary_divisors(ring, _shifted(ring, mv, sv)) == (0, 1)
-
-
-def _shifted(ring, mat, k):
-    from gostrata.dieudonne import _mat_shift
-
-    return _mat_shift(ring, mat, k)
+            assert elementary_divisors(ring, mf) == (0, 1)
+            assert elementary_divisors(ring, mv) == (0, 1)
 
 
 def _stepwise_image(pt, emb, n, start):
@@ -818,17 +820,28 @@ def test_precision_shortfall_is_a_precision_error():
         )
 
 
-def test_generators_lost_below_n_are_a_precision_error():
-    """At f = 8 split with S_infty = {0, ..., 5}, n_tau = 7 carries the essential
-    composite's valuation up to N = 6, so its image's generators all vanish
-    mod p^N: a precision shortfall, reported as one that names N."""
+def test_long_composites_keep_n_minus_one_digits():
+    """At f = 8 split with S_infty = {0, ..., 5}, the free places have
+    n_tau = 7, six of whose steps are F = p U behind a signature 0.  The
+    essential composite divides each of those p out, so at N = 6 it keeps its
+    divisors (0, 1), and a point drawn at N = 16 and read at N = 6 has the
+    stratum it has at N = 16."""
     datum = _datum(8, True, range(6))
     ring = ring_for_datum(datum, 3, 6)
-    for seed in range(3):
-        pt = random_point(random.Random(seed), ring, datum)
-        with pytest.raises(PrecisionError, match="precision N = 6 ") as info:
-            stratum_of_point(pt)
-        assert "\n" not in str(info.value)
+    points = [_template_point(datum, vanish, N=16)[1] for vanish in ({0}, {7}, {0, 7}, set())]
+    points += [random_point(random.Random(seed), ring_for_datum(datum, 3, 16), datum)
+               for seed in range(3)]
+    strata_seen = set()
+    for fine in points:
+        pt = _reduced_point(fine, ring)
+        stratum = stratum_of_point(fine)
+        assert stratum_of_point(pt) == stratum
+        strata_seen.add(stratum)
+        for emb in pt.embeddings():
+            if restrict(datum.places, emb) not in datum.s.s_infty:
+                assert elementary_divisors(ring, essential_frobenius_matrix(pt, emb, 7)) == (0, 1)
+    # empty and nonempty strata, and both free places vanishing together
+    assert len(strata_seen) == 4, strata_seen
 
 
 def test_lowering_precision_never_changes_the_stratum():

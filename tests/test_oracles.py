@@ -1,12 +1,14 @@
 """Independent oracles for the point simulator.
 
-The library decides a partial Hasse invariant by comparing lattices, and
-checks a stratum through the isogeny roundtrip, which tests itself.  The
-oracles here reach the same answers another way and stay in the test suite,
-since a copy in the library would share its code paths:
+The library decides a partial Hasse invariant by the mod-p rule, reading
+vanishing off one essential Frobenius composite, and checks a stratum through
+the isogeny roundtrip, which tests itself.  The oracles here reach the same
+answers another way and stay in the test suite, since a copy in the library
+would share its code paths:
 
-- the mod-p Hasse rule reads vanishing off one composite matrix, with no
-  lattice, Hermite form or lattice sum;
+- the lattice Hasse test is the oracle for the mod-p rule: it compares the
+  Hermite lattice F_es^n(D) + pD with omega = V D + pD, through
+  ``lattice_normalize`` and ``lattice_sum``;
 - base-change invariance moves a point to an isomorphic one, by a unimodular
   change of basis at every embedding, which must keep its stratum, its
   roundtrips and its target points.
@@ -21,10 +23,11 @@ import pytest
 
 from gostrata.dieudonne import (
     build_isogeny_triple,
-    essential_frobenius_matrix,
+    essential_frobenius_image,
     half_system,
     hasse_vanishes,
     make_point,
+    omega_lattice,
     point_from_half_system,
     random_point,
     ring_for_datum,
@@ -43,13 +46,15 @@ from gostrata.places import (
 )
 from gostrata.strata import signature_from_lift
 from gostrata.witt import (
+    lattice_scale,
+    lattice_sum,
     mat2,
     mat_det,
     mat_mul,
     mat_sigma,
     mat_transpose,
-    mat_val,
     scaled_inverse,
+    standard_lattice,
 )
 
 
@@ -101,21 +106,21 @@ def _hasse_points():
                 yield random_point(rng, ring, datum)
 
 
-def test_hasse_invariant_matches_the_mod_p_rule():
-    """The partial Hasse invariant at a free place tau with lift e vanishes
-    exactly when the essential Frobenius F_es^(n+1) into sigma(e) is zero
-    mod p, for n = n_tau.
+def _lattice_hasse_vanishes(pt, emb):
+    """The partial Hasse invariant from its definition in arXiv 1308.0790:
+    h_tau vanishes when F_es^n, n = n_tau, carries D at sigma^-n(emb) onto
+    omega = V D_(sigma emb) + p D at ``emb`` modulo p, compared as Hermite
+    lattices."""
+    n = n_tau(pt.datum, restrict(pt.datum.places, emb))[0]
+    image = essential_frobenius_image(pt, emb, n)
+    with_p = lattice_sum(image, lattice_scale(standard_lattice(pt.ring), 1))
+    return with_p == omega_lattice(pt, emb)
 
-    Why, from the definition of h_tau in arXiv 1308.0790: h_tau vanishes when
-    F_es^n carries D at sigma^-n(e) onto omega_e = V D_(sigma e) modulo p.
-    Modulo p, F_es^n is one F with a rank-1 reduction, out of the free place
-    sigma^-n(e), followed by n - 1 isomorphisms out of places in S_infty, so
-    its image is a line.  The next step, into sigma(e), is F itself, since e
-    has signature 1, and F kills exactly omega_e modulo p.  So F_es^(n+1) is
-    zero mod p exactly when that line is omega_e.  For S_infty empty every
-    n_tau is 1 and this is the Goren-Oort rule for Hilbert modular varieties
-    (J. Algebraic Geom. 2000): F into sigma(e) after F into e is zero mod p.
-    """
+
+def test_hasse_invariant_matches_the_mod_p_rule():
+    """``hasse_vanishes`` reads the mod-p rule off one composite; it agrees
+    with the lattice comparison on every free embedding of the template and
+    random points, with n_tau = 1 and n_tau > 1 and with either answer."""
     pairs = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
     for pt in _hasse_points():
         datum, system = pt.datum, pt.datum.places
@@ -123,11 +128,10 @@ def test_hasse_invariant_matches_the_mod_p_rule():
             tau = restrict(system, emb)
             if tau in datum.s.s_infty:
                 continue
-            n = n_tau(datum, tau)[0]
-            mat, shift = essential_frobenius_matrix(pt, frobenius_shift(system, emb, 1), n + 1)
-            rule = mat_val(pt.ring, mat) + shift >= 1
-            assert hasse_vanishes(pt, emb) == rule, (pt.datum, emb)
-            pairs[n > 1, rule] += 1
+            reference = _lattice_hasse_vanishes(pt, emb)
+            assert hasse_vanishes(pt, emb) == reference, (pt.datum, emb)
+            pairs[n_tau(datum, tau)[0] > 1, reference] += 1
+    assert sum(pairs.values()) == 1216, pairs
     assert min(pairs.values()) >= 200, pairs  # (n_tau > 1, vanishes): every case, often
 
 

@@ -738,6 +738,18 @@ def test_lattice_budget_failures_are_precision_errors():
         assert isinstance(info.value, WittError) and isinstance(info.value, DieudonneError)
 
 
+@pytest.mark.parametrize("N", [6, 8])
+def test_generators_zero_mod_p_n_are_a_precision_error(N):
+    """Generators that all vanish mod p^N cannot span a lattice: a precision
+    shortfall, reported in one line that names N."""
+    ring = witt_ring(3, 2, N)
+    pn = ring.p**N
+    for rows in ([[0, 0], [0, 0]], [[pn, 0], [0, 2 * pn]], [[0, pn], [pn, 0]]):
+        with pytest.raises(PrecisionError, match=f"precision N = {N} cannot tell") as info:
+            lattice_normalize(ring, 0, mat_columns(mat2(ring, rows)))
+        assert "\n" not in str(info.value)
+
+
 def test_frame_beyond_precision_is_a_precision_error():
     ring = witt_ring(3, 2, 16)
     h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
