@@ -3,12 +3,16 @@ components, the essential Frobenius calculus, partial Hasse invariants, and the
 lattice constructions that pass a point across an isogeny chain and back.
 
 A point carries, for each embedding upstairs, a 2x2 matrix over a truncated
-Witt ring describing F on that component (x maps to f_mat times sigma(x)); V
-is derived from FV = p.  Pairings couple conjugate components.  All lattice
-manipulations happen inside a single shared isocrystal, so the roundtrip
-construction can be verified by componentwise lattice equality.  Stability of
-a lattice family is read off the framed F-matrices that become the new point's
-F: F-stable where they are integral, V-stable where their divisors are <= 1.
+Witt ring describing F on that component (x maps to f_mat times sigma(x)).
+V is not stored: FV = p fixes it as sigma^-1(p F^-1), and ``v_matrix`` forms
+it where a caller reads it.  ``make_point`` checks the pairing against the
+adjugate of F, and ``omega_lattice`` spans its lattice from the adjugate, so
+neither takes an inverse.  Pairings couple conjugate components.  All
+lattice manipulations happen inside a single shared isocrystal, so the
+roundtrip construction can be verified by componentwise lattice equality.
+Stability of a lattice family is read off the framed F-matrices that become
+the new point's F: F-stable where they are integral, V-stable where their
+divisors are <= 1.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .witt import (
     Lattice2,
     Mat2,
     PrecisionError,
+    WElem,
     WittRing,
     basis_transpose_times,
     elementary_divisors,
@@ -60,8 +65,10 @@ from .witt import (
     lattice_normalize,
     lattice_scale,
     mat2,
+    mat_adjugate,
     mat_columns,
     mat_det,
+    mat_elem_mul,
     mat_mul,
     mat_sigma,
     mat_smul,
@@ -76,9 +83,10 @@ from .witt import (
 )
 
 
-def _f_divisors(ring: WittRing, mat: Mat2, emb: EmbE) -> tuple[int, int]:
-    """Elementary divisors of an F-matrix, which FV = p bounds by (0, 1)."""
-    divisors = elementary_divisors(ring, mat)
+def _f_divisors(ring: WittRing, mat: Mat2, det: WElem, emb: EmbE) -> tuple[int, int]:
+    """Elementary divisors of an F-matrix with determinant ``det``, which
+    FV = p bounds by (0, 1)."""
+    divisors = elementary_divisors(ring, mat, det)
     if divisors is NOT_SPLIT:
         raise PrecisionError(f"precision budget N - RESERVE = {ring.N} - {RESERVE} = "
                              f"{ring.budget} cannot split the divisors of F at {emb}")
@@ -132,16 +140,16 @@ def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
 
 @dataclass(frozen=True)
 class DieudonnePoint:
-    """F, V, the pairing and the signature at each embedding of one prime:
+    """F, the pairing and the signature at each embedding of one prime:
     FrozenMaps keyed by embedding, in embedding order.  Every coefficient of
     every matrix lies in [0, p^N), so ``==`` and ``point_to_json`` compare
-    points as elements of W_N.  Built only by ``make_point``."""
+    points as elements of W_N.  V is derived data, sigma^-1(p F^-1), which
+    ``v_matrix`` forms on demand.  Built only by ``make_point``."""
 
     ring: WittRing
     datum: ShimuraDatum
     prime_id: str
     f_mats: FrozenMap
-    v_mats: FrozenMap
     pairings: FrozenMap
     signature: FrozenMap
 
@@ -160,7 +168,18 @@ def make_point(
 
     The one door through which outside matrices reach a point: each
     coefficient is reduced mod p^N once, before any check, so matrices that
-    differ by multiples of p^N give the same point."""
+    differ by multiples of p^N give the same point.
+
+    The pairing must satisfy <F x, y> = sigma(<x, V y>): at ``emb``, with c
+    its conjugate and prev = sigma^-1(emb), F_emb^T P_emb = sigma(P_prev V_c).
+    With det F_c = p^d u, u a unit, sigma(V_c) = p F_c^-1 is
+    p^(1-d) adj(F_c) / u, so the check is
+    u F_emb^T P_emb = sigma(P_prev) p^(1-d) adj(F_c) mod p^budget, with no
+    inverse and no V.  Multiplying both sides of a congruence mod p^budget
+    by a unit keeps it exactly, so this is as strong as the check through V;
+    the exact division by p at d = 2 loses the one top digit that forming V
+    loses, and budget <= N - 1.  Each F's determinant is taken once, for its
+    divisors and for u."""
     pn = ring.pn
     f_mats, pairings = (
         {emb: tuple([tuple([tuple([c % pn for c in e]) for e in row]) for row in mat])
@@ -178,10 +197,8 @@ def make_point(
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
-    divisors = {emb: _f_divisors(ring, f_mats[emb], emb) for emb in embs}
-    v_mats = FrozenMap(
-        (emb, mat_sigma(ring, _p_times_inverse(ring, f_mats[emb]), ring.m - 1)) for emb in embs
-    )
+    dets = {emb: mat_det(ring, f_mats[emb]) for emb in embs}
+    divisors = {emb: _f_divisors(ring, f_mats[emb], dets[emb], emb) for emb in embs}
     signature = FrozenMap(
         (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
     )
@@ -204,12 +221,13 @@ def make_point(
             raise DieudonneError(f"signatures at {emb} and its conjugate do not sum to 2")
         if (signature[emb] == 1) == (restrict(system, emb) in datum.s.s_infty):
             raise DieudonneError(f"signature {signature[emb]} at {emb} does not fit S_infty")
-        # <F x, y> = sigma(<x, V y>)
-        lhs = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
+        # <F x, y> = sigma(<x, V y>), times u: sigma(V_c) = p^(1-d) adj(F_c) / u
+        d = sum(divisors[cemb])
+        unit = ring.div_p(dets[cemb], d)
+        lhs = mat_elem_mul(ring, unit, mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb]))
         prev = frobenius_shift(system, emb, -1)
-        rhs = mat_sigma(
-            ring, mat_mul(ring, pairings[prev], v_mats[conjugate(system, emb)]), 1
-        )
+        p_adj = _mat_shift(ring, mat_adjugate(ring, f_mats[cemb]), 1 - d)
+        rhs = mat_mul(ring, mat_sigma(ring, pairings[prev], 1), p_adj)
         if not _close(ring, lhs, rhs):
             raise DieudonneError(f"pairing is incompatible with F and V at {emb}")
 
@@ -218,13 +236,20 @@ def make_point(
         datum=datum,
         prime_id=pid,
         f_mats=FrozenMap((emb, f_mats[emb]) for emb in embs),
-        v_mats=v_mats,
         pairings=FrozenMap((emb, pairings[emb]) for emb in embs),
         signature=signature,
     )
 
 
 # --- essential Frobenius calculus --------------------------------------------
+
+
+def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
+    """V at ``emb``, semilinear sigma^-1: sigma^-1(p F^-1), integral since
+    ``make_point`` bounds the divisors of F by (0, 1); exact to N - 1 digits
+    where F has divisors (1, 1), to N elsewhere."""
+    ring = pt.ring
+    return mat_sigma(ring, _p_times_inverse(ring, pt.f_mats[emb]), ring.m - 1)
 
 
 def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -262,7 +287,7 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2
     mat = None
     for k in range(n):
         mu = frobenius_shift(system, emb, -k)
-        step = pt.v_mats[mu]
+        step = v_matrix(pt, mu)
         if pt.signature[frobenius_shift(system, mu, -1)] == 2:
             step = _mat_shift(ring, step, -1)
         mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, ring.m - 1))
@@ -298,11 +323,16 @@ def _walk(pt: DieudonnePoint, run: frozenset[EmbE], behind: Mapping[EmbE, Lattic
 
 
 def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
-    """The lattice V(D at sigma emb) + p D at ``emb``."""
+    """The lattice V(D at sigma emb) + p D at ``emb``, spanned with
+    sigma^-1(p^(1-d) adj F) in place of V, F at sigma emb with
+    det F = p^d u: V is that matrix times the unit sigma^-1(1/u), which
+    spans the same lattice, and d = 2 minus the signature at ``emb``."""
     ring, system = pt.ring, pt.datum.places
-    v_mat = pt.v_mats[frobenius_shift(system, emb, 1)]
+    f_mat = pt.f_mats[frobenius_shift(system, emb, 1)]
+    p_adj = _mat_shift(ring, mat_adjugate(ring, f_mat), pt.signature[emb] - 1)
     p = ring.from_int(ring.p)
-    return lattice_normalize(ring, 0, mat_columns(v_mat) + [(p, ring.zero()), (ring.zero(), p)])
+    cols = mat_columns(mat_sigma(ring, p_adj, ring.m - 1))
+    return lattice_normalize(ring, 0, cols + [(p, ring.zero()), (ring.zero(), p)])
 
 
 def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
@@ -501,9 +531,22 @@ def reconstruct_lattices(
     sublattices recovering a, every one in Hermite form, and ``f_mats`` the
     rebuilt a-family's framed F-matrices, which become the source point's F.
     """
+    delta = delta_sets(source_datum, descriptor, lift)
+    return _rebuild_lattices(b_point, j_lines, h_lines, descriptor, lift, delta)
+
+
+def _rebuild_lattices(
+    b_point: DieudonnePoint,
+    j_lines: Mapping[EmbE, Lattice2],
+    h_lines: Mapping[EmbE, Lattice2],
+    descriptor: StratumDescriptor,
+    lift: LiftChoice,
+    delta: DeltaSets,
+) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Mat2]]:
+    """``reconstruct_lattices`` for the delta sets of the descriptor and lift,
+    which a forward triple already carries."""
     ring, system = b_point.ring, b_point.datum.places
     pid = b_point.prime_id
-    delta = delta_sets(source_datum, descriptor, lift)
     std = standard_lattice(ring)
 
     m_lat = {emb: std for emb in b_point.embeddings()}
@@ -588,8 +631,8 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     """
     ring, datum = pt.ring, pt.datum
     triple = build_isogeny_triple(pt, t)
-    m_lat, l_lat, f_mats = reconstruct_lattices(
-        triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, datum
+    m_lat, l_lat, f_mats = _rebuild_lattices(
+        triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, triple.delta
     )
     for emb in pt.embeddings():
         frame = triple.b[emb]
@@ -660,16 +703,24 @@ def point_from_half_system(
     """Complete half-system data to a full point via the pairing compatibility.
 
     The conjugate pairings are forced by antisymmetry, and the conjugate
-    F-matrices by the duality <F x, y> = sigma(<x, V y>).
+    F-matrices by the duality <F x, y> = sigma(<x, V y>): F_c is
+    P^-1 (p F^-1)^T sigma(P_prev).  With det P = w and det F = p^d u, both
+    inverses come from adjugates, P^-1 = adj(P) / w and
+    p F^-1 = p^(1-d) adj(F) / u, and 1/w = u z, 1/u = w z from the one
+    inverse z = 1/(u w).
     """
     system = datum.places
     half = half_system(datum)
     if set(f_mats_half) != set(half) or set(pairings_half) != set(half):
         raise DieudonneError("half-system data must cover one lift per place")
+    units = {}
     for emb in half:
-        _f_divisors(ring, f_mats_half[emb], emb)
-        if ring.val(mat_det(ring, pairings_half[emb])) != 0:
+        f_det = mat_det(ring, f_mats_half[emb])
+        d = sum(_f_divisors(ring, f_mats_half[emb], f_det, emb))
+        w = mat_det(ring, pairings_half[emb])
+        if ring.val(w) != 0:
             raise DieudonneError(f"half-system pairing at {emb} must be perfect")
+        units[emb] = d, ring.div_p(f_det, d), w
     pairings: dict[EmbE, Mat2] = dict(pairings_half)
     for emb in half:
         cemb = conjugate(system, emb)
@@ -678,8 +729,11 @@ def point_from_half_system(
     for emb in half:
         cemb = conjugate(system, emb)
         prev = frobenius_shift(system, emb, -1)
-        _, inv_pairing = scaled_inverse(ring, pairings[emb])
-        p_f_inv_t = mat_transpose(_p_times_inverse(ring, f_mats[emb]))
+        d, u, w = units[emb]
+        z = ring.inv(ring.mul(u, w))
+        inv_pairing = mat_elem_mul(ring, ring.mul(u, z), mat_adjugate(ring, pairings[emb]))
+        p_f_inv = mat_elem_mul(ring, ring.mul(w, z), mat_adjugate(ring, f_mats[emb]))
+        p_f_inv_t = mat_transpose(_mat_shift(ring, p_f_inv, 1 - d))
         twisted_prev = mat_sigma(ring, pairings[prev], 1)
         f_mats[cemb] = mat_mul(ring, inv_pairing, mat_mul(ring, p_f_inv_t, twisted_prev))
     return make_point(ring, datum, f_mats, pairings, expected_signature)

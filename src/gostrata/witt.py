@@ -503,12 +503,13 @@ def scaled_inverse(ring: WittRing, a: Mat2) -> tuple[int, Mat2]:
     return d, mat_elem_mul(ring, ring.inv(unit), mat_adjugate(ring, a))
 
 
-def elementary_divisors(ring: WittRing, a: Mat2):
-    """Valuations (v1, v2) with v1 <= v2, or NOT_SPLIT beyond the budget."""
+def elementary_divisors(ring: WittRing, a: Mat2, det: WElem | None = None):
+    """Valuations (v1, v2) with v1 <= v2, or NOT_SPLIT beyond the budget;
+    ``det`` is det(a), for a caller that has already taken it."""
     v1 = mat_val(ring, a)
     if v1 >= ring.budget:
         return NOT_SPLIT
-    v2 = ring.val(mat_det(ring, a)) - v1
+    v2 = ring.val(mat_det(ring, a) if det is None else det) - v1
     if v2 >= ring.budget:
         return NOT_SPLIT
     return (v1, v2)

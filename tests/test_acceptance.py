@@ -30,6 +30,7 @@ from gostrata.dieudonne import (
     ring_for_datum,
     stratum_of_point,
     twisted_partial_frobenius,
+    v_matrix,
     verify_roundtrip,
 )
 from gostrata.links import (
@@ -396,9 +397,9 @@ def test_criterion_07_essential_identities() -> None:
         system = datum.places
         p_id = mat_smul(ring, ring.p, mat_identity(ring))
         for emb in pt.embeddings():
-            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, pt.v_mats[emb], 1))
+            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, v_matrix(pt, emb), 1))
             vf = mat_mul(
-                ring, pt.v_mats[emb], mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
+                ring, v_matrix(pt, emb), mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
             )
             assert _close(ring, fv, p_id)
             assert _close(ring, vf, p_id)

@@ -31,6 +31,7 @@ from gostrata.dieudonne import (
     ring_for_datum,
     stratum_of_point,
     twisted_partial_frobenius,
+    v_matrix,
     verify_roundtrip,
 )
 from gostrata.places import (
@@ -70,6 +71,7 @@ from gostrata.witt import (
     mat_mul,
     mat_sigma,
     mat_smul,
+    mat_transpose,
     standard_lattice,
     witt_ring,
 )
@@ -180,8 +182,8 @@ def test_antidiag_point_is_everywhere_supersingular():
     assert stratum_of_point(pt) == frozenset(datum.places.arch_places("p1"))
     # V is the same antidiagonal matrix here, up to sign and trusted precision
     for emb in pt.embeddings():
-        assert _close(ring, pt.v_mats[emb], pt.f_mats[emb]) or _close(
-            ring, pt.v_mats[emb], mat_smul(ring, -1, pt.f_mats[emb])
+        assert _close(ring, v_matrix(pt, emb), pt.f_mats[emb]) or _close(
+            ring, v_matrix(pt, emb), mat_smul(ring, -1, pt.f_mats[emb])
         )
 
 
@@ -247,6 +249,72 @@ def test_make_point_rejects_mismatched_ring_degree():
         random_point(random.Random(0), ring, datum)
 
 
+def _mat_add(ring, a, b):
+    return tuple(tuple(ring.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _scale_pair(ring, pairings, emb, conj):
+    """p times the pairing at ``emb`` and at its conjugate: still
+    antisymmetric, with determinant valuation 2."""
+    pairings[emb] = mat_smul(ring, ring.p, pairings[emb])
+    pairings[conj] = mat_smul(ring, ring.p, pairings[conj])
+
+
+def _nudge_conjugate(ring, pairings, emb, conj):
+    """p^(budget - 1) added to the conjugate's pairing alone."""
+    step = mat_smul(ring, ring.p ** (ring.budget - 1), mat_identity(ring))
+    pairings[conj] = _mat_add(ring, pairings[conj], step)
+
+
+def _nudge_pair(ring, pairings, emb, conj):
+    """p^(budget - 1) added to the pairing at ``emb``, the conjugate's kept
+    antisymmetric: only the compatibility with F and V can fail."""
+    step = mat_smul(ring, ring.p ** (ring.budget - 1), mat_identity(ring))
+    pairings[emb] = _mat_add(ring, pairings[emb], step)
+    pairings[conj] = mat_smul(ring, -1, mat_transpose(pairings[emb]))
+
+
+def _emb_text(sheet, i):
+    return f"EmbE(prime_id='p1', sheet={sheet}, i={i})"
+
+
+@pytest.mark.parametrize(
+    "f, split, s_indices, perturb, message",
+    [
+        (2, True, (), _scale_pair,
+         f"pairing at {_emb_text(0, 1)} has the wrong determinant valuation"),
+        (3, False, (1,), _scale_pair,
+         f"pairing at {_emb_text(0, 1)} has the wrong determinant valuation"),
+        (2, True, (), _nudge_conjugate,
+         f"pairing at {_emb_text(0, 1)} is not conjugate-antisymmetric"),
+        (3, False, (1,), _nudge_conjugate,
+         f"pairing at {_emb_text(0, 1)} is not conjugate-antisymmetric"),
+        # split: sigma(0:1) = 0:0 comes first and reads P at 0:1 as sigma^-1 of itself
+        (2, True, (), _nudge_pair,
+         f"pairing is incompatible with F and V at {_emb_text(0, 0)}"),
+        (3, False, (1,), _nudge_pair,
+         f"pairing is incompatible with F and V at {_emb_text(0, 1)}"),
+    ],
+    ids=["det-split", "det-inert", "antisym-split", "antisym-inert", "compat-split",
+         "compat-inert"],
+)
+def test_make_point_names_each_pairing_fault(f, split, s_indices, perturb, message):
+    """One perturbed pairing per raise of ``make_point``'s pairing checks, at
+    the embedding 0:1 of a valid point, split with S_infty empty and inert
+    with S_infty not: the error type and the exact message, embedding
+    included."""
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, 3)
+    pt = random_point(random.Random(41), ring, datum)
+    emb = pt.embeddings()[1]
+    pairings = dict(pt.pairings)
+    perturb(ring, pairings, emb, conjugate(datum.places, emb))
+    with pytest.raises(DieudonneError) as info:
+        make_point(ring, datum, pt.f_mats, pairings, pt.signature)
+    assert type(info.value) is DieudonneError
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -288,9 +356,9 @@ def test_fv_equals_p_both_orders():
         pt = random_point(rng, ring, datum)
         p_id = mat_smul(ring, ring.p, mat_identity(ring))
         for emb in pt.embeddings():
-            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, pt.v_mats[emb], 1))
+            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, v_matrix(pt, emb), 1))
             vf = mat_mul(
-                ring, pt.v_mats[emb], mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
+                ring, v_matrix(pt, emb), mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
             )
             assert _close(ring, fv, p_id)
             assert _close(ring, vf, p_id)
@@ -533,7 +601,7 @@ def _reference_stability(pt, label, lattices):
         f_image = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, prev.basis, 1))
         if not lattice_contains(lattice, lattice_normalize(ring, prev.shift, mat_columns(f_image))):
             return f"{label} is not F-stable at {emb}"
-        v_image = mat_mul(ring, pt.v_mats[emb], mat_sigma(ring, lattice.basis, ring.m - 1))
+        v_image = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, lattice.basis, ring.m - 1))
         if not lattice_contains(prev, lattice_normalize(ring, lattice.shift, mat_columns(v_image))):
             return f"{label} is not V-stable at {emb}"
     return None
@@ -710,6 +778,34 @@ def _framing_triples(system, *families):
     }
 
 
+@pytest.mark.parametrize("f, split, s_indices", [(2, True, ()), (3, False, (1,)), (4, True, (0,))])
+def test_make_point_takes_no_inverse_and_a_roundtrip_one_delta(monkeypatch, f, split, s_indices):
+    """``make_point`` checks the pairing through adj(F), so it inverts no
+    unit; ``verify_roundtrip`` rebuilds with the triple's own delta sets."""
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, 3)
+    pt = random_point(random.Random(53 + f), ring, datum)
+    twisted = twisted_partial_frobenius(pt)
+
+    def refuse(*args):
+        raise AssertionError("make_point inverted a unit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(ring), "inv", refuse)
+        patch.setattr(dieudonne, "scaled_inverse", refuse)
+        assert make_point(ring, datum, pt.f_mats, pt.pairings, pt.signature) == pt
+        assert twisted_partial_frobenius(pt) == twisted
+    calls = []
+
+    def counted(*args, _inner=dieudonne.delta_sets):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(dieudonne, "delta_sets", counted)
+    verify_roundtrip(pt, frozenset())
+    assert len(calls) == 1
+
+
 def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     datum = _datum(4, True)
     _, pt = _template_point(datum, {1})
@@ -756,7 +852,7 @@ def test_roundtrip_walks_one_step_per_lattice(monkeypatch, f, split, vanish):
 
     for name, stage in [
         ("build_isogeny_triple", "forward"),
-        ("reconstruct_lattices", "inverse"),
+        ("_rebuild_lattices", "inverse"),
         ("hasse_vanishes", "hasse"),
     ]:
         monkeypatch.setattr(dieudonne, name, staged(stage, getattr(dieudonne, name)))
@@ -1129,7 +1225,8 @@ def test_random_points_read_det_val_off_the_signature(p, f, split, s_indices, N)
 def _assert_point_reduced(pt):
     """Every coefficient of every F, V and pairing matrix lies in [0, p^N)."""
     ring = pt.ring
-    for mats in (pt.f_mats, pt.v_mats, pt.pairings):
+    v_mats = {emb: v_matrix(pt, emb) for emb in pt.embeddings()}
+    for mats in (pt.f_mats, v_mats, pt.pairings):
         for emb, mat in mats.items():
             for e in itertools.chain(*mat):
                 assert len(e) == ring.m and all(0 <= c < ring.pn for c in e), (emb, e)

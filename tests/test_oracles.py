@@ -11,7 +11,9 @@ would share its code paths:
   ``lattice_normalize`` and ``lattice_sum``;
 - base-change invariance moves a point to an isomorphic one, by a unimodular
   change of basis at every embedding, which must keep its stratum, its
-  roundtrips and its target points.
+  roundtrips and its target points;
+- the pairing check through V is the oracle for ``make_point``'s check
+  through the adjugate of F, and V's span plus pD for ``omega_lattice``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import random
 import pytest
 
 from gostrata.dieudonne import (
+    DieudonneError,
+    _close,
     build_isogeny_triple,
     essential_frobenius_image,
     half_system,
@@ -32,6 +36,7 @@ from gostrata.dieudonne import (
     random_point,
     ring_for_datum,
     stratum_of_point,
+    v_matrix,
     verify_roundtrip,
 )
 from gostrata.places import (
@@ -46,12 +51,15 @@ from gostrata.places import (
 )
 from gostrata.strata import signature_from_lift
 from gostrata.witt import (
+    lattice_normalize,
     lattice_scale,
     lattice_sum,
     mat2,
+    mat_columns,
     mat_det,
     mat_mul,
     mat_sigma,
+    mat_smul,
     mat_transpose,
     scaled_inverse,
     standard_lattice,
@@ -198,3 +206,83 @@ def test_a_change_of_basis_keeps_the_stratum_and_the_targets(p, f, split, s_indi
             ours, theirs = (build_isogeny_triple(q, t).b_point for q in (moved, pt))
             assert ours.signature == theirs.signature
             assert stratum_of_point(ours) == stratum_of_point(theirs)
+
+
+def _pairing_points():
+    """Seeded ``random_point`` draws, split and inert, S_infty empty and not,
+    at N = 8 and 16."""
+    for p, f, s_indices in [(3, 2, ()), (2, 3, (0,)), (5, 2, (1,)), (2, 4, ())]:
+        for split in (True, False):
+            datum = _datum(f, split, s_indices)
+            for N in (8, 16):
+                rng = random.Random(2020 + 100 * p + 10 * f + N + split)
+                ring = ring_for_datum(datum, p, N)
+                for _ in range(2):
+                    yield rng, random_point(rng, ring, datum)
+
+
+def _v_based_compatible(ring, datum, f_mats, pairings, emb):
+    """The pairing check through V: F_e^T P_e = sigma(P_prev V_c), with
+    V_c = sigma^-1(p F_c^-1) from the scaled inverse of F_c."""
+    system = datum.places
+    cemb, prev = conjugate(system, emb), frobenius_shift(system, emb, -1)
+    d, inverse = scaled_inverse(ring, f_mats[cemb])
+    if d == 2:
+        p_inverse = tuple(tuple(ring.div_p(e, 1) for e in row) for row in inverse)
+    else:
+        p_inverse = mat_smul(ring, ring.p ** (1 - d), inverse)
+    v_mat = mat_sigma(ring, p_inverse, ring.m - 1)
+    lhs = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
+    return _close(ring, lhs, mat_sigma(ring, mat_mul(ring, pairings[prev], v_mat), 1))
+
+
+def test_pairing_check_matches_the_check_through_v():
+    """The pairing at one embedding, and so at its conjugate, moved by
+    p^k times a unit for k around the budget: ``make_point`` accepts exactly
+    when the check through V passes at every embedding, and otherwise names
+    the first embedding where it fails."""
+    verdicts = dict.fromkeys(itertools.product(range(-2, 2), (False, True)), 0)
+    for rng, pt in _pairing_points():
+        ring, datum, system = pt.ring, pt.datum, pt.datum.places
+        for k in range(ring.budget - 2, ring.budget + 2):
+            for _ in range(2):
+                emb = rng.choice(pt.embeddings())
+                pairings = dict(pt.pairings)
+                nudge = mat_smul(ring, ring.p**k, _unimodular(rng, ring))
+                pairings[emb] = tuple(
+                    tuple(ring.add(x, y) for x, y in zip(row, step))
+                    for row, step in zip(pairings[emb], nudge)
+                )
+                pairings[conjugate(system, emb)] = mat_smul(ring, -1, mat_transpose(pairings[emb]))
+                failing = [
+                    e for e in pt.embeddings()
+                    if not _v_based_compatible(ring, datum, pt.f_mats, pairings, e)
+                ]
+                try:
+                    make_point(ring, datum, pt.f_mats, pairings, pt.signature)
+                except DieudonneError as error:
+                    assert failing, error
+                    assert str(error) == f"pairing is incompatible with F and V at {failing[0]}"
+                else:
+                    assert not failing, failing
+                verdicts[k - ring.budget, not failing] += 1
+    assert sum(verdicts.values()) == 256, verdicts
+    # below the budget a nudge fails both checks here, from the budget on it cannot
+    assert verdicts[-2, False] == verdicts[-1, False] == 64, verdicts
+    assert verdicts[0, True] == verdicts[1, True] == 64, verdicts
+
+
+def test_omega_lattice_is_spanned_by_v():
+    """``omega_lattice`` spans sigma^-1(p^(1-d) adj F) + pD; V times pD, V
+    from ``v_matrix``, spans the same lattice at every embedding."""
+    lattices = 0
+    for _, pt in _pairing_points():
+        ring, system = pt.ring, pt.datum.places
+        p = ring.from_int(ring.p)
+        p_cols = [(p, ring.zero()), (ring.zero(), p)]
+        for emb in pt.embeddings():
+            v_mat = v_matrix(pt, frobenius_shift(system, emb, 1))
+            with_p = lattice_normalize(ring, 0, mat_columns(v_mat) + p_cols)
+            assert omega_lattice(pt, emb) == with_p, emb
+            lattices += 1
+    assert lattices == 176
