@@ -613,11 +613,20 @@ def reconstruct_point(
     lift: LiftChoice,
     source_datum: ShimuraDatum,
 ) -> DieudonnePoint:
-    """Rebuild a point on the source datum from the target point and its lines."""
+    """Rebuild a point on the source datum from the target point and its lines.
+
+    The rebuilt point must lie in the stratum of T: stability and colengths
+    do not pin down the Iwahori lines of an A2 target, and lines that no
+    point of the stratum has rebuild a valid point outside it.  So each place
+    of T is checked, and the first one missing raises."""
     _, l_lat, f_mats = reconstruct_lattices(
         b_point, j_lines, h_lines, descriptor, lift, source_datum
     )
-    return _point_from_lattices(b_point, l_lat, f_mats, lift, source_datum)
+    point = _point_from_lattices(b_point, l_lat, f_mats, lift, source_datum)
+    for tau in sorted(descriptor.t):
+        if not _in_stratum(point, tau):
+            raise DieudonneError(f"the rebuilt point is outside the stratum of T: {tau} is missing")
+    return point
 
 
 def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePoint:

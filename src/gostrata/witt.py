@@ -39,17 +39,21 @@ A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
 so dataclass equality is lattice equality.  ``lattice_normalize`` builds one
 from generators; ``basis`` is derived, and no product by a basis goes
-through ``mat_mul``.  From the coordinates, each in two ring products:
-``mat_times_sigma_basis`` is a matrix times sigma^n(basis), since sigma^n
-fixes p^a and p^b and only c moves (one sigma more); ``frame_times`` is
-p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]] times a matrix; and
-``basis_transpose_times`` is basis^T times a matrix.  Containment and
-``lattice_in_frame`` read
+through ``mat_mul``.  From the coordinates, each in two ring products by c
+plus scalings by p^a and p^b: ``mat_times_sigma_basis`` is a matrix times
+sigma^n(basis), since sigma^n fixes p^a and p^b and only c moves (one sigma
+more); ``frame_times`` is p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]]
+times a matrix; and ``basis_transpose_times`` is basis^T times a matrix.
+When c = 0, as for every lattice with b = 0 (c is reduced mod p^b), the
+products by c and its sigma are zero and are skipped: only the scalings are
+left.  Containment and ``lattice_in_frame`` read
 adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
-coordinates, and the index valuation is 2 shift + a + b, capped at N.  Once
-a + b >= N (possible for N >= 10) det(basis) is zero mod p^N, and
-``frame_times``, ``lattice_contains`` and ``lattice_in_frame`` raise
-``PrecisionError`` on that frame.
+coordinates.  That matrix is already lower triangular, so ``lattice_in_frame``
+takes its Hermite form in closed form, dividing out the least valuation of
+its entries, with no unit inverse and no ``lattice_normalize``.  The index
+valuation is 2 shift + a + b, capped at N.  Once a + b >= N (possible for
+N >= 10) det(basis) is zero mod p^N, and ``frame_times``, ``lattice_contains``
+and ``lattice_in_frame`` raise ``PrecisionError`` on that frame.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -523,7 +527,7 @@ class Lattice2:
     """p^shift times the column span of [[p^a, 0], [c, p^b]] inside the standard
     module, with c reduced mod p^b: one tuple per lattice, so ``==`` and
     ``hash`` are lattice equality.  Built only by ``lattice_normalize``,
-    ``standard_lattice`` and ``lattice_scale``."""
+    ``standard_lattice``, ``lattice_scale`` and ``lattice_in_frame``."""
 
     ring: WittRing
     shift: int
@@ -611,30 +615,36 @@ def _frame_det_val(l: Lattice2) -> int:
 def frame_times(l: Lattice2, mat: Mat2) -> tuple[int, Mat2]:
     """(d, p^d * basis^-1 * mat) with d = a + b.  p^d basis^-1 is the adjugate
     [[p^b, 0], [-c, p^a]], so the product is [p^b X[0], p^a X[1] - c X[0]]
-    for the rows X of mat: two products."""
+    for the rows X of mat: two products, none when c = 0."""
     ring, (top, bottom) = l.ring, mat
     d, pa, pb = _frame_det_val(l), ring.p**l.a, ring.p**l.b
-    return d, (
-        tuple([ring.smul(pb, x) for x in top]),
-        tuple([ring.sub(ring.smul(pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]),
-    )
+    if any(l.c):
+        bottom = [ring.sub(ring.smul(pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]
+    else:
+        bottom = [ring.smul(pa, y) for y in bottom]
+    return d, (tuple([ring.smul(pb, x) for x in top]), tuple(bottom))
 
 
 def basis_transpose_times(l: Lattice2, mat: Mat2) -> Mat2:
     """basis(l)^T * mat = [p^a X[0] + c X[1], p^b X[1]] for the rows X of mat:
-    two products."""
+    two products, none when c = 0."""
     ring, (top, bottom) = l.ring, mat
     pa, pb = ring.p**l.a, ring.p**l.b
-    return (
-        tuple([ring.add(ring.smul(pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]),
-        tuple([ring.smul(pb, y) for y in bottom]),
-    )
+    if any(l.c):
+        top = [ring.add(ring.smul(pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]
+    else:
+        top = [ring.smul(pa, x) for x in top]
+    return tuple(top), tuple([ring.smul(pb, y) for y in bottom])
 
 
 def mat_times_sigma_basis(ring: WittRing, mat: Mat2, l: Lattice2, n: int) -> Mat2:
     """mat * sigma^n(basis(l)).  sigma^n fixes p^a and p^b, so the product is
-    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products."""
-    pa, pb, c = ring.p**l.a, ring.p**l.b, frobenius(ring, l.c, n)
+    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products,
+    none of either when c = 0."""
+    pa, pb = ring.p**l.a, ring.p**l.b
+    if not any(l.c):
+        return tuple((ring.smul(pa, x), ring.smul(pb, y)) for x, y in mat)
+    c = frobenius(ring, l.c, n)
     return tuple((ring.add(ring.smul(pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat)
 
 
@@ -654,10 +664,27 @@ def lattice_contains(outer: Lattice2, inner: Lattice2) -> bool:
 
 
 def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Lattice2:
-    """Rewrite a lattice in the coordinates in which ``frame`` is standard."""
+    """Rewrite a lattice in the coordinates in which ``frame`` is standard.
+
+    p^d * frame^-1 * lattice is [[p^top, 0], [cross, p^bottom]], already lower
+    triangular, so its Hermite form is read off with no inverse: p^vmin comes
+    out, vmin = min(top, bottom, val(cross)), leaving a = top - vmin,
+    b = bottom - vmin and c = cross / p^vmin mod p^b.  It raises where
+    ``lattice_normalize`` would on those two columns: a top or bottom at N or
+    more is zero mod p^N, so its exponent cannot be known."""
     d, top, cross, bottom = _adjugate_product(frame, lattice)
-    cols = [(ring.from_int(ring.p**top), cross), (ring.zero(), ring.from_int(ring.p**bottom))]
-    return lattice_normalize(ring, lattice.shift - frame.shift - d, cols)
+    N = ring.N
+    if ring.budget <= 0:
+        raise PrecisionError("precision budget exhausted")
+    vmin = min(top, bottom, ring.val(cross))
+    if vmin >= N:
+        raise PrecisionError(f"precision N = {N} cannot tell the lattice generators from zero")
+    a, b = top - vmin, bottom - vmin
+    if max(top, bottom) >= N or max(a, b) >= ring.budget:
+        raise PrecisionError("precision budget exhausted")
+    q, pb = ring.p**vmin, ring.p**b
+    c = tuple([e // q % pb for e in cross])
+    return Lattice2(ring, lattice.shift - frame.shift - d + vmin, a, b, c)
 
 
 def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:

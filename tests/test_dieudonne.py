@@ -48,7 +48,7 @@ from gostrata.places import (
     n_tau,
     restrict,
 )
-from gostrata import dieudonne, strata
+from gostrata import dieudonne, strata, witt
 from gostrata.strata import (
     CaseTag,
     delta_sets,
@@ -806,6 +806,50 @@ def test_make_point_takes_no_inverse_and_a_roundtrip_one_delta(monkeypatch, f, s
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "f, split, vanish, full", [(3, True, {0, 1}, False), (2, True, {0, 1}, True), (3, False, {0, 2}, False)]
+)
+def test_lattice_in_frame_takes_no_normalize_and_no_inverse(monkeypatch, f, split, vanish, full):
+    """On a template-point roundtrip, every ``lattice_in_frame`` call (the two
+    comparisons per embedding, the j-lines and the h-lines) reads the Hermite
+    form off the frame's coordinates: no ``lattice_normalize``, no ``inv``."""
+    datum = _datum(f, split)
+    ring, pt = _template_point(datum, vanish)
+    stratum = stratum_of_point(pt)
+    t = stratum if full else frozenset(sorted(stratum)[:1])
+    triple = build_isogeny_triple(pt, t)
+    calls = dict.fromkeys(("lattice_in_frame", "lattice_normalize", "inv"), 0)
+    inside = []
+
+    def counted(name, inner):
+        def wrapped(*args):
+            calls[name] += bool(inside)
+            return inner(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(witt, "lattice_normalize", counted("lattice_normalize", witt.lattice_normalize))
+    monkeypatch.setattr(type(ring), "inv", counted("inv", type(ring).inv))
+
+    def framed(*args, _inner=dieudonne.lattice_in_frame):
+        inside.append(True)
+        calls["lattice_in_frame"] += 1
+        try:
+            return _inner(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dieudonne, "lattice_in_frame", framed)
+    verify_roundtrip(pt, t)
+    lines = len(triple.j_lines) + len(triple.h_lines)
+    assert lines and (bool(triple.h_lines) == full)
+    assert calls == {
+        "lattice_in_frame": 2 * len(pt.embeddings()) + lines,
+        "lattice_normalize": 0,
+        "inv": 0,
+    }
+
+
 def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     datum = _datum(4, True)
     _, pt = _template_point(datum, {1})
@@ -1029,6 +1073,66 @@ def test_roundtrip_full_cycle_iwahori_case():
         assert len(triple.h_lines) == len(delta_sets(
             datum, descriptor, lift_assignment(datum, descriptor, s_lift=frozenset())
         ).minus)
+
+
+def _lines_between_pd_and_d(ring):
+    """The q + 1 lattices between pD and D, q = p^m."""
+    lines = [Lattice2(ring, 0, 0, 1, c) for c in itertools.product(range(ring.p), repeat=ring.m)]
+    return lines + [Lattice2(ring, 0, 1, 0, ring.zero())]
+
+
+@pytest.mark.parametrize(
+    "f, split, s_indices, targets, admitted",
+    [(2, True, (), 10, 5), (2, False, (), 4, 2), (3, True, (0,), 3, 2)],
+)
+def test_reconstruction_rejects_iwahori_lines_outside_the_stratum(
+    f, split, s_indices, targets, admitted
+):
+    """Every choice of h-lines over seeded A2 targets: a returned point lies
+    in the stratum of T and roundtrips on T, and every other choice raises a
+    DieudonneError, naming the first place of T that the rebuilt point
+    misses, or, with S_infty nonempty, most often the rebuilt c-family's
+    instability."""
+    datum = _datum(f, split, s_indices)
+    system = datum.places
+    ring = ring_for_datum(datum, 3)
+    t = frozenset(tau for tau in system.arch_places("p1") if tau not in datum.s.s_infty)
+    descriptor = stratum_descriptor(datum, t)
+    assert descriptor.case_at("p1") is CaseTag.A2
+    zeros = frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
+    lift = lift_assignment(datum, descriptor, s_lift=zeros)
+    delta = delta_sets(datum, descriptor, lift)
+    expected = dimension_count_check(datum, signature_from_lift(datum, zeros), delta)
+    target = dataclasses.replace(datum, s=descriptor.s_of_t, level_p=descriptor.level_t)
+    minus = sorted(delta.minus)
+    rng = random.Random(1400 + 10 * f + split)
+    outcomes = {"admitted": 0, "outside the stratum": 0, "not stable": 0}
+    for _ in range(targets):
+        b_point = random_point(rng, ring, target, signature=expected)
+        for choice in itertools.product(_lines_between_pd_and_d(ring), repeat=len(minus)):
+            h_lines = dict(zip(minus, choice))
+            try:
+                pt = reconstruct_point(b_point, {}, h_lines, descriptor, lift, datum)
+            except DieudonneError as error:
+                message = str(error)
+                if message.startswith("the rebuilt point is outside the stratum of T: "):
+                    _, l_lat, f_mats = reconstruct_lattices(b_point, {}, h_lines, descriptor, lift, datum)
+                    rebuilt = dieudonne._point_from_lattices(b_point, l_lat, f_mats, lift, datum)
+                    first = min(t - stratum_of_point(rebuilt))
+                    assert message.endswith(f": {first} is missing"), message
+                    outcomes["outside the stratum"] += 1
+                else:
+                    assert message.startswith("the rebuilt c-family is not "), message
+                    outcomes["not stable"] += 1
+                continue
+            assert t <= stratum_of_point(pt)
+            verify_roundtrip(pt, t)
+            outcomes["admitted"] += 1
+    lines = (ring.p**ring.m + 1) ** len(minus)
+    assert sum(outcomes.values()) == targets * lines, outcomes
+    assert outcomes["admitted"] == admitted, outcomes
+    assert outcomes["outside the stratum"] > 0, outcomes
+    assert (outcomes["not stable"] > 0) == bool(s_indices), outcomes
 
 
 def test_roundtrip_full_cycle_ramified_case():

@@ -13,7 +13,11 @@ would share its code paths:
   change of basis at every embedding, which must keep its stratum, its
   roundtrips and its target points;
 - the pairing check through V is the oracle for ``make_point``'s check
-  through the adjugate of F, and V's span plus pD for ``omega_lattice``.
+  through the adjugate of F, and V's span plus pD for ``omega_lattice``;
+- brute force is the oracle for the forward map: among all c-families one
+  step above D on the plus delta set, and all b-families one step below the
+  library's c on the minus set, exactly one of each is F- and V-stable by
+  images and containment, and it is the one ``build_isogeny_triple`` walks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import pytest
 from gostrata.dieudonne import (
     DieudonneError,
     _close,
+    _framed_f_mats,
     build_isogeny_triple,
     essential_frobenius_image,
     half_system,
@@ -49,8 +54,10 @@ from gostrata.places import (
     n_tau,
     restrict,
 )
-from gostrata.strata import signature_from_lift
+from gostrata.strata import StratumError, signature_from_lift
 from gostrata.witt import (
+    Lattice2,
+    lattice_contains,
     lattice_normalize,
     lattice_scale,
     lattice_sum,
@@ -286,3 +293,113 @@ def test_omega_lattice_is_spanned_by_v():
             assert omega_lattice(pt, emb) == with_p, emb
             lattices += 1
     assert lattices == 176
+
+
+def _reference_stability(pt, label, lattices):
+    """The stability message by images and containment, or None when stable:
+    F(sigma L') inside L, then V(sigma^-1 L) inside L', at each embedding in
+    turn (a copy of the reference in ``tests/test_dieudonne.py``)."""
+    ring, system = pt.ring, pt.datum.places
+    for emb, lattice in lattices.items():
+        prev = lattices[frobenius_shift(system, emb, -1)]
+        f_image = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, prev.basis, 1))
+        if not lattice_contains(lattice, lattice_normalize(ring, prev.shift, mat_columns(f_image))):
+            return f"{label} is not F-stable at {emb}"
+        v_image = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, lattice.basis, ring.m - 1))
+        if not lattice_contains(prev, lattice_normalize(ring, lattice.shift, mat_columns(v_image))):
+            return f"{label} is not V-stable at {emb}"
+    return None
+
+
+def _framing_verdict(pt, label, lattices):
+    """The library's stability message for one family, or None when stable."""
+    try:
+        _framed_f_mats(pt, [(label, lattices)], {})
+    except DieudonneError as error:
+        return str(error)
+    return None
+
+
+def _families(ring, base, embs, step):
+    """Every family equal to ``base`` off ``embs`` and ``step(base[e], L)`` at
+    each e in ``embs``, for L over the q + 1 lattices between pD and D."""
+    lines = [Lattice2(ring, 0, 0, 1, c) for c in itertools.product(range(ring.p), repeat=ring.m)]
+    lines.append(Lattice2(ring, 0, 1, 0, ring.zero()))
+    for choice in itertools.product(lines, repeat=len(embs)):
+        family = dict(base)
+        family.update((emb, step(base[emb], line)) for emb, line in zip(embs, choice))
+        yield family
+
+
+def _sublattice(outer, line):
+    """The sublattice of ``outer`` that ``line`` is in D: outer's basis times
+    the line's, of index p in ``outer``."""
+    ring = outer.ring
+    basis = mat_mul(ring, outer.basis, line.basis)
+    return lattice_normalize(ring, outer.shift + line.shift, mat_columns(basis))
+
+
+FORWARD_SHAPES = [  # (p, f, split, S_infty indices), template points, two vanishing sets each
+    (2, 2, True, ()), (3, 2, True, ()), (2, 3, True, ()), (3, 3, True, ()),
+    (2, 1, False, ()), (2, 2, False, ()), (2, 3, False, ()),
+    (2, 3, True, (0,)), (2, 3, True, (1,)), (2, 4, True, (0,)), (2, 2, False, (1,)),
+    (2, 3, False, (1,)), (2, 4, False, (2,)),
+]
+
+
+def test_forward_map_picks_the_one_stable_chain():
+    """For every nonempty T inside the stratum of seeded template points, the
+    c-families p^-1 L, L between pD and D, at each embedding of the plus delta
+    set (D elsewhere), and then the b-families of index p in the library's c
+    at each embedding of the minus set (c elsewhere): exactly one of each is
+    F- and V-stable by images and containment, and it is the library's.  The
+    framing check gives the same message as the reference on every family;
+    most of those lines have c != 0, so its frame products take the general
+    path.  A2 and B2 are included.  A T whose families number more than
+    2,000 at one step is left out for time (inert f >= 3, where q + 1 >= 65)."""
+    rng = random.Random(1309)
+    cases, families, skipped = {}, 0, 0
+    for p, f, split, s_indices in FORWARD_SHAPES:
+        datum = _datum(f, split, s_indices)
+        free = [k for k in range(f) if k not in s_indices]
+        for vanish in (set(range(f)), set(rng.sample(free, max(1, len(free) // 2)))):
+            pt = _template_point(datum, p, vanish)
+            ring, stratum = pt.ring, stratum_of_point(pt)
+            d = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+            for size in range(1, len(stratum) + 1):
+                for t in map(frozenset, itertools.combinations(sorted(stratum), size)):
+                    try:
+                        triple = build_isogeny_triple(pt, t)
+                    except StratumError:  # the documented refusal of a split B2 target
+                        assert split and t == {ArchPlace("p1", k) for k in free}
+                        continue
+                    plus, minus = sorted(triple.delta.plus), sorted(triple.delta.minus)
+                    if (ring.p**ring.m + 1) ** max(len(plus), len(minus)) > 2000:
+                        skipped += 1  # (q + 1)^k families past 2,000: left out for time
+                        continue
+                    stable = {"c": [], "b": []}
+                    for kind, base, embs, step in (
+                        ("c", d, plus, lambda _, line: lattice_scale(line, -1)),
+                        ("b", dict(triple.c), minus, _sublattice),
+                    ):
+                        for family in _families(ring, base, embs, step):
+                            verdict = _reference_stability(pt, kind, family)
+                            assert _framing_verdict(pt, kind, family) == verdict
+                            if verdict is None:
+                                stable[kind].append(family)
+                            families += 1
+                    assert stable == {"c": [dict(triple.c)], "b": [dict(triple.b)]}, (datum, t)
+                    key = triple.descriptor.case_at("p1").name, split, bool(s_indices)
+                    cases[key] = cases.get(key, 0) + 1
+    # (case, split, S_infty nonempty): every case of each kind of prime, with
+    # S_infty empty and not; a split B2 target is refused, as documented
+    assert cases == {
+        ("A1", True, False): 6, ("A1", False, False): 3, ("A1", True, True): 6,
+        ("A1", False, True): 1,
+        ("A2", True, False): 2, ("A2", False, False): 1, ("A2", True, True): 2,
+        ("A2", False, True): 1,
+        ("B1", True, False): 14, ("B1", False, False): 7, ("B1", True, True): 7,
+        ("B1", False, True): 5,
+        ("B2", False, False): 2, ("B2", False, True): 1,
+    }, cases
+    assert (families, skipped) == (7006, 5)

@@ -13,6 +13,7 @@ from gostrata.witt import (
     PrecisionError,
     Lattice2,
     WittError,
+    _adjugate_product,
     _is_irreducible,
     _poly_gcdex,
     _poly_pow_mod,
@@ -406,8 +407,8 @@ def _hermite_lattice(ring, shift, a, b, c):
 @pytest.mark.parametrize("p, m, N", [(2, 1, 8), (2, 2, 8), (3, 4, 8), (5, 3, 12), (7, 2, 16)])
 def test_hermite_product_matches_mat_mul(p, m, N):
     """mat * sigma^n(basis) in closed form against mat_mul with mat_sigma, on
-    random lattices, b = 0 and a + b near or past N, for general and constant
-    matrices."""
+    random lattices, b = 0, a + b near or past N, and c = 0 with a, b > 0,
+    for general and constant matrices."""
     ring = witt_ring(p, m, N)
     rng = random.Random(13000 * m + N + p)
     top = ring.budget - 1
@@ -415,6 +416,8 @@ def test_hermite_product_matches_mat_mul(p, m, N):
     for a, b in [(0, 0), (top, 0), (0, top), (top - 1, top), (top, top)]:
         c = ring.add(ring.one(), ring.smul(p, _rand_elem(rng, ring)))  # a unit
         lattices.append(_hermite_lattice(ring, rng.randrange(-1, 2), a, b, c))
+    for shift, a, b in [(-2, 1, 1), (1, 1, top), (2, top, 2)]:  # c = 0: no sigma, no product
+        lattices.append(Lattice2(ring, shift, a, b, ring.zero()))
     assert m == 1 or any(any(l.c[1:]) for l in lattices)
     assert max(l.a + l.b for l in lattices) >= N - 2
     general = [
@@ -432,7 +435,9 @@ def test_hermite_product_matches_mat_mul(p, m, N):
 def _frame_cases(rng, ring):
     """Hermite coordinates (a, b, c) with a = 0, b = 0, a + b = N - 1 and
     a + b >= N, each c reduced mod p^b; built directly, since a + b >= N - 1
-    lies past what ``lattice_normalize`` accepts at most of these N."""
+    lies past what ``lattice_normalize`` accepts at most of these N.  Then
+    c = 0 with a, b > 0 and a shift of -2 or 1, where no product by c is
+    formed."""
     N = ring.N
     pairs = [(0, 0), (0, 1), (1, 0), (0, N - 1), (N - 1, 0), (N // 2, N - 1 - N // 2),
              (N - 2, 1), (N // 2, N - N // 2), (N, 0), (1, N)]
@@ -440,6 +445,8 @@ def _frame_cases(rng, ring):
         q = ring.p**b
         for c in (ring.zero(), tuple(x % q for x in _rand_elem(rng, ring))):
             yield Lattice2(ring, rng.randrange(-1, 2), a, b, c)
+    for a, b in [(1, 1), (1, N - 2), (N - 3, 2)]:
+        yield Lattice2(ring, rng.choice((-2, 1)), a, b, ring.zero())
 
 
 def _frame_operands(rng, ring):
@@ -481,6 +488,36 @@ def test_basis_transpose_product_matches_mat_mul(p, m, N):
         for mat in _frame_operands(rng, ring):
             expected = mat_mul(ring, mat_transpose(l.basis), mat)
             assert basis_transpose_times(l, mat) == expected, (l, mat)
+
+
+def test_frame_products_with_c_zero_form_no_ring_product(monkeypatch):
+    """With c = 0 the three frame products are scalings by p^a and p^b: no
+    ``mul`` and no sigma, and the same matrices as the naive products."""
+    ring = witt_ring(3, 4, 8)
+    rng = random.Random(2121)
+    cases = []
+    for l in _frame_cases(rng, ring):
+        if any(l.c) or l.a + l.b >= ring.N:
+            continue
+        for mat in _frame_operands(rng, ring):
+            naive = (
+                mat_mul(ring, mat, l.basis),
+                mat_mul(ring, mat_adjugate(ring, l.basis), mat),
+                mat_mul(ring, mat_transpose(l.basis), mat),
+            )
+            cases.append((l, mat, naive))
+    assert len({l for l, _, _ in cases}) == 12  # b = 0 takes c = 0 too
+
+    def refuse(*args):
+        raise AssertionError("a product by c = 0")
+
+    monkeypatch.setattr(type(ring), "mul", refuse)
+    monkeypatch.setitem(mat_times_sigma_basis.__globals__, "frobenius", refuse)
+    for l, mat, (times, adjugate, transpose) in cases:
+        for n in (0, 1, ring.m - 1):
+            assert mat_times_sigma_basis(ring, mat, l, n) == times
+        assert frame_times(l, mat) == (l.a + l.b, adjugate)
+        assert basis_transpose_times(l, mat) == transpose
 
 
 def _assert_reduced(ring, e):
@@ -673,6 +710,79 @@ def test_hermite_paths_match_general_path(p, m):
                     ring, shifted.shift - outer.shift - d, image
                 )
     assert answers == {True, False}
+
+
+def _normalized_in_frame(ring, frame, lattice):
+    """``lattice_in_frame`` through ``lattice_normalize`` of the two columns
+    of p^d frame^-1 lattice, with a unit inverse: the reference for the closed
+    form."""
+    d, top, cross, bottom = _adjugate_product(frame, lattice)
+    cols = [(ring.from_int(ring.p**top), cross), (ring.zero(), ring.from_int(ring.p**bottom))]
+    return lattice_normalize(ring, lattice.shift - frame.shift - d, cols)
+
+
+def _frame_pool(rng, ring, count):
+    """``_rand_lattice`` draws, Hermite coordinates drawn with a and b
+    anywhere below the budget, so that a + b and the products in a frame
+    reach N once N >= 10, and H(k, k, 0) for k = (N - 2) // 2 and N - 5, which
+    frame each other with nothing above p^N once N >= 12."""
+    mid, top = (ring.N - 2) // 2, max(ring.budget - 1, 0)
+    pool = [Lattice2(ring, 0, k, k, ring.zero()) for k in (mid, top)]
+    while len(pool) < count:
+        try:
+            pool.append(_rand_lattice(rng, ring))
+        except PrecisionError:  # a budget of 0 (N = 4), or a or b at a budget of 1
+            pass
+        a, b = (rng.randrange(max(ring.budget, 1)) for _ in range(2))
+        c = tuple(x % ring.p**b for x in _rand_elem(rng, ring))
+        pool.append(Lattice2(ring, rng.randrange(-2, 3), a, b, c))
+    return pool
+
+
+IN_FRAME_MESSAGES = {
+    "precision budget exhausted": "budget",
+    "element indistinguishable from zero": "frame det",
+}
+
+
+@pytest.mark.parametrize(
+    "p, m, N, kinds",
+    [
+        (3, 2, 4, {"budget"}),
+        (2, 1, 5, {"lattice"}),
+        (3, 2, 5, {"lattice"}),
+        (2, 3, 6, {"lattice", "budget"}),
+        (3, 2, 8, {"lattice", "budget"}),
+        (5, 3, 10, {"lattice", "budget", "frame det"}),
+        (2, 2, 12, {"lattice", "budget", "frame det", "zero generators"}),
+        (3, 4, 12, {"lattice", "budget", "frame det", "zero generators"}),
+    ],
+)
+def test_lattice_in_frame_matches_the_normalize_path(p, m, N, kinds):
+    """The closed form gives the reference's lattice, or raises its exception
+    with its message, on every (frame, lattice) pair of a seeded pool; each
+    outcome the grid can reach is reached."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(2100 + 100 * p + 10 * m + N)
+    pool = _frame_pool(rng, ring, 24)
+    outcomes = {}
+    for frame in pool:
+        for lattice in pool:
+            try:
+                expected = _normalized_in_frame(ring, frame, lattice)
+            except PrecisionError as error:
+                with pytest.raises(PrecisionError) as info:
+                    lattice_in_frame(ring, frame, lattice)
+                assert type(info.value) is type(error) and str(info.value) == str(error)
+                kind = IN_FRAME_MESSAGES.get(str(error), "zero generators")
+                if kind == "zero generators":
+                    assert str(error) == f"precision N = {N} cannot tell the lattice generators from zero"
+            else:
+                assert lattice_in_frame(ring, frame, lattice) == expected, (frame, lattice)
+                kind = "lattice"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert sum(outcomes.values()) == len(pool) ** 2
+    assert set(outcomes) == kinds, outcomes
 
 
 def _det_index_val(l):
