@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import GostrataError
 from .places import (
     ArchPlace,
     EmbE,
@@ -113,12 +114,6 @@ def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
     if k > 0:
         return mat_smul(ring, ring.p**k, mat)
     return tuple(tuple(ring.div_p(e, -k) for e in row) for row in mat)
-
-
-def _p_times_inverse(ring: WittRing, mat: Mat2) -> Mat2:
-    """The matrix p * mat^{-1}, integral whenever both elementary divisors <= 1."""
-    d, inv = scaled_inverse(ring, mat)
-    return _mat_shift(ring, inv, 1 - d)
 
 
 def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
@@ -249,7 +244,8 @@ def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
     ``make_point`` bounds the divisors of F by (0, 1); exact to N - 1 digits
     where F has divisors (1, 1), to N elsewhere."""
     ring = pt.ring
-    return mat_sigma(ring, _p_times_inverse(ring, pt.f_mats[emb]), ring.m - 1)
+    d, inverse = scaled_inverse(ring, pt.f_mats[emb])
+    return mat_sigma(ring, _mat_shift(ring, inverse, 1 - d), ring.m - 1)
 
 
 def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -448,6 +444,14 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
     return f_mats
 
 
+def _check_colengths(outer, inner, ones, what: str) -> None:
+    """Check that each lattice of the family ``inner`` has colength 1 in the
+    one of ``outer`` at the embeddings in ``ones``, and 0 at the others."""
+    for emb, lattice in outer.items():
+        if lattice_colength(lattice, inner[emb]) != int(emb in ones):
+            raise DieudonneError(f"wrong {what} colength at {emb}")
+
+
 def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> IsogenyTriple:
     """Produce the lattice chain a Q c ⊇ b attached to a stratum membership.
 
@@ -482,11 +486,8 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
     b_f_mats = _framed_f_mats(
         pt, [("the c-lattice family", c_lat), ("the b-lattice family", b_lat)], {}
     )
-    for emb in pt.embeddings():
-        if lattice_colength(c_lat[emb], a_lat[emb]) != int(emb in delta.plus):
-            raise DieudonneError(f"wrong a-in-c colength at {emb}")
-        if lattice_colength(c_lat[emb], b_lat[emb]) != int(emb in delta.minus):
-            raise DieudonneError(f"wrong b-in-c colength at {emb}")
+    _check_colengths(c_lat, a_lat, delta.plus, "a-in-c")
+    _check_colengths(c_lat, b_lat, delta.minus, "b-in-c")
 
     target_datum = ShimuraDatum(system, descriptor.s_of_t, descriptor.level_t)
     expected = dimension_count_check(datum, pt.signature, delta)
@@ -523,33 +524,21 @@ def reconstruct_lattices(
     h_lines: Mapping[EmbE, Lattice2],
     descriptor: StratumDescriptor,
     lift: LiftChoice,
-    source_datum: ShimuraDatum,
+    delta: DeltaSets,
 ) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Mat2]]:
-    """Rebuild the c- and a-lattice families in the b-frame.
+    """Rebuild the c- and a-lattice families in the b-frame, for the delta
+    sets of the descriptor and lift, which a forward triple carries.
 
     Returns ``(m, l, f_mats)``: ``m`` the overlattices recovering c, ``l`` the
     sublattices recovering a, every one in Hermite form, and ``f_mats`` the
     rebuilt a-family's framed F-matrices, which become the source point's F.
     """
-    delta = delta_sets(source_datum, descriptor, lift)
-    return _rebuild_lattices(b_point, j_lines, h_lines, descriptor, lift, delta)
-
-
-def _rebuild_lattices(
-    b_point: DieudonnePoint,
-    j_lines: Mapping[EmbE, Lattice2],
-    h_lines: Mapping[EmbE, Lattice2],
-    descriptor: StratumDescriptor,
-    lift: LiftChoice,
-    delta: DeltaSets,
-) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Mat2]]:
-    """``reconstruct_lattices`` for the delta sets of the descriptor and lift,
-    which a forward triple already carries."""
     ring, system = b_point.ring, b_point.datum.places
     pid = b_point.prime_id
     std = standard_lattice(ring)
 
-    m_lat = {emb: std for emb in b_point.embeddings()}
+    base = dict.fromkeys(b_point.embeddings(), std)
+    m_lat = dict(base)
     case = descriptor.case_at(pid)
     if case in (CaseTag.A1, CaseTag.B1):
         chains = {chain.top: chain for chain in descriptor.chains[pid]}
@@ -577,9 +566,7 @@ def _rebuild_lattices(
             m_lat[emb] = lattice_dual(std, b_point.pairings[emb])
     framed: dict = {}
     _framed_f_mats(b_point, [("the rebuilt c-family", m_lat)], framed)
-    for emb in b_point.embeddings():
-        if lattice_colength(m_lat[emb], std) != int(emb in delta.minus):
-            raise DieudonneError(f"wrong rebuilt colength at {emb}")
+    _check_colengths(m_lat, base, delta.minus, "rebuilt")
 
     l_lat: dict[EmbE, Lattice2] = {}
     for emb in b_point.embeddings():
@@ -588,9 +575,7 @@ def _rebuild_lattices(
         else:
             l_lat[emb] = m_lat[emb]
     f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
-    for emb in b_point.embeddings():
-        if lattice_colength(m_lat[emb], l_lat[emb]) != int(emb in delta.plus):
-            raise DieudonneError(f"wrong a-in-c colength at {emb}")
+    _check_colengths(m_lat, l_lat, delta.plus, "a-in-c")
     return m_lat, l_lat, f_mats
 
 
@@ -619,9 +604,8 @@ def reconstruct_point(
     do not pin down the Iwahori lines of an A2 target, and lines that no
     point of the stratum has rebuild a valid point outside it.  So each place
     of T is checked, and the first one missing raises."""
-    _, l_lat, f_mats = reconstruct_lattices(
-        b_point, j_lines, h_lines, descriptor, lift, source_datum
-    )
+    delta = delta_sets(source_datum, descriptor, lift)
+    _, l_lat, f_mats = reconstruct_lattices(b_point, j_lines, h_lines, descriptor, lift, delta)
     point = _point_from_lattices(b_point, l_lat, f_mats, lift, source_datum)
     for tau in sorted(descriptor.t):
         if not _in_stratum(point, tau):
@@ -640,7 +624,7 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     """
     ring, datum = pt.ring, pt.datum
     triple = build_isogeny_triple(pt, t)
-    m_lat, l_lat, f_mats = _rebuild_lattices(
+    m_lat, l_lat, f_mats = reconstruct_lattices(
         triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, triple.delta
     )
     for emb in pt.embeddings():
@@ -816,17 +800,34 @@ def point_to_json(pt: DieudonnePoint) -> dict:
 
 
 def point_from_json(data: Mapping) -> DieudonnePoint:
-    ring = ring_from_json(data["ring"])
-    datum = datum_from_json(data["datum"])
-    pid = datum.places.primes[0].id
+    """The point of a ``point_to_json`` record, through ``make_point``.  A field
+    that is missing, holds a coefficient that is not hex or has the wrong type
+    raises a one-line ``DieudonneError`` naming the record and the field."""
+
+    def field(name: str, parse):
+        if name not in data:
+            raise DieudonneError(f"point record lacks the field {name!r}")
+        try:
+            return parse(data[name])
+        except GostrataError:
+            raise
+        except KeyError as exc:
+            raise DieudonneError(f"point record field {name!r} lacks the key {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise DieudonneError(f"point record field {name!r} is malformed: {exc}") from None
+
+    ring = field("ring", ring_from_json)
+    datum = field("datum", datum_from_json)
+    pid = _one_prime(datum)[0].id
 
     def parse_key(key: str) -> EmbE:
         sheet, i = key.split(":")
         return EmbE(pid, int(sheet), int(i))
 
     f_mats, pairings = (
-        {parse_key(k): _mat_from_json(ring, f"{name} {k}", v) for k, v in data[name].items()}
+        field(name, lambda mats: {parse_key(k): _mat_from_json(ring, f"{name} {k}", v)
+                                  for k, v in mats.items()})
         for name in ("f_mats", "pairings")
     )
-    signature = {parse_key(k): int(v) for k, v in data["signature"].items()}
+    signature = field("signature", lambda values: {parse_key(k): int(v) for k, v in values.items()})
     return make_point(ring, datum, f_mats, pairings, signature)

@@ -54,6 +54,8 @@ its entries, with no unit inverse and no ``lattice_normalize``.  The index
 valuation is 2 shift + a + b, capped at N.  Once a + b >= N (possible for
 N >= 10) det(basis) is zero mod p^N, and ``frame_times``, ``lattice_contains``
 and ``lattice_in_frame`` raise ``PrecisionError`` on that frame.
+``lattice_dual`` spans the columns of the adjugate of basis^T pairing^T,
+which is p^d times its inverse up to a unit, so it inverts no unit either.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -694,11 +696,15 @@ def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:
 
 
 def lattice_dual(l: Lattice2, pairing: Mat2) -> Lattice2:
-    """{v : <v, l> integral} under <v, w> = v^T * pairing * w.  A pairing whose
+    """{v : <v, l> integral} under <v, w> = v^T * pairing * w: p^-shift times
+    the span of M^-1 for M = basis^T pairing^T.  With det M = p^d u that is
+    p^-(shift + d) times the span of adj(M) = u p^d M^-1, since the unit u
+    leaves a span as it is, so no unit is inverted.  A pairing whose
     determinant on ``l`` is zero mod p^N raises ``PrecisionError``."""
     ring = l.ring
-    d, basis = scaled_inverse(ring, basis_transpose_times(l, mat_transpose(pairing)))
-    return lattice_normalize(ring, -l.shift - d, mat_columns(basis))
+    mat = basis_transpose_times(l, mat_transpose(pairing))
+    d, _ = ring.unit_and_val(mat_det(ring, mat))
+    return lattice_normalize(ring, -l.shift - d, mat_columns(mat_adjugate(ring, mat)))
 
 
 # --- serialization ------------------------------------------------------------

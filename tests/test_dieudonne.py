@@ -130,9 +130,14 @@ def _zeros(pt):
     return frozenset(emb for emb, value in pt.signature.items() if value == 0)
 
 
-def _lines(triple, datum):
-    """The arguments of reconstruct_lattices and reconstruct_point."""
+def _point_args(triple, datum):
+    """The arguments of reconstruct_point: the triple's lines, on the source datum."""
     return (triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, datum)
+
+
+def _lattice_args(triple):
+    """The arguments of reconstruct_lattices: the triple's lines and delta sets."""
+    return (triple.b_point, triple.j_lines, triple.h_lines, triple.descriptor, triple.lift, triple.delta)
 
 
 def _roundtrip(ring, datum, pt, t):
@@ -141,12 +146,12 @@ def _roundtrip(ring, datum, pt, t):
     triple = build_isogeny_triple(pt, t)
     assert triple.descriptor == descriptor and triple.lift == lift
     assert triple.delta == delta_sets(datum, descriptor, lift)
-    m, l, _ = reconstruct_lattices(*_lines(triple, datum))
+    m, l, _ = reconstruct_lattices(*_lattice_args(triple))
     for emb in pt.embeddings():
         frame = triple.b[emb]
         assert m[emb] == lattice_in_frame(ring, frame, triple.c[emb])
         assert l[emb] == lattice_in_frame(ring, frame, triple.a[emb])
-    back = reconstruct_point(*_lines(triple, datum))
+    back = reconstruct_point(*_point_args(triple, datum))
     assert back.signature == pt.signature
     assert stratum_of_point(back) == stratum_of_point(pt)
     return triple
@@ -748,7 +753,7 @@ def test_verify_roundtrip_returns_the_reconstructed_point():
             lift = lift_assignment(datum, descriptor, s_lift=_zeros(pt))
             triple = build_isogeny_triple(pt, t)
             assert triple.descriptor == descriptor and triple.lift == lift
-            expected = reconstruct_point(*_lines(triple, datum))
+            expected = reconstruct_point(*_point_args(triple, datum))
             assert verify_roundtrip(pt, t) == expected
 
 
@@ -857,7 +862,7 @@ def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     assert t == {ArchPlace("p1", 0)}
     assert stratum_descriptor(datum, t).case_at("p1") is CaseTag.A1
     triple = build_isogeny_triple(pt, t)
-    m, l, f_mats = reconstruct_lattices(*_lines(triple, datum))
+    m, l, f_mats = reconstruct_lattices(*_lattice_args(triple))
     frames = []
 
     def counted(lattice, mat, _inner=dieudonne.frame_times):
@@ -896,7 +901,7 @@ def test_roundtrip_walks_one_step_per_lattice(monkeypatch, f, split, vanish):
 
     for name, stage in [
         ("build_isogeny_triple", "forward"),
-        ("_rebuild_lattices", "inverse"),
+        ("reconstruct_lattices", "inverse"),
         ("hasse_vanishes", "hasse"),
     ]:
         monkeypatch.setattr(dieudonne, name, staged(stage, getattr(dieudonne, name)))
@@ -1116,7 +1121,7 @@ def test_reconstruction_rejects_iwahori_lines_outside_the_stratum(
             except DieudonneError as error:
                 message = str(error)
                 if message.startswith("the rebuilt point is outside the stratum of T: "):
-                    _, l_lat, f_mats = reconstruct_lattices(b_point, {}, h_lines, descriptor, lift, datum)
+                    _, l_lat, f_mats = reconstruct_lattices(b_point, {}, h_lines, descriptor, lift, delta)
                     rebuilt = dieudonne._point_from_lattices(b_point, l_lat, f_mats, lift, datum)
                     first = min(t - stratum_of_point(rebuilt))
                     assert message.endswith(f": {first} is missing"), message
@@ -1175,7 +1180,7 @@ def test_roundtrip_odd_chain_uses_j_line():
             assert triple.j_lines
             # dropping the j-line breaks the reconstruction
             with pytest.raises(DieudonneError):
-                reconstruct_lattices(triple.b_point, {}, {}, descriptor, lift, datum)
+                reconstruct_lattices(triple.b_point, {}, {}, descriptor, lift, triple.delta)
             hits += 1
         _roundtrip(ring, datum, pt, t)
         if hits >= 3:
@@ -1189,6 +1194,74 @@ def _chain_m(datum, descriptor, base_tilde):
         if chain.top == top:
             return chain.m
     raise AssertionError("no chain found")
+
+
+def _without_one_h_line():
+    """An A2 triple rebuilt with its first h-line dropped."""
+    datum = _datum(2, True)
+    _, pt = _template_point(datum, {0, 1})
+    triple = build_isogeny_triple(pt, stratum_of_point(pt))
+    assert triple.descriptor.case_at("p1") is CaseTag.A2
+    dropped, *kept = triple.h_lines
+    h_lines = {emb: triple.h_lines[emb] for emb in kept}
+    args = (triple.b_point, triple.j_lines, h_lines, triple.descriptor, triple.lift, triple.delta)
+    return (lambda: reconstruct_lattices(*args)), f"missing Iwahori line at {dropped}"
+
+
+def _essential_composite_at_zero(composite):
+    datum = _datum(2, True)
+    _, pt = _antidiag_point(datum)
+    return (lambda: composite(pt, pt.embeddings()[0], 0)), "n must be at least 1"
+
+
+def _uncovered_half_system():
+    datum = _datum(2, True)
+    ring = ring_for_datum(datum, 3)
+    first = half_system(datum)[0]
+    f_mats = {first: mat2(ring, [[0, 1], [3, 0]])}
+    pairings = {first: mat2(ring, [[0, 1], [ring.pn - 1, 0]])}
+    signature = dict.fromkeys(datum.places.embeddings(), 1)
+    return (
+        lambda: point_from_half_system(ring, datum, f_mats, pairings, signature),
+        "half-system data must cover one lift per place",
+    )
+
+
+def _div_p_of_a_non_multiple():
+    ring = witt_ring(3, 2, 8)
+    return (lambda: ring.div_p(ring.from_int(3), 2)), "element not divisible by the requested power of p"
+
+
+def _sum_over_two_rings():
+    one, other = standard_lattice(witt_ring(3, 2, 8)), standard_lattice(witt_ring(3, 2, 6))
+    return (lambda: witt.lattice_sum(one, other)), "lattices live over different rings"
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (lambda: _essential_composite_at_zero(essential_frobenius_matrix), DieudonneError),
+        (lambda: _essential_composite_at_zero(essential_verschiebung_matrix), DieudonneError),
+        (_without_one_h_line, DieudonneError),
+        (_div_p_of_a_non_multiple, witt.WittError),
+        (_sum_over_two_rings, witt.WittError),
+        (_uncovered_half_system, DieudonneError),
+    ],
+    ids=[
+        "frobenius_composite_n_0",
+        "verschiebung_composite_n_0",
+        "missing_iwahori_line",
+        "div_p_non_multiple",
+        "lattice_sum_two_rings",
+        "half_system_coverage",
+    ],
+)
+def test_direct_calls_reach_their_raises(case, error):
+    """Raises that only a direct call reaches, each with its type and message."""
+    call, message = case()
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # --- twisted partial Frobenius ------------------------------------------------
@@ -1256,6 +1329,59 @@ def test_malformed_point_json_is_a_one_line_error(edit, message):
     with pytest.raises(DieudonneError, match=message) as info:
         point_from_json(data)
     assert "\n" not in str(info.value)
+
+
+def _set_first_coefficient(data, value):
+    data["f_mats"]["0:1"][0][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.pop("signature"), "point record lacks the field 'signature'"),
+        (
+            lambda data: _set_first_coefficient(data, "zz"),
+            "point record field 'f_mats' is malformed: invalid literal for int() with base 16: 'zz'",
+        ),
+        (
+            lambda data: data.__setitem__("pairings", []),
+            "point record field 'pairings' is malformed: 'list' object has no attribute 'items'",
+        ),
+    ],
+    ids=["missing_key", "non_hex_coefficient", "wrong_type"],
+)
+def test_point_json_bad_field_is_a_one_line_error(edit, message):
+    _, pt = _json_point()
+    data = point_to_json(pt)
+    edit(data)
+    with pytest.raises(DieudonneError) as info:
+        point_from_json(data)
+    assert type(info.value) is DieudonneError and str(info.value) == message
+    assert "\n" not in str(info.value)
+
+
+def test_point_json_well_formed_record_raises_the_librarys_error():
+    """A record that parses reaches ``make_point``, whose error passes as it is."""
+    ring, pt = _json_point()
+    data = point_to_json(pt)
+    emb = pt.embeddings()[1]
+    data["signature"]["0:1"] = 2
+    declared = {**pt.signature, emb: 2}
+    with pytest.raises(DieudonneError) as expected:
+        make_point(ring, pt.datum, pt.f_mats, pt.pairings, declared)
+    with pytest.raises(DieudonneError) as info:
+        point_from_json(data)
+    assert type(info.value) is type(expected.value)
+    assert str(info.value) == str(expected.value) == (
+        f"signature mismatch at {emb}: computed 1, declared 2"
+    )
+    # a library error raised while a field is parsed passes as it is too
+    data = point_to_json(pt)
+    data["ring"]["modulus"] = [2, 0, 1]
+    with pytest.raises(witt.WittError) as info:
+        point_from_json(data)
+    assert type(info.value) is witt.WittError
+    assert str(info.value) == "modulus mismatch with the canonical choice"
 
 
 def test_point_json_coefficients_are_read_mod_p_n():

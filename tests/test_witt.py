@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gostrata.dieudonne import lattice_in_frame
-from gostrata import dieudonne
+from gostrata import dieudonne, witt
 from gostrata.witt import (
     NOT_SPLIT,
     DieudonneError,
@@ -950,6 +950,108 @@ def test_lattice_double_dual():
         for _ in range(15):
             l = _rand_lattice(rng, ring)
             assert lattice_dual(lattice_dual(l, pairing), pairing) == l
+
+
+def test_lattice_dual_takes_no_inverse_of_its_own(monkeypatch):
+    """The dual spans adj(M): it calls no ``scaled_inverse``, and the one unit
+    it inverts is the pivot of its one ``lattice_normalize``.  The pools are
+    those of the two dual tests above."""
+    pools = []
+    rng = random.Random(41)
+    ring = witt_ring(3, 2, 8)
+    pairing = _rand_unimodular(rng, ring)
+    pools.append((pairing, [standard_lattice(ring), _rand_lattice(rng, ring)]))
+    rng = random.Random(55)
+    for p in (2, 3, 5):
+        ring = witt_ring(p, 2, 8)
+        unit = next(a for a in iter(lambda: _rand_elem(rng, ring), None) if ring.val(a) == 0)
+        pairing = ((ring.zero(), unit), (ring.neg(unit), ring.zero()))
+        pools.append((pairing, [_rand_lattice(rng, ring) for _ in range(15)]))
+    calls = dict.fromkeys(("lattice_normalize", "inv"), 0)
+    inside = []
+
+    def normalize(*args, _inner=witt.lattice_normalize):
+        calls["lattice_normalize"] += 1
+        inside.append(True)
+        try:
+            return _inner(*args)
+        finally:
+            inside.pop()
+
+    def inv(self, a, _inner=type(ring).inv):
+        calls["inv"] += not inside
+        return _inner(self, a)
+
+    def refuse(*args):
+        raise AssertionError("lattice_dual called scaled_inverse")
+
+    monkeypatch.setattr(witt, "lattice_normalize", normalize)
+    monkeypatch.setattr(type(ring), "inv", inv)
+    monkeypatch.setattr(witt, "scaled_inverse", refuse)
+    duals = 0
+    for pairing, lattices in pools:
+        for l in lattices:
+            lattice_dual(l, pairing)
+            duals += 1
+    assert duals == 47
+    assert calls == {"lattice_normalize": duals, "inv": 0}
+
+
+def _dual_by_inverse(l, pairing):
+    """``lattice_dual`` through p^d M^-1 with a unit inverse: the reference
+    for the adjugate span."""
+    ring = l.ring
+    d, basis = scaled_inverse(ring, basis_transpose_times(l, mat_transpose(pairing)))
+    return lattice_normalize(ring, -l.shift - d, mat_columns(basis))
+
+
+DUAL_MESSAGES = {
+    "precision budget exhausted": "budget",
+    "element indistinguishable from zero": "det",
+}
+
+
+@pytest.mark.parametrize(
+    "p, m, N, kinds",
+    [
+        (3, 2, 4, {"budget", "det"}),
+        (2, 1, 5, {"lattice", "budget", "det"}),
+        (3, 2, 5, {"lattice", "budget", "det"}),
+        (2, 3, 6, {"lattice", "budget", "det"}),
+        (3, 2, 8, {"lattice", "budget", "det"}),
+        (5, 3, 10, {"lattice", "budget", "det"}),
+        (2, 2, 12, {"lattice", "budget", "det"}),
+        (3, 4, 12, {"lattice", "budget", "det"}),
+    ],
+)
+def test_lattice_dual_matches_the_inverse_path(p, m, N, kinds):
+    """The adjugate dual gives the reference's lattice, or raises its
+    exception with its message, on every (lattice, pairing) pair of a seeded
+    pool: pairings are unimodular times diag(p^i, p^j), i and j up to N, so
+    perfect, imperfect and degenerate mod p^N."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(2200 + 100 * p + 10 * m + N)
+    lattices = _frame_pool(rng, ring, 16)
+    pairings = [
+        mat_mul(ring, _rand_unimodular(rng, ring), mat2(ring, [[p**i, 0], [0, p**j]]))
+        for i, j in ((0, 0), (1, 0), (0, 2), *((rng.randrange(N + 1), rng.randrange(N + 1)) for _ in range(5)))
+    ]
+    outcomes = {}
+    for l in lattices:
+        for pairing in pairings:
+            try:
+                expected = _dual_by_inverse(l, pairing)
+            except PrecisionError as error:
+                with pytest.raises(PrecisionError) as info:
+                    lattice_dual(l, pairing)
+                assert type(info.value) is type(error) and str(info.value) == str(error)
+                kind = DUAL_MESSAGES.get(str(error), "zero generators")
+            else:
+                assert lattice_dual(l, pairing) == expected, (l, pairing)
+                kind = "lattice"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert sum(outcomes.values()) == len(lattices) * len(pairings)
+    assert set(outcomes) == kinds, outcomes
 
 
 # --- serialization ------------------------------------------------------------
