@@ -101,12 +101,10 @@ def _parse_tau(datum: ShimuraDatum, token: str, prime_id: str | None = None) -> 
     return tau
 
 
-def _parse_tau_list(datum: ShimuraDatum, text: str, prime_id: str | None = None):
+def _parse_tau_list(datum: ShimuraDatum, text: str):
     if not text.strip():
         return frozenset()
-    return frozenset(
-        _parse_tau(datum, token, prime_id) for token in text.split(",")
-    )
+    return frozenset(_parse_tau(datum, token) for token in text.split(","))
 
 
 def _emit(payload) -> None:
@@ -158,33 +156,18 @@ def _cmd_strata_table(args) -> int:
     rows = list(_table_rows(datum))
     if args.format == "json":
         _emit(rows)
-    elif args.format == "csv":
+        return 0
+    csv = args.format == "csv"
+    sep = ";" if csv else ","
+    if csv:
         print("T,S_infty,S_p,N,level")
-        for row in rows:
-            level = ";".join(f"{k}={v}" for k, v in sorted(row["level"].items()))
-            print(
-                ",".join(
-                    [
-                        ";".join(row["T"]),
-                        ";".join(row["S_infty"]),
-                        ";".join(row["S_p"]),
-                        str(row["N"]),
-                        level,
-                    ]
-                )
-            )
-    else:
-        for row in rows:
-            level = ",".join(f"{k}={v}" for k, v in sorted(row["level"].items()))
-            print(
-                "T={{{}}} S_infty={{{}}} S_p={{{}}} N={} level={}".format(
-                    ",".join(row["T"]),
-                    ",".join(row["S_infty"]),
-                    ",".join(row["S_p"]),
-                    row["N"],
-                    level,
-                )
-            )
+    for row in rows:
+        level = sep.join(f"{k}={v}" for k, v in sorted(row["level"].items()))
+        cells = [sep.join(row[key]) for key in ("T", "S_infty", "S_p")] + [row["N"], level]
+        if csv:
+            print(",".join(map(str, cells)))
+        else:
+            print("T={{{}}} S_infty={{{}}} S_p={{{}}} N={} level={}".format(*cells))
     return 0
 
 
@@ -219,6 +202,8 @@ def _cmd_link(args) -> int:
         _emit(_link_payload(links.invert(_load_link(args.invert))))
         return 0
     if args.frobenius:
+        if args.k < 0:
+            raise UsageError(f"--k {args.k} must not be negative")
         datum = _load_datum(args.datum)
         prime_id = _default_prime(datum, args.prime)
         link = links.frobenius_link(datum, prime_id, args.k)
@@ -525,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--k", type=int, default=1)
     p_link.add_argument("--tau")
     p_link.add_argument("--p", type=int)
-    p_link.add_argument("--sheet", type=int)
+    p_link.add_argument("--sheet", type=int, choices=(0, 1), default=0)
     p_link.add_argument("--render", action="store_true")
     p_link.set_defaults(func=_cmd_link)
 

@@ -290,16 +290,13 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2
     return mat
 
 
-def essential_frobenius_image(
-    pt: DieudonnePoint, emb: EmbE, n: int, start: Lattice2 | None = None
-) -> Lattice2:
-    """Image of F_es^n applied to a lattice at the component sigma^{-n}(emb):
-    the composite ``essential_frobenius_matrix`` applied to sigma^n of the
-    start's basis, normalized once."""
+def essential_frobenius_image(pt: DieudonnePoint, emb: EmbE, n: int, start: Lattice2) -> Lattice2:
+    """Image of F_es^n applied to the lattice ``start`` at the component
+    sigma^{-n}(emb): the composite ``essential_frobenius_matrix`` applied to
+    sigma^n of the start's basis, normalized once."""
     ring = pt.ring
-    lattice = standard_lattice(ring) if start is None else start
-    basis = mat_times_sigma_basis(ring, essential_frobenius_matrix(pt, emb, n), lattice, n)
-    return lattice_normalize(ring, lattice.shift, mat_columns(basis))
+    basis = mat_times_sigma_basis(ring, essential_frobenius_matrix(pt, emb, n), start, n)
+    return lattice_normalize(ring, start.shift, mat_columns(basis))
 
 
 def _walk(pt: DieudonnePoint, run: frozenset[EmbE], behind: Mapping[EmbE, Lattice2]):

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import GostrataError
-from .places import ArchPlace, EmbE, FrozenMap, ShimuraDatum, n_tau
+from .places import ArchPlace, EmbE, FrozenMap, ShimuraDatum, canonical_lift, n_tau
 
 
 class LinkError(GostrataError):
@@ -34,9 +34,6 @@ class Band:
             raise LinkError("band length must be positive")
         if any(not 0 <= v < self.n for v in self.nodes):
             raise LinkError("node out of range")
-
-    def sorted_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def validate_link(link: Link) -> list[str]:
         problems.append("curves collide: endpoint map is not a bijection")
     if problems:
         return problems
-    order = link.source.sorted_nodes()
+    order = sorted(link.source.nodes)
     for k, v in enumerate(order):
         w = order[(k + 1) % len(order)]
         lift_w = w if k + 1 < len(order) else w + n
@@ -157,11 +154,10 @@ class MorphismKind(Enum):
     DELTA_TAU0 = "DeltaTau0"
     ETA_TAU_MINUS_PLUS = "EtaTauMinusPlus"
     TRIVIAL_HECKE = "TrivialHecke"
-    INDUCED = "Induced"
     COMPOSITE = "Composite"
 
 
-# the kinds ``standard_morphism`` constructs; INDUCED and COMPOSITE only label results
+# the kinds ``standard_morphism`` constructs; COMPOSITE only labels results
 STANDARD_KINDS = (
     MorphismKind.PARTIAL_FROBENIUS, MorphismKind.DELTA_TAU0,
     MorphismKind.ETA_TAU_MINUS_PLUS, MorphismKind.TRIVIAL_HECKE,
@@ -198,14 +194,16 @@ def standard_morphism(
     p: int | None = None,
     tau: ArchPlace | None = None,
     s_tilde: frozenset[EmbE] | None = None,
-    sheet: int | None = None,
+    sheet: int = 0,
 ) -> LinkMorphismDescriptor:
     """The standard correspondences with their indentation degrees.
 
     - PARTIAL_FROBENIUS: the sigma^2 rotation; indentation 0 (inert) or twice
-      the sheet imbalance of the chosen lift set ``s_tilde`` (split).
+      the sheet imbalance of the chosen lift set ``s_tilde`` (split), by
+      default the canonical lifts of S_infty at the prime, all on sheet 0.
     - DELTA_TAU0: requires a fully ramified cycle; trivial link, indentation
-      0 (inert) or +2 / -2 by the sheet of the chosen lift.
+      0 (inert) or +2 / -2 by the ``sheet`` of the chosen lift, by default
+      the canonical lift's sheet 0.
     - ETA_TAU_MINUS_PLUS: straight lines except one curve from tau-minus to
       tau-plus; total displacement n_tau + n_{tau_plus}, finite flat degree
       p to that power, indentation n_{tau_plus} - n_tau (split) or 0 (inert).
@@ -217,16 +215,11 @@ def standard_morphism(
         raise LinkError(f"no standard construction for {kind}")
     if kind is MorphismKind.PARTIAL_FROBENIUS:
         link = frobenius_link(datum, prime_id, 2)
-        if not slot.e_split:
-            indent = 0
-        else:
+        indent = 0
+        if slot.e_split:
             if s_tilde is None:
-                raise LinkError("split partial Frobenius needs the lift set")
-            counts = [0, 0]
-            for emb in s_tilde:
-                if emb.prime_id == prime_id:
-                    counts[emb.sheet] += 1
-            indent = 2 * counts[1] - 2 * counts[0]
+                s_tilde = frozenset(canonical_lift(datum.places, tau) for tau in datum.s.s_infty)
+            indent = sum(2 if emb.sheet else -2 for emb in s_tilde if emb.prime_id == prime_id)
         return LinkMorphismDescriptor(link, indent, kind)
 
     if kind is MorphismKind.DELTA_TAU0:
@@ -234,9 +227,8 @@ def standard_morphism(
         if not cycle <= datum.s.s_infty:
             raise LinkError("this correspondence needs a fully ramified cycle")
         link = identity_link(band_of(datum, prime_id))
-        if not slot.e_split:
-            indent = 0
-        else:
+        indent = 0
+        if slot.e_split:
             if sheet not in (0, 1):
                 raise LinkError("split case needs the sheet of the chosen lift")
             indent = 2 if sheet == 0 else -2
@@ -253,20 +245,9 @@ def standard_morphism(
                 "with exactly two unramified embeddings use TRIVIAL_HECKE"
             )
         n_plus = n_tau(datum, tau_plus)[0]
-        source = Band(
-            slot.f,
-            frozenset(
-                v for v in band_of(datum, prime_id).nodes
-                if v not in (tau.i, tau_plus.i)
-            ),
-        )
-        target = Band(
-            slot.f,
-            frozenset(
-                v for v in band_of(datum, prime_id).nodes
-                if v not in (tau.i, tau_minus.i)
-            ),
-        )
+        nodes = band_of(datum, prime_id).nodes
+        source = Band(slot.f, nodes - {tau.i, tau_plus.i})
+        target = Band(slot.f, nodes - {tau.i, tau_minus.i})
         disp = {v: 0 for v in source.nodes}
         disp[tau_minus.i] = n + n_plus
         link = make_link(source, target, disp)
@@ -281,8 +262,7 @@ def standard_morphism(
     free = set(datum.places.arch_places(prime_id)) - datum.s.s_infty
     if free != {tau, tau_minus} or tau_plus != tau_minus:
         raise LinkError("requires exactly the two unramified embeddings tau and tau-minus")
-    empty = Band(slot.f, frozenset())
-    link = make_link(empty, empty, {})
+    link = identity_link(Band(slot.f, frozenset()))
     return LinkMorphismDescriptor(link, 2 * (slot.f - n), kind)
 
 

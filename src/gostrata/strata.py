@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from . import GostrataError
 from .places import (
@@ -234,17 +233,16 @@ def _offsets_below(system, base: ArchPlace | EmbE, members: set, span: int) -> t
 def lift_assignment(
     datum: ShimuraDatum,
     descriptor: StratumDescriptor,
-    a2_anchor: Mapping[str, ArchPlace] | None = None,
     s_lift: frozenset[EmbE] | None = None,
 ) -> LiftChoice:
     """Choose lifts for S(T): alternating over each corrected chain.
 
-    Every base lift is canonical.  ``a2_anchor`` overrides the anchor element
-    of T per A2/B2 prime.  ``s_lift`` fixes the lifts of the untouched
-    ramified embeddings (default: canonical lifts).
+    Every base lift is canonical, and the anchor of T at an A2/B2 prime is
+    its place of least index; any fixed choice gives a stratum of the same
+    shape.  ``s_lift`` fixes the lifts of the untouched ramified embeddings
+    (default: canonical lifts).
     """
     system = datum.places
-    a2_anchor = a2_anchor or {}
 
     if s_lift is None:
         s_lift = frozenset(canonical_lift(system, tau) for tau in datum.s.s_infty)
@@ -275,9 +273,7 @@ def lift_assignment(
                     f"case B2 at {pid!r} requires the prime to be inert upstairs"
                 )
             t_here = {tau for tau in descriptor.t if tau.prime_id == pid}
-            anchor = a2_anchor.get(pid, min(t_here, key=lambda tau: tau.i))
-            if anchor not in t_here:
-                raise StratumError(f"anchor {anchor} is not in T at {pid!r}")
+            anchor = min(t_here, key=lambda tau: tau.i)
             # A2 walks the f places below the anchor, B2 the double cycle of 2f lifts
             preimage = {emb for tau in t_here for emb in lifts(system, tau)}
             span = 2 * slot.f - 1 if case is CaseTag.B2 else slot.f - 1

@@ -376,7 +376,7 @@ def test_link_modes_on_a_datum_require_one() -> None:
 
 
 def test_link_standard_offers_only_the_constructible_kinds(tmp_path: Path) -> None:
-    # Induced and Composite label derived morphisms; no standard construction exists
+    # Composite labels derived morphisms, and Induced is no kind at all
     datum = _write_datum(tmp_path, 4, True, [1, 2])
     for kind in ("Induced", "Composite"):
         proc = _run_cli("link", "--standard", kind, "--datum", str(datum), "--tau", "3")
@@ -385,6 +385,38 @@ def test_link_standard_offers_only_the_constructible_kinds(tmp_path: Path) -> No
             f"usage error: gostrata link: argument --standard: invalid choice: '{kind}' "
             "(choose from 'PartialFrobenius', 'DeltaTau0', 'EtaTauMinusPlus', 'TrivialHecke')\n"
         )
+
+
+def test_link_standard_on_a_split_prime_uses_the_canonical_lifts(tmp_path: Path) -> None:
+    datum = tmp_path / "datum.json"
+    datum.write_text(
+        '{"primes":[{"id":"p1","f":3,"e_split":true}],"S":{"infty":[["p1",0]],"n_other":1}}',
+        encoding="utf-8",
+    )
+    proc = _run_cli("link", "--standard", "PartialFrobenius", "--datum", str(datum))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    # the canonical lift of p1:0 lies on sheet 0
+    assert payload["indentation"] == -2
+    assert set(payload["link"]["disp"].values()) == {2}
+    full = _write_datum(tmp_path, 2, True, [0, 1])
+    proc = _run_cli("link", "--standard", "DeltaTau0", "--datum", str(full))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indentation"] == 2
+
+
+def test_link_sheet_outside_zero_one_is_a_usage_error(tmp_path: Path) -> None:
+    full = _write_datum(tmp_path, 2, True, [0, 1])
+    proc = _run_cli("link", "--standard", "DeltaTau0", "--datum", str(full), "--sheet", "2")
+    _assert_one_line_error(proc, 2)
+    assert "argument --sheet: invalid choice: 2" in proc.stderr
+
+
+def test_link_negative_frobenius_power_is_a_usage_error(tmp_path: Path) -> None:
+    datum = _write_datum(tmp_path, 3, True)
+    proc = _run_cli("link", "--frobenius", "--datum", str(datum), "--k", "-1")
+    _assert_one_line_error(proc, 2)
+    assert proc.stderr == "usage error: --k -1 must not be negative\n"
 
 
 def test_non_prime_p_is_a_usage_error(tmp_path: Path) -> None:

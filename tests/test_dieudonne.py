@@ -585,7 +585,7 @@ def test_stability_failure_behind_a_shared_lattice_is_found():
     ring, pt = _diag_point(datum)
     std = standard_lattice(ring)
     first = pt.embeddings()[0]
-    bad = {first: essential_frobenius_image(pt, first, 1)}
+    bad = {first: essential_frobenius_image(pt, first, 1, std)}
     bad.update({e: std for e in pt.embeddings()[1:]})
     good = {emb: std for emb in pt.embeddings()}
     alone = _stability_message(pt, [("the b-family", bad)])
@@ -631,7 +631,7 @@ def _perturbed_lattice(rng, pt, emb):
     if kind == 0:
         return lattice_scale(standard_lattice(ring), rng.choice((-1, 1)))
     if kind == 1:
-        image = essential_frobenius_image(pt, emb, rng.randint(1, 2))
+        image = essential_frobenius_image(pt, emb, rng.randint(1, 2), standard_lattice(ring))
         return lattice_scale(image, rng.choice((-1, 0)))
     if kind == 2:
         return omega_lattice(pt, emb)
@@ -906,7 +906,7 @@ def test_roundtrip_walks_one_step_per_lattice(monkeypatch, f, split, vanish):
     ]:
         monkeypatch.setattr(dieudonne, name, staged(stage, getattr(dieudonne, name)))
 
-    def counted(pt, emb, n, start=None, _inner=dieudonne.essential_frobenius_image):
+    def counted(pt, emb, n, start, _inner=dieudonne.essential_frobenius_image):
         calls.append((stages[-1], n))
         return _inner(pt, emb, n, start)
 

@@ -29,7 +29,14 @@ from gostrata.links import (
     validate_link,
     Link,
 )
-from gostrata.places import ArchPlace, EmbE, FrozenMap, build_place_system, make_datum
+from gostrata.places import (
+    ArchPlace,
+    EmbE,
+    FrozenMap,
+    build_place_system,
+    canonical_lift,
+    make_datum,
+)
 
 
 def _datum(f, e_split, s_indices=()):
@@ -198,10 +205,9 @@ def test_link_json_roundtrip():
 
 def test_only_the_standard_kinds_have_a_construction():
     datum = _datum(4, True, [1, 2])
-    assert set(MorphismKind) - set(STANDARD_KINDS) == {MorphismKind.INDUCED, MorphismKind.COMPOSITE}
-    for kind in (MorphismKind.INDUCED, MorphismKind.COMPOSITE):
-        with pytest.raises(LinkError, match="no standard construction"):
-            standard_morphism(kind, datum, "p1", tau=ArchPlace("p1", 3))
+    assert set(MorphismKind) - set(STANDARD_KINDS) == {MorphismKind.COMPOSITE}
+    with pytest.raises(LinkError, match="no standard construction"):
+        standard_morphism(MorphismKind.COMPOSITE, datum, "p1", tau=ArchPlace("p1", 3))
 
 
 def test_partial_frobenius_indentation_split():
@@ -222,8 +228,34 @@ def test_partial_frobenius_indentation_inert_zero():
     assert desc.indentation == 0
 
 
+def test_split_partial_frobenius_defaults_to_the_canonical_lifts():
+    # f = 3 split, S_infty = {p1:0}: the canonical lift sits on sheet 0
+    datum = _datum(3, True, [0])
+    desc = standard_morphism(MorphismKind.PARTIAL_FROBENIUS, datum, "p1")
+    assert desc.indentation == -2
+    assert all(d == 2 for d in desc.link.disp.values())
+    # a second prime's S_infty does not count at p1
+    two = make_datum(
+        build_place_system([(3, True), (2, True)]),
+        {ArchPlace("p1", 0), ArchPlace("p2", 0), ArchPlace("p2", 1)},
+    )
+    for d in (datum, two):
+        canonical = frozenset(canonical_lift(d.places, tau) for tau in d.s.s_infty)
+        for slot in d.places.primes:
+            assert standard_morphism(
+                MorphismKind.PARTIAL_FROBENIUS, d, slot.id
+            ) == standard_morphism(MorphismKind.PARTIAL_FROBENIUS, d, slot.id, s_tilde=canonical)
+    assert standard_morphism(MorphismKind.PARTIAL_FROBENIUS, two, "p1").indentation == -2
+    assert standard_morphism(MorphismKind.PARTIAL_FROBENIUS, two, "p2").indentation == -4
+
+
 def test_delta_tau0_indentations():
     split_full = _datum(2, True, [0, 1])
+    # without a sheet, the canonical lift's sheet 0
+    default = standard_morphism(MorphismKind.DELTA_TAU0, split_full, "p1")
+    assert default == standard_morphism(MorphismKind.DELTA_TAU0, split_full, "p1", sheet=0)
+    with pytest.raises(LinkError, match=r"^split case needs the sheet of the chosen lift$"):
+        standard_morphism(MorphismKind.DELTA_TAU0, split_full, "p1", sheet=2)
     assert (
         standard_morphism(MorphismKind.DELTA_TAU0, split_full, "p1", sheet=0).indentation
         == 2

@@ -1,8 +1,10 @@
 """Static checks on the package source, made with the standard library's
 ``ast`` alone: every imported name is used in its module, every module-level
 private function and every private method of a class is referenced somewhere
-in ``src/``, every named parameter is read in the body of its function, and
-every exception class derives from ``GostrataError``.
+in ``src/``, every named parameter is read in the body of its function,
+every exception class derives from ``GostrataError``, every ``Enum`` member is
+read by name, and every defaulted parameter of a private function is passed by
+some call.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def test_every_imported_name_is_used(name: str):
 
 
 def _private_functions(tree: ast.Module):
-    """(qualified name, name) for every private module-level function and
-    every private method of a module-level class; dunders are not private."""
+    """(qualified name, definition) for every private module-level function
+    and every private method of a module-level class; dunders are not
+    private."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
@@ -64,7 +67,7 @@ def _private_functions(tree: ast.Module):
                 and item.name.startswith("_")
                 and not item.name.endswith("__")
             ):
-                yield prefix + item.name, item.name
+                yield prefix + item.name, item
 
 
 def test_every_private_function_is_referenced():
@@ -73,8 +76,8 @@ def test_every_private_function_is_referenced():
     dead = [
         f"{name}: {qualified}"
         for name, tree in TREES.items()
-        for qualified, bare in _private_functions(tree)
-        if bare not in referenced
+        for qualified, item in _private_functions(tree)
+        if item.name not in referenced
     ]
     assert not dead, f"private functions and methods that nothing calls: {dead}"
 
@@ -148,3 +151,67 @@ def test_every_error_class_derives_from_gostrata_error():
         if "GostrataError" not in ancestors(name)
     )
     assert not outside, f"error classes outside GostrataError: {outside}"
+
+
+def test_every_enum_member_is_read():
+    """Each member of an ``Enum`` in ``src/`` is read as ``Class.MEMBER``
+    (or ``module.Class.MEMBER``) somewhere in ``src/``; a member that nothing
+    names is a label no code can carry."""
+    members = [
+        (node.name, target.id)
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).split(".")[-1] == "Enum" for base in node.bases)
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    ]
+    read = {
+        (ast.unparse(node.value).split(".")[-1], node.attr)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute))
+    }
+    assert members, "the lint found no Enum in src/"
+    unread = [f"{cls}.{member}" for cls, member in members if (cls, member) not in read]
+    assert not unread, f"enum members that nothing in src/ reads: {unread}"
+
+
+def test_every_defaulted_private_parameter_is_passed():
+    """A private function's defaulted parameter is passed, by position or by
+    keyword, by some call in ``src/``; otherwise every caller takes the
+    default and the parameter is an option no one sets.  A method's receiver
+    shifts positions by one; ``*args`` or ``**kwargs`` at a call pass
+    everything."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in TREES.items():
+        for qualified, item in _private_functions(tree):
+            args = item.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if "." in qualified else 0
+            first_default = len(positional) - len(args.defaults)
+            defaulted = [
+                (index - skip, arg.arg) for index, arg in enumerate(positional) if index >= first_default
+            ] + [
+                (None, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for index, param in defaulted:
+                if not any(
+                    (index is not None and len(call.args) > index)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(kw.arg in (param, None) for kw in call.keywords)
+                    for call in calls.get(item.name, [])
+                ):
+                    unpassed.append(f"{module}: {qualified}({param})")
+    assert not unpassed, f"defaulted parameters that no call in src/ passes: {unpassed}"

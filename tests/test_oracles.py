@@ -127,7 +127,7 @@ def _lattice_hasse_vanishes(pt, emb):
     omega = V D_(sigma emb) + p D at ``emb`` modulo p, compared as Hermite
     lattices."""
     n = n_tau(pt.datum, restrict(pt.datum.places, emb))[0]
-    image = essential_frobenius_image(pt, emb, n)
+    image = essential_frobenius_image(pt, emb, n, standard_lattice(pt.ring))
     with_p = lattice_sum(image, lattice_scale(standard_lattice(pt.ring), 1))
     return with_p == omega_lattice(pt, emb)
 

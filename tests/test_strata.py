@@ -19,6 +19,7 @@ from gostrata.places import (
 )
 from gostrata.strata import (
     CaseTag,
+    DeltaSets,
     FullCycleError,
     StratumError,
     chain_decompose,
@@ -198,8 +199,9 @@ def test_lift_singleton_example():
 def test_lift_a2_example():
     datum = _datum(2, True)
     d = stratum_descriptor(datum, _t(2, [0, 1]))
-    lift = lift_assignment(datum, d, a2_anchor={"p1": ArchPlace("p1", 1)})
-    assert lift.s_tilde_of_t == frozenset({EmbE("p1", 0, 1), EmbE("p1", 1, 0)})
+    # the anchor is the least-index place of T, here p1:0
+    lift = lift_assignment(datum, d)
+    assert lift.s_tilde_of_t == frozenset({EmbE("p1", 0, 0), EmbE("p1", 1, 1)})
 
 
 def test_lift_b2_example():
@@ -230,18 +232,6 @@ def test_lift_rejects_bad_s_lift(s_lift, message):
     d = stratum_descriptor(datum, frozenset())
     with pytest.raises(StratumError, match=message):
         lift_assignment(datum, d, s_lift=frozenset(s_lift))
-
-
-@pytest.mark.parametrize("e_split, case", [(True, CaseTag.A2), (False, CaseTag.B2)])
-def test_lift_rejects_anchor_outside_t(e_split, case):
-    # S = {0} leaves three free places when inert (B2) and, with S = {0, 1},
-    # two when split (A2); T covers the rest of the cycle either way
-    s_indices = [0] if case is CaseTag.B2 else [0, 1]
-    datum = _datum(4, e_split, s_indices)
-    d = stratum_descriptor(datum, _t(4, set(range(4)) - set(s_indices)))
-    assert d.case_at("p1") is case
-    with pytest.raises(StratumError, match=r"is not in T at 'p1'"):
-        lift_assignment(datum, d, a2_anchor={"p1": ArchPlace("p1", 0)})
 
 
 def test_lift_bijectivity_exhaustive():
@@ -388,6 +378,19 @@ def test_dimension_count_singleton():
     assert out[EmbE("p1", 0, 1)] == 0
     assert out[EmbE("p1", 0, 0)] == 2
     assert out == signature_from_lift(datum, lift.s_tilde_of_t)
+
+
+def test_dimension_count_rejects_an_inconsistent_transfer():
+    # delta- = {e}, delta+ = {sigma e}: the all-1 signature drops to -1 at e
+    datum = _datum(2, True)
+    emb = EmbE("p1", 0, 0)
+    delta = DeltaSets(plus=frozenset({frobenius_shift(datum.places, emb, 1)}), minus=frozenset({emb}))
+    with pytest.raises(StratumError) as err:
+        dimension_count_check(datum, signature_from_lift(datum, frozenset()), delta)
+    assert type(err.value) is StratumError
+    assert str(err.value) == (
+        "inconsistent signature transfer at EmbE(prime_id='p1', sheet=0, i=0): -1"
+    )
 
 
 def test_dimension_count_identity_exhaustive_small():
