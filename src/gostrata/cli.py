@@ -131,9 +131,9 @@ def _cmd_strata(args) -> int:
 def _table_rows(datum: ShimuraDatum):
     import itertools
 
-    from . import picard, strata
+    from . import strata
 
-    free = picard.basis_of(datum)
+    free = datum.free_places()
     if len(free) > 16:
         raise UsageError("table would have more than 2^16 rows")
     for size in range(len(free) + 1):
@@ -300,7 +300,7 @@ def _cmd_picard(args) -> int:
     vector = picard.divisor_class(datum, args.p, tau)
     degree = picard.fiber_degree(datum, args.p, vector, tau)
     payload = {"tau": _tau_key(tau), "self_fiber_degree": str(degree)}
-    if len(set(datum.places.arch_places(tau.prime_id)) - datum.s.s_infty) > 1:
+    if len(datum.free_places(tau.prime_id)) > 1:
         payload["normal_bundle"] = picard.normal_bundle_class(datum, args.p, tau)
     _emit(payload)
     return 0

@@ -351,17 +351,15 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
 
 
 def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:
-    """Whether a place ``tau`` of the point's prime is free and the partial
+    """Whether ``tau`` is a free place of the point's prime and the partial
     Hasse invariant vanishes at its canonical lift."""
-    return tau not in pt.datum.s.s_infty and hasse_vanishes(
+    return tau in pt.datum.free_places(pt.prime_id) and hasse_vanishes(
         pt, canonical_lift(pt.datum.places, tau)
     )
 
 
 def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
-    return frozenset(
-        tau for tau in pt.datum.places.arch_places(pt.prime_id) if _in_stratum(pt, tau)
-    )
+    return frozenset(tau for tau in pt.datum.free_places(pt.prime_id) if _in_stratum(pt, tau))
 
 
 # --- the isogeny chain, forward ----------------------------------------------
@@ -463,10 +461,7 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
     pid = pt.prime_id
-    places = system.arch_places(pid)
-    missing = frozenset(
-        tau for tau in t if tau not in places or not _in_stratum(pt, tau)
-    )
+    missing = frozenset(tau for tau in t if not _in_stratum(pt, tau))
     if missing:
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
     descriptor = stratum_descriptor(datum, t)

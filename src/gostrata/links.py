@@ -132,12 +132,7 @@ def is_right_turning(link: Link) -> bool:
 def band_of(datum: ShimuraDatum, prime_id: str) -> Band:
     """The band of a datum at a prime: nodes are the unramified embeddings."""
     slot = datum.places.prime(prime_id)
-    nodes = frozenset(
-        tau.i
-        for tau in datum.places.arch_places(prime_id)
-        if tau not in datum.s.s_infty
-    )
-    return Band(slot.f, nodes)
+    return Band(slot.f, frozenset(tau.i for tau in datum.free_places(prime_id)))
 
 
 def frobenius_link(datum: ShimuraDatum, prime_id: str, k: int = 1) -> Link:
@@ -223,8 +218,7 @@ def standard_morphism(
         return LinkMorphismDescriptor(link, indent, kind)
 
     if kind is MorphismKind.DELTA_TAU0:
-        cycle = set(datum.places.arch_places(prime_id))
-        if not cycle <= datum.s.s_infty:
+        if datum.free_places(prime_id):
             raise LinkError("this correspondence needs a fully ramified cycle")
         link = identity_link(band_of(datum, prime_id))
         indent = 0
@@ -259,8 +253,7 @@ def standard_morphism(
     if tau is None:
         raise LinkError("tau required")
     n, tau_minus, tau_plus = n_tau(datum, tau)
-    free = set(datum.places.arch_places(prime_id)) - datum.s.s_infty
-    if free != {tau, tau_minus} or tau_plus != tau_minus:
+    if set(datum.free_places(prime_id)) != {tau, tau_minus} or tau_plus != tau_minus:
         raise LinkError("requires exactly the two unramified embeddings tau and tau-minus")
     link = identity_link(Band(slot.f, frozenset()))
     return LinkMorphismDescriptor(link, 2 * (slot.f - n), kind)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import GostrataError
 from .places import ArchPlace, ShimuraDatum, n_tau
@@ -60,19 +60,9 @@ def _determinant(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def basis_of(datum: ShimuraDatum) -> tuple[ArchPlace, ...]:
-    return tuple(
-        sorted(
-            tau
-            for tau in datum.places.arch_places()
-            if tau not in datum.s.s_infty
-        )
-    )
-
-
 def hasse_matrix(datum: ShimuraDatum, p: int) -> HasseMatrix:
     """The relation matrix: column tau carries -1 at tau and p^{n_tau} at tau-minus."""
-    basis = basis_of(datum)
+    basis = datum.free_places()
     if not basis:
         raise PicardError("no unramified archimedean embeddings")
     index = {tau: k for k, tau in enumerate(basis)}
@@ -117,22 +107,22 @@ def normal_bundle_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> int:
     """Self-intersection degree of the vanishing divisor along its own fiber."""
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
-    if len(set(datum.places.arch_places(tau.prime_id)) - datum.s.s_infty) <= 1:
+    if len(datum.free_places(tau.prime_id)) <= 1:
         raise PicardError("needs at least two unramified embeddings at the prime")
     n = n_tau(datum, tau)[0]
     return -2 * p**n
 
 
 def ample_inequalities(
-    datum: ShimuraDatum, p: int, t: Mapping[ArchPlace, Fraction] | Sequence[Fraction]
+    datum: ShimuraDatum, p: int, t: Sequence[Fraction]
 ) -> list[tuple[ArchPlace, int, ArchPlace, str | None]]:
     """The inequalities p^{n_tau} t_tau > t_{tau-minus} over the basis, each as
-    ``(tau, n_tau, tau_minus, violation)``, the violation None where it holds."""
-    basis = basis_of(datum)
-    if not isinstance(t, Mapping):
-        if len(t) != len(basis):
-            raise PicardError("weight vector length must match the basis")
-        t = dict(zip(basis, t))
+    ``(tau, n_tau, tau_minus, violation)``, the violation None where it holds;
+    ``t`` holds one weight per free place, in the order of ``free_places()``."""
+    basis = datum.free_places()
+    if len(t) != len(basis):
+        raise PicardError("weight vector length must match the basis")
+    t = dict(zip(basis, t))
     out = []
     for tau in basis:
         n, tau_minus, _ = n_tau(datum, tau)
@@ -146,8 +136,7 @@ def ample_inequalities(
     return out
 
 
-def ample_necessary(
-    datum: ShimuraDatum, p: int, t: Mapping[ArchPlace, Fraction] | Sequence[Fraction]
-) -> list[str]:
-    """Check the inequalities p^{n_tau} t_tau > t_{tau-minus}; list violations."""
+def ample_necessary(datum: ShimuraDatum, p: int, t: Sequence[Fraction]) -> list[str]:
+    """Check the inequalities p^{n_tau} t_tau > t_{tau-minus} for a weight
+    sequence in the order of ``free_places()``; list violations."""
     return [v for *_, v in ample_inequalities(datum, p, t) if v is not None]

@@ -146,6 +146,12 @@ class PlaceSystem:
     def check_member(self, x: ArchPlace | EmbE) -> None:
         self._entry(self._cycle, x)
 
+    def check_base(self, x: ArchPlace) -> None:
+        """``check_member``, and a PlaceError for an embedding of the CM field."""
+        self._entry(self._cycle, x)
+        if type(x) is not ArchPlace:
+            raise PlaceError(f"{x} is not an embedding of the base field")
+
     def _entry(self, table: dict, x):
         """``table[x]`` for a place ``x``; a PlaceError that says why if none."""
         if type(x) not in _PLACE_TYPES:
@@ -247,18 +253,23 @@ class EvenPlaceSet:
                     "is not fully contained in s_infty"
                 )
 
-    def infty_at(self, prime_id: str) -> frozenset[ArchPlace]:
-        return frozenset(t for t in self.s_infty if t.prime_id == prime_id)
-
 
 @dataclass(frozen=True)
 class ShimuraDatum:
     """A place system, a ramification set, and a level flag per prime: a
-    FrozenMap from prime id to Level, hyperspecial where a prime has none."""
+    FrozenMap from prime id to Level, hyperspecial where a prime has none.
+
+    Tables built once, and left out of equality, hashing and repr: ``_free``
+    maps a prime id (or None, for all primes) to its free places, those
+    outside S_infty, in sorted order; ``_gaps`` maps each free place to its
+    gap triple ``(n, tau_minus, tau_plus)`` (see ``n_tau``).
+    """
 
     places: PlaceSystem
     s: EvenPlaceSet
     level_p: FrozenMap
+    _free: dict = field(init=False, repr=False, compare=False)
+    _gaps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.s.validate(self.places)
@@ -279,11 +290,27 @@ class ShimuraDatum:
         for pid in self.s.s_p:
             if self.level(pid) is not Level.MAXIMAL_ORDER:
                 raise PlaceError(f"ramified prime {pid!r} must carry maximal-order level")
+        free, gaps = {}, {}
+        for slot in self.places.primes:
+            here = free[slot.id] = tuple(
+                tau for tau in self.places.arch_places(slot.id) if tau not in self.s.s_infty
+            )
+            for minus, tau, plus in zip(here[-1:] + here[:-1], here, here[1:] + here[:1]):
+                gaps[tau] = ((tau.i - minus.i) % slot.f or slot.f, minus, plus)
+        free[None] = tuple(sorted(gaps))
+        object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_gaps", gaps)
 
     def level(self, prime_id: str) -> Level:
         if prime_id not in self.level_p:
             self.places.prime(prime_id)
         return self.level_p.get(prime_id, Level.HYPERSPECIAL)
+
+    def free_places(self, prime_id: str | None = None) -> tuple[ArchPlace, ...]:
+        """The places outside S_infty, at one prime or at all, in sorted order."""
+        if prime_id is not None:
+            self.places.prime(prime_id)
+        return self._free[prime_id]
 
 
 def make_datum(
@@ -310,11 +337,9 @@ def make_datum(
 
 def classify_prime(datum: ShimuraDatum, prime_id: str) -> PrimeType:
     """Classify a prime by the parity of its unramified cycle and its level."""
-    slot = datum.places.prime(prime_id)
+    free = datum.free_places(prime_id)
     if prime_id in datum.s.s_p:
         return PrimeType.BETA_SHARP
-    cycle = set(datum.places.arch_places(prime_id))
-    free = cycle - set(datum.s.s_infty)
     if len(free) % 2 == 1:
         return PrimeType.BETA
     if not free and datum.level(prime_id) is Level.IWAHORI:
@@ -330,17 +355,11 @@ def n_tau(datum: ShimuraDatum, tau: ArchPlace) -> tuple[int, ArchPlace, ArchPlac
     and ``tau_plus`` is the unique unramified embedding whose own minus is
     ``tau``.
     """
-    system = datum.places
-    cycle, pos = system._entry(system._cycle, tau)
-    s_infty = datum.s.s_infty
-    if tau in s_infty:
+    datum.places.check_base(tau)
+    gaps = datum._gaps.get(tau)
+    if gaps is None:
         raise PlaceError(f"{tau} lies in the ramified archimedean set")
-    if s_infty.issuperset(system.arch_places(tau.prime_id)):
-        raise PlaceError(f"prime {tau.prime_id!r} has no unramified embeddings")
-    f = len(cycle)
-    n = next(k for k in range(1, f + 1) if cycle[(pos - k) % f] not in s_infty)
-    m = next(k for k in range(1, f + 1) if cycle[(pos + k) % f] not in s_infty)
-    return n, cycle[(pos - n) % f], cycle[(pos + m) % f]
+    return gaps
 
 
 # --- JSON serialization ------------------------------------------------------

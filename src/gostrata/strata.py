@@ -109,9 +109,9 @@ class DeltaSets:
 
 
 def _check_places(datum: ShimuraDatum, taus) -> None:
-    check_member, s_infty = datum.places.check_member, datum.s.s_infty
+    check_base, s_infty = datum.places.check_base, datum.s.s_infty
     for tau in taus:
-        check_member(tau)
+        check_base(tau)
         if tau in s_infty:
             raise StratumError(f"{tau} lies in S_infty; strata index only S-free embeddings")
 
@@ -172,16 +172,15 @@ def stratum_descriptor(datum: ShimuraDatum, t: frozenset[ArchPlace]) -> StratumD
     chains: dict[str, tuple[Chain, ...]] = {}
     for slot in system.primes:
         pid = slot.id
-        cycle = set(system.arch_places(pid))
+        free = datum.free_places(pid)
         t_here = frozenset(tau for tau in t if tau.prime_id == pid)
-        s_here = datum.s.infty_at(pid)
         prime_type = classify_prime(datum, pid)
         level = datum.level(pid)
         if prime_type is PrimeType.BETA_SHARP:
             block, tag = frozenset(), CaseTag.B_SHARP_PASS
-        elif s_here == cycle:
+        elif not free:
             block, tag = frozenset(), CaseTag.A_SHARP_PASS
-        elif s_here | t_here == cycle:
+        elif len(t_here) == len(free):
             block = t_here
             if prime_type is PrimeType.ALPHA:
                 tag = CaseTag.A2
@@ -297,13 +296,8 @@ def lift_assignment(
     if covered != set(descriptor.s_of_t.s_infty) or len(lifts_out) != len(covered):
         raise AssertionError("lift assignment must pick exactly one lift per place")
 
-    i_tilde: set[EmbE] = set()
-    for tau in descriptor.i_t:
-        for emb in (canonical_lift(system, tau), conjugate(system, canonical_lift(system, tau))):
-            if conjugate(system, emb) in lifts_out:
-                i_tilde.add(emb)
-    if {restrict(system, emb) for emb in i_tilde} != set(descriptor.i_t):
-        raise AssertionError("every bundle direction must acquire a marked lift")
+    # the check above gives each place of S(T)_infty, and so each of I_T, exactly one lift
+    i_tilde = {conjugate(system, e) for e in lifts_out if restrict(system, e) in descriptor.i_t}
 
     return LiftChoice(
         s_tilde_of_t=frozenset(lifts_out),

@@ -49,7 +49,6 @@ from gostrata.links import (
 )
 from gostrata.picard import (
     ample_necessary,
-    basis_of,
     divisor_class,
     fiber_degree,
     hasse_matrix,
@@ -456,7 +455,7 @@ def test_criterion_09_picard() -> None:
                 for p in (2, 3):
                     assert hasse_matrix(datum, p).determinant() != 0
                     determinants += 1
-                    free = basis_of(datum)
+                    free = datum.free_places()
                     for tau in free:
                         if len(free) < 2:
                             continue  # single free place: the fiber folds
@@ -472,7 +471,7 @@ def test_criterion_09_picard() -> None:
     passes = 0
     for _ in range(10_000):
         datum = rng.choice(datums)
-        free = basis_of(datum)
+        free = datum.free_places()
         if rng.randrange(2):
             vec = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in free]
         else:

@@ -498,7 +498,7 @@ def test_each_verb_loads_only_the_library_modules_it_runs(tmp_path: Path) -> Non
     link.write_text(json.dumps(PAPER_LINK), encoding="utf-8")
     cases = [
         (["strata", "--datum", datum, "--T", "2"], {"strata"}),
-        (["strata-table", "--datum", datum, "--format", "json"], {"strata", "picard"}),
+        (["strata-table", "--datum", datum, "--format", "json"], {"strata"}),
         (["link", "--validate", str(link)], {"links"}),
         (["ample", "--datum", datum, "--p", "3", "--t", "1,1,1"], {"picard"}),
         (["picard", "--datum", datum, "--p", "3", "--matrix"], {"picard"}),

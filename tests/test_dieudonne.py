@@ -1237,6 +1237,25 @@ def _sum_over_two_rings():
     return (lambda: witt.lattice_sum(one, other)), "lattices live over different rings"
 
 
+def _ring_of_the_wrong_degree():
+    datum = _datum(2, True)
+    ring = witt_ring(3, 3, 8)
+    return (lambda: make_point(ring, datum, {}, {}, {})), "ring degree 3 incompatible with cycle length 2"
+
+
+def _signatures_that_do_not_sum_to_two():
+    datum = _datum(2, True)
+    ring = ring_for_datum(datum, 3)
+    embs = datum.places.embeddings()
+    f_mats = dict.fromkeys(embs, mat2(ring, [[1, 0], [0, 1]]))
+    pairings = dict.fromkeys(embs, mat2(ring, [[0, 1], [ring.pn - 1, 0]]))
+    signature = dict.fromkeys(embs, 2)
+    return (
+        lambda: make_point(ring, datum, f_mats, pairings, signature),
+        f"signatures at {embs[0]} and its conjugate do not sum to 2",
+    )
+
+
 @pytest.mark.parametrize(
     "case, error",
     [
@@ -1246,6 +1265,8 @@ def _sum_over_two_rings():
         (_div_p_of_a_non_multiple, witt.WittError),
         (_sum_over_two_rings, witt.WittError),
         (_uncovered_half_system, DieudonneError),
+        (_ring_of_the_wrong_degree, DieudonneError),
+        (_signatures_that_do_not_sum_to_two, DieudonneError),
     ],
     ids=[
         "frobenius_composite_n_0",
@@ -1254,6 +1275,8 @@ def _sum_over_two_rings():
         "div_p_non_multiple",
         "lattice_sum_two_rings",
         "half_system_coverage",
+        "ring_degree_vs_cycle",
+        "conjugate_signature_sum",
     ],
 )
 def test_direct_calls_reach_their_raises(case, error):

@@ -3,8 +3,9 @@
 private function and every private method of a class is referenced somewhere
 in ``src/``, every named parameter is read in the body of its function,
 every exception class derives from ``GostrataError``, every ``Enum`` member is
-read by name, and every defaulted parameter of a private function is passed by
-some call.
+read by name, every defaulted parameter of a private function is passed by
+some call, and every private attribute read on another object is defined in
+the reading module.
 """
 
 from __future__ import annotations
@@ -215,3 +216,56 @@ def test_every_defaulted_private_parameter_is_passed():
                 ):
                     unpassed.append(f"{module}: {qualified}({param})")
     assert not unpassed, f"defaulted parameters that no call in src/ passes: {unpassed}"
+
+
+def _foreign_private_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """Reads of a private attribute ``x._name`` (not a dunder, ``x`` not
+    ``self``) whose module does not define ``_name``: as a class field, a
+    method, or by ``object.__setattr__(self, "_name", ...)``."""
+    foreign = []
+    for module, tree in trees.items():
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined.add(item.name)
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        defined.add(item.target.id)
+                    elif isinstance(item, ast.Assign):
+                        defined |= {target.id for target in item.targets if isinstance(target, ast.Name)}
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                defined.add(node.args[1].value)
+        foreign += [
+            f"{module}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            and node.attr not in defined
+        ]
+    return foreign
+
+
+def test_private_attributes_are_read_only_where_they_are_defined():
+    """A table such as ``ShimuraDatum._gaps`` stays behind the module that
+    builds it; other modules go through its public methods."""
+    assert not _foreign_private_reads(TREES), _foreign_private_reads(TREES)
+
+
+def test_the_private_attribute_lint_sees_a_foreign_read():
+    reader = ast.parse("def gap(datum, tau):\n    return datum._gaps[tau], datum.places._entry\n")
+    owner = ast.parse(
+        "class Datum:\n    _free: dict\n    def _entry(self):\n        return self._free\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, '_gaps', {})\n"
+    )
+    assert _foreign_private_reads({"places.py": owner}) == []
+    assert sorted(_foreign_private_reads({"places.py": owner, "strata.py": reader})) == [
+        "strata.py:2 datum._gaps", "strata.py:2 datum.places._entry"
+    ]

@@ -8,7 +8,6 @@ import pytest
 from gostrata.picard import (
     PicardError,
     ample_necessary,
-    basis_of,
     divisor_class,
     fiber_degree,
     hasse_matrix,
@@ -80,7 +79,7 @@ def test_divisor_classes_are_hasse_matrix_columns():
 
 def test_fiber_degree_examples():
     datum = _datum(2)
-    ones = {tau: Fraction(1) for tau in basis_of(datum)}
+    ones = {tau: Fraction(1) for tau in datum.free_places()}
     from gostrata.picard import PicardVector
 
     vec = PicardVector(tuple(sorted(ones.items())))
@@ -99,7 +98,7 @@ def test_fiber_degree_of_own_divisor_matches_normal_bundle():
             datum = make_datum(
                 system, {ArchPlace("p1", i) for i in range(f) if bits >> i & 1}
             )
-            free = basis_of(datum)
+            free = datum.free_places()
             for p in (2, 3):
                 for tau in free:
                     n = n_tau(datum, tau)[0]
@@ -143,7 +142,7 @@ def test_ample_pass_implies_positive():
         )
         weights = [
             Fraction(rng.randrange(-20, 21), rng.randrange(1, 5))
-            for _ in basis_of(datum)
+            for _ in datum.free_places()
         ]
         if ample_necessary(datum, 2, weights) == []:
             assert all(w > 0 for w in weights)

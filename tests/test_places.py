@@ -137,6 +137,34 @@ def test_n_tau_rejects_ramified_or_full():
         n_tau(full, ArchPlace("p1", 0))
 
 
+def test_n_tau_rejects_an_embedding_of_the_cm_field():
+    datum = make_datum(build_place_system([(3, True)]), {ArchPlace("p1", 0)})
+    with pytest.raises(PlaceError) as err:
+        n_tau(datum, EmbE("p1", 1, 0))
+    assert str(err.value) == "EmbE(prime_id='p1', sheet=1, i=0) is not an embedding of the base field"
+    # the member check comes first, the ramified check last
+    with pytest.raises(PlaceError, match="invalid for split prime"):
+        n_tau(datum, EmbE("p1", 2, 0))
+    with pytest.raises(PlaceError, match="neither an ArchPlace nor an EmbE"):
+        n_tau(datum, ("p1", 1))
+    with pytest.raises(PlaceError, match="lies in the ramified archimedean set"):
+        n_tau(datum, ArchPlace("p1", 0))
+
+
+def test_free_places_are_sorted_and_carry_their_gaps():
+    system = build_place_system([(3, True)] * 9 + [(4, False)])
+    s_infty = {ArchPlace("p1", 1), ArchPlace("p10", 0), ArchPlace("p10", 3)}
+    datum = make_datum(system, s_infty)
+    free = [tau for tau in system.arch_places() if tau not in s_infty]
+    assert datum.free_places() == tuple(sorted(free)) != tuple(free)
+    assert datum.free_places("p10") == (ArchPlace("p10", 1), ArchPlace("p10", 2))
+    assert datum.free_places("p1") == (ArchPlace("p1", 0), ArchPlace("p1", 2))
+    assert n_tau(datum, ArchPlace("p1", 2)) == (2, ArchPlace("p1", 0), ArchPlace("p1", 0))
+    assert n_tau(datum, ArchPlace("p10", 1)) == (3, ArchPlace("p10", 2), ArchPlace("p10", 2))
+    with pytest.raises(PlaceError, match="unknown prime id 'p11'"):
+        datum.free_places("p11")
+
+
 @given(f=st.integers(1, 12), bits=st.integers(0, 2**12 - 1))
 def test_n_tau_partition_and_bijections(f: int, bits: int):
     system = build_place_system([(f, True)])
@@ -296,6 +324,7 @@ def test_place_system_equality_ignores_its_tables():
     datum = make_datum(system, {ArchPlace("p2", 0)}, level={})
     again = make_datum(twin, {ArchPlace("p2", 0)})
     assert datum == again and hash(datum) == hash(again) and repr(datum) == repr(again)
+    assert [f.name for f in fields(ShimuraDatum) if f.compare or f.repr] == ["places", "s", "level_p"]
     assert "_level" not in repr(datum)
 
 

@@ -10,6 +10,7 @@ from gostrata.places import (
     ArchPlace,
     EmbE,
     Level,
+    PlaceError,
     build_place_system,
     conjugate,
     frobenius_shift,
@@ -114,6 +115,15 @@ def test_stratum_descriptor_rejects_t_in_s():
     datum = _datum(4, True, [1])
     with pytest.raises(StratumError):
         stratum_descriptor(datum, _t(4, [1]))
+
+
+def test_t_rejects_an_embedding_of_the_cm_field():
+    datum = _datum(3, False)
+    message = "EmbE(prime_id='p1', sheet=0, i=1) is not an embedding of the base field"
+    for call in (stratum_descriptor, lambda d, t: chain_decompose(d, "p1", t)):
+        with pytest.raises(PlaceError) as err:
+            call(datum, {EmbE("p1", 0, 1)})
+        assert str(err.value) == message
 
 
 def test_quartic_strata_table():
