@@ -71,11 +71,16 @@ from .witt import (
     mat_det,
     mat_elem_mul,
     mat_mul,
+    mat_pack,
     mat_sigma,
     mat_smul,
     mat_times_sigma_basis,
     mat_transpose,
     mat_val,
+    packed_adjugate,
+    packed_det,
+    packed_mul,
+    packed_transpose,
     ring_from_json,
     ring_to_json,
     scaled_inverse,
@@ -118,16 +123,13 @@ def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
 
 def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
     """a = sign * b up to the trusted precision budget: p^budget divides each
-    coefficient of x - sign * y, which is val(x - sign * y) >= budget."""
+    coefficient of x - sign * y, so the residues mod p^budget agree."""
     if ring.budget <= 0:
         return True
     q = ring.p**ring.budget
-    return all(
-        (u - sign * v) % q == 0
-        for ra, rb in zip(a, b)
-        for x, y in zip(ra, rb)
-        for u, v in zip(x, y)
-    )
+    return [u % q for row in a for x in row for u in x] == [
+        sign * v % q for row in b for y in row for v in y
+    ]
 
 
 # --- the point ----------------------------------------------------------------
@@ -169,12 +171,20 @@ def make_point(
     its conjugate and prev = sigma^-1(emb), F_emb^T P_emb = sigma(P_prev V_c).
     With det F_c = p^d u, u a unit, sigma(V_c) = p F_c^-1 is
     p^(1-d) adj(F_c) / u, so the check is
-    u F_emb^T P_emb = sigma(P_prev) p^(1-d) adj(F_c) mod p^budget, with no
+    u F_emb^T P_emb = sigma(P_prev) adj(F_c) p^(1-d) mod p^budget, with no
     inverse and no V.  Multiplying both sides of a congruence mod p^budget
-    by a unit keeps it exactly, so this is as strong as the check through V;
-    the exact division by p at d = 2 loses the one top digit that forming V
-    loses, and budget <= N - 1.  Each F's determinant is taken once, for its
-    divisors and for u."""
+    by a unit keeps it exactly, so this is as strong as the check through V.
+    The scaling by p^(1-d) comes after the product.  At d = 0 the product
+    times p is exact mod p^N.  At d = 2 F_c has divisors (1, 1), so p divides
+    every entry of adj(F_c) and of the product, and the exact quotient agrees
+    with sigma(P_prev) (adj(F_c) / p) mod p^(N-1), so mod p^budget, since
+    budget <= N - 1.  So each check answers as it would with adj(F_c) scaled
+    before the product.
+
+    Each F and each pairing is packed once (``mat_pack``), and so is each
+    sigma(P_prev): det F, F_emb^T P_emb and adj(F_c) read the one packing of
+    F, and det P_emb and F_emb^T P_emb the one packing of P.  Each F's
+    determinant is taken once, for its divisors and for u."""
     pn = ring.pn
     f_mats, pairings = (
         {emb: tuple([tuple([tuple([c % pn for c in e]) for e in row]) for row in mat])
@@ -192,7 +202,9 @@ def make_point(
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
-    dets = {emb: mat_det(ring, f_mats[emb]) for emb in embs}
+    packed_f = {emb: mat_pack(ring, f_mats[emb]) for emb in embs}
+    packed_p = {emb: mat_pack(ring, pairings[emb]) for emb in embs}
+    dets = {emb: packed_det(ring, packed_f[emb]) for emb in embs}
     divisors = {emb: _f_divisors(ring, f_mats[emb], dets[emb], emb) for emb in embs}
     signature = FrozenMap(
         (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
@@ -200,7 +212,7 @@ def make_point(
 
     pairing_val = 1 if prime_type is PrimeType.BETA_SHARP else 0
     for emb in embs:
-        if ring.val(mat_det(ring, pairings[emb])) != pairing_val:
+        if ring.val(packed_det(ring, packed_p[emb])) != pairing_val:
             raise DieudonneError(f"pairing at {emb} has the wrong determinant valuation")
         if not _close(ring, pairings[conjugate(system, emb)], mat_transpose(pairings[emb]), -1):
             raise DieudonneError(f"pairing at {emb} is not conjugate-antisymmetric")
@@ -219,11 +231,13 @@ def make_point(
         # <F x, y> = sigma(<x, V y>), times u: sigma(V_c) = p^(1-d) adj(F_c) / u
         d = sum(divisors[cemb])
         unit = ring.div_p(dets[cemb], d)
-        lhs = mat_elem_mul(ring, unit, mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb]))
+        lhs = mat_elem_mul(
+            ring, unit, packed_mul(ring, packed_transpose(packed_f[emb]), packed_p[emb])
+        )
         prev = frobenius_shift(system, emb, -1)
-        p_adj = _mat_shift(ring, mat_adjugate(ring, f_mats[cemb]), 1 - d)
-        rhs = mat_mul(ring, mat_sigma(ring, pairings[prev], 1), p_adj)
-        if not _close(ring, lhs, rhs):
+        sigma_prev = mat_pack(ring, mat_sigma(ring, pairings[prev], 1))
+        rhs = packed_mul(ring, sigma_prev, packed_adjugate(ring, packed_f[cemb]))
+        if not _close(ring, lhs, _mat_shift(ring, rhs, 1 - d)):
             raise DieudonneError(f"pairing is incompatible with F and V at {emb}")
 
     return DieudonnePoint(

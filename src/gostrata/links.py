@@ -252,8 +252,9 @@ def standard_morphism(
     # TRIVIAL_HECKE
     if tau is None:
         raise LinkError("tau required")
-    n, tau_minus, tau_plus = n_tau(datum, tau)
-    if set(datum.free_places(prime_id)) != {tau, tau_minus} or tau_plus != tau_minus:
+    n, tau_minus, _ = n_tau(datum, tau)
+    # one free place has tau_minus = tau, so {tau, tau_minus} alone would pass
+    if tau_minus == tau or set(datum.free_places(prime_id)) != {tau, tau_minus}:
         raise LinkError("requires exactly the two unramified embeddings tau and tau-minus")
     link = identity_link(Band(slot.f, frozenset()))
     return LinkMorphismDescriptor(link, 2 * (slot.f - n), kind)

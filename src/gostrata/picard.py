@@ -77,6 +77,7 @@ def hasse_matrix(datum: ShimuraDatum, p: int) -> HasseMatrix:
 
 def divisor_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> PicardVector:
     """The class of the vanishing divisor at tau: p^{n_tau} e_{tau-minus} - e_tau."""
+    datum.places.check_base(tau)
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
     n, tau_minus, _ = n_tau(datum, tau)
@@ -95,6 +96,7 @@ def fiber_degree(
     p^{n_tau} and -1 respectively; when tau-minus = tau both land on the same
     coordinate.
     """
+    datum.places.check_base(tau)
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
     n, tau_minus, _ = n_tau(datum, tau)
@@ -105,6 +107,7 @@ def fiber_degree(
 
 def normal_bundle_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> int:
     """Self-intersection degree of the vanishing divisor along its own fiber."""
+    datum.places.check_base(tau)
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
     if len(datum.free_places(tau.prime_id)) <= 1:

@@ -20,12 +20,21 @@ precomputed packed tables:
   ``frobenius`` is m multiply-adds against that table, for any k,
   sigma^-1 = sigma^(m-1) included.
 
-Every sum a slot ever holds is below 3 m p^(2N) < 2^k: ``mat_mul`` and
-``mat_det`` build each entry as a two-term sum of products (at most
-2 m (p^N - 1)^2 per slot, for the determinant ad + (-b)c) and fold it once,
-adding at most m - 1 more terms below p^(2N).  So no slot carries into the
-next and every result is exact.  Packing reduces each coefficient mod p^N,
-so negated or otherwise unreduced operands are exact too.  There is one
+Every sum a slot ever holds is below 3 m p^(2N) < 2^k.  The matrix kernel
+works on packed operands: ``mat_pack`` packs the four entries of a matrix
+once, and ``packed_mul`` and ``packed_det`` build each entry of a product or
+the determinant as a two-term sum of packed products and fold it once, so a
+caller that reads one matrix in several products packs it once.
+``packed_transpose`` reorders the four ints; ``packed_adjugate`` negates
+two of them.  The packed negation of x is ``_pn_packed`` - x, with p^N in
+every slot: for packed x, whose slots lie in [0, p^N), each slot of the
+difference lies in [1, p^N], so nothing borrows across slots and the slot
+is -x_i mod p^N.  A product of two operands with slots in [0, p^N] holds at
+most m p^(2N) per slot, a two-term sum at most 2 m p^(2N), and the fold adds
+m - 1 more terms, each below p^(2N).  So no slot carries into the next and
+every result is exact.  ``mat_mul`` and ``mat_det`` pack their arguments and
+call the same two functions.  Packing reduces each coefficient mod p^N, so
+negated or otherwise unreduced operands are exact too.  There is one
 product path: every operand, constant or not, is packed the same way.  Two
 exits skip work on constants, elements of W_N(F_p): a packed sum with
 nothing above slot 0 is read off as (slot 0 mod p^N, 0, ..., 0) without the
@@ -78,6 +87,7 @@ RESERVE = 4
 
 WElem = tuple  # coefficient tuple of length m over Z/p^N
 Mat2 = tuple  # ((a, b), (c, d)) row-major over WElem
+Packed2 = tuple  # (a, b, c, d): the entries of a Mat2, row-major, each packed
 
 
 class WittError(GostrataError):
@@ -245,6 +255,7 @@ class WittRing:
     budget: int = field(init=False, repr=False, compare=False)
     _width: int = field(init=False, repr=False, compare=False)
     _mask: int = field(init=False, repr=False, compare=False)
+    _pn_packed: int = field(init=False, repr=False, compare=False)
     _shifts: tuple = field(init=False, repr=False, compare=False)
     _reduce: tuple = field(init=False, repr=False, compare=False)
     _zeros: tuple = field(init=False, repr=False, compare=False)
@@ -258,6 +269,7 @@ class WittRing:
         object.__setattr__(self, "_width", k)
         object.__setattr__(self, "_mask", (1 << k) - 1)
         object.__setattr__(self, "_shifts", tuple(range(0, k * m, k)))
+        object.__setattr__(self, "_pn_packed", sum(pn << s for s in self._shifts))
         # rows x^m, ..., x^(2m-2) reduced modulo the monic modulus
         row = tuple(-c % pn for c in self.modulus[:-1])
         rows = []
@@ -455,14 +467,44 @@ def mat_identity(ring: WittRing) -> Mat2:
     return mat2(ring, [[1, 0], [0, 1]])
 
 
-def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
-    """Each entry is one two-term sum of packed products, folded once."""
-    (x0, x1), (y0, y1) = [[ring._pack(e) for e in row] for row in a]
-    cols = [(ring._pack(b0), ring._pack(b1)) for b0, b1 in zip(*b)]
+def mat_pack(ring: WittRing, a: Mat2) -> Packed2:
+    """The entries of ``a``, row-major, each packed once: the operand of
+    ``packed_mul`` and ``packed_det``."""
+    pack = ring._pack
+    (x, y), (z, w) = a
+    return pack(x), pack(y), pack(z), pack(w)
+
+
+def packed_transpose(a: Packed2) -> Packed2:
+    return a[0], a[2], a[1], a[3]
+
+
+def packed_adjugate(ring: WittRing, a: Packed2) -> Packed2:
+    """[[d, -b], [-c, a]], each negation p^N in every slot minus the entry."""
+    x, y, z, w = a
+    return w, ring._pn_packed - y, ring._pn_packed - z, x
+
+
+def packed_mul(ring: WittRing, a: Packed2, b: Packed2) -> Mat2:
+    """The product of two packed matrices: each entry is one two-term sum of
+    packed products, folded once."""
+    unpack = ring._unpack
+    x0, x1, y0, y1 = a
+    b00, b01, b10, b11 = b
     return (
-        tuple([ring._unpack(x0 * b0 + x1 * b1) for b0, b1 in cols]),
-        tuple([ring._unpack(y0 * b0 + y1 * b1) for b0, b1 in cols]),
+        (unpack(x0 * b00 + x1 * b10), unpack(x0 * b01 + x1 * b11)),
+        (unpack(y0 * b00 + y1 * b10), unpack(y0 * b01 + y1 * b11)),
     )
+
+
+def packed_det(ring: WittRing, a: Packed2) -> WElem:
+    """ad + (-b)c for a packed matrix, folded once."""
+    x, y, z, w = a
+    return ring._unpack(x * w + (ring._pn_packed - y) * z)
+
+
+def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
+    return packed_mul(ring, mat_pack(ring, a), mat_pack(ring, b))
 
 
 def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
@@ -470,7 +512,10 @@ def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
 
 
 def mat_elem_mul(ring: WittRing, e: WElem, a: Mat2) -> Mat2:
-    return tuple(tuple(ring.mul(e, entry) for entry in row) for row in a)
+    """e times each entry of a, with e packed once."""
+    pack, unpack = ring._pack, ring._unpack
+    scalar = pack(e)
+    return tuple(tuple([unpack(scalar * pack(entry)) for entry in row]) for row in a)
 
 
 def mat_transpose(a: Mat2) -> Mat2:
@@ -486,10 +531,7 @@ def mat_sigma(ring: WittRing, a: Mat2, k: int = 1) -> Mat2:
 
 
 def mat_det(ring: WittRing, a: Mat2) -> WElem:
-    """ad + (-b)c, folded once."""
-    pack = ring._pack
-    (x, y), (z, w) = a
-    return ring._unpack(pack(x) * pack(w) + pack([-u for u in y]) * pack(z))
+    return packed_det(ring, mat_pack(ring, a))
 
 
 def mat_val(ring: WittRing, a: Mat2) -> int:

@@ -190,6 +190,14 @@ def test_link_standard_trivial_hecke(tmp_path: Path) -> None:
     assert payload["indentation"] == 2 * (4 - 3)
 
 
+def test_link_standard_trivial_hecke_rejects_one_free_place(tmp_path: Path) -> None:
+    datum = _write_datum(tmp_path, 3, True, [0, 1])
+    proc = _run_cli("link", "--standard", "TrivialHecke", "--datum", str(datum), "--tau", "2")
+    _assert_one_line_error(proc, 1)
+    assert "requires exactly the two unramified embeddings" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ample_pass_and_fail(tmp_path: Path) -> None:
     datum = _write_datum(tmp_path, 2, True)
     good = _run_cli("ample", "--datum", str(datum), "--p", "3", "--t", "1,1")

@@ -66,7 +66,9 @@ from gostrata.witt import (
     lattice_scale,
     mat2,
     mat_columns,
+    mat_adjugate,
     mat_det,
+    mat_elem_mul,
     mat_identity,
     mat_mul,
     mat_sigma,
@@ -318,6 +320,138 @@ def test_make_point_names_each_pairing_fault(f, split, s_indices, perturb, messa
         make_point(ring, datum, pt.f_mats, pairings, pt.signature)
     assert type(info.value) is DieudonneError
     assert str(info.value) == message
+
+
+def _generator_close(ring, a, b, sign=1):
+    """The generator ``_close`` of the reference below."""
+    if ring.budget <= 0:
+        return True
+    q = ring.p**ring.budget
+    return all(
+        (u - sign * v) % q == 0
+        for ra, rb in zip(a, b)
+        for x, y in zip(ra, rb)
+        for u, v in zip(x, y)
+    )
+
+
+def _make_point_by_scaled_adjugate(ring, datum, f_mats, pairings, expected_signature):
+    """``make_point``'s checks with p^(1-d) applied to adj(F_c) before the
+    product, each matrix packed where a product reads it: the reference for
+    the check on packed operands.  Raises what ``make_point`` raises, or
+    returns None."""
+    pn = ring.pn
+    f_mats, pairings = (
+        {emb: tuple(tuple(tuple(c % pn for c in e) for e in row) for row in mat)
+         for emb, mat in mats.items()} for mats in (f_mats, pairings)
+    )
+    slot, cycle = dieudonne._one_prime(datum)
+    if ring.m % cycle != 0:
+        raise DieudonneError(f"ring degree {ring.m} incompatible with cycle length {cycle}")
+    system = datum.places
+    embs = system.embeddings(slot.id)
+    if set(f_mats) != set(embs) or set(pairings) != set(embs):
+        raise DieudonneError("matrices must be indexed by the full embedding cycle")
+    dets = {emb: mat_det(ring, f_mats[emb]) for emb in embs}
+    divisors = {emb: dieudonne._f_divisors(ring, f_mats[emb], dets[emb], emb) for emb in embs}
+    signature = {emb: divisors[frobenius_shift(system, emb, 1)].count(0) for emb in embs}
+    pairing_val = 1 if classify_prime(datum, slot.id) is PrimeType.BETA_SHARP else 0
+    for emb in embs:
+        if ring.val(mat_det(ring, pairings[emb])) != pairing_val:
+            raise DieudonneError(f"pairing at {emb} has the wrong determinant valuation")
+        conj = pairings[conjugate(system, emb)]
+        if not _generator_close(ring, conj, mat_transpose(pairings[emb]), -1):
+            raise DieudonneError(f"pairing at {emb} is not conjugate-antisymmetric")
+    for emb in embs:
+        cemb = conjugate(system, emb)
+        if signature[emb] != expected_signature[emb]:
+            raise DieudonneError(
+                f"signature mismatch at {emb}: computed {signature[emb]}, "
+                f"declared {expected_signature[emb]}"
+            )
+        if signature[emb] + signature[cemb] != 2:
+            raise DieudonneError(f"signatures at {emb} and its conjugate do not sum to 2")
+        if (signature[emb] == 1) == (restrict(system, emb) in datum.s.s_infty):
+            raise DieudonneError(f"signature {signature[emb]} at {emb} does not fit S_infty")
+        d = sum(divisors[cemb])
+        unit = ring.div_p(dets[cemb], d)
+        lhs = mat_elem_mul(ring, unit, mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb]))
+        prev = frobenius_shift(system, emb, -1)
+        p_adj = dieudonne._mat_shift(ring, mat_adjugate(ring, f_mats[cemb]), 1 - d)
+        rhs = mat_mul(ring, mat_sigma(ring, pairings[prev], 1), p_adj)
+        if not _generator_close(ring, lhs, rhs):
+            raise DieudonneError(f"pairing is incompatible with F and V at {emb}")
+
+
+def _outcome(check, *args):
+    """(error type, message), or None where ``check`` returns."""
+    try:
+        check(*args)
+    except DieudonneError as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize(
+    "p, f, split, s_indices, N",
+    [(3, 2, True, (0,), 8), (2, 3, False, (1,), 8), (5, 4, True, (1, 2), 16),
+     (3, 2, False, (0,), 16)],
+)
+def test_make_point_on_packed_operands_matches_the_scaled_adjugate(p, f, split, s_indices, N):
+    """``make_point``, which scales sigma(P_prev) adj(F_c) by p^(1-d) after
+    the product, against the reference that scales adj(F_c) first: seeded
+    points, with d = 0 and d = 2 both met, pass both, and a multiple of p^k
+    added to one entry of one F or one pairing, k in {0, budget - 1,
+    budget}, gives the same error type and message under both."""
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, p, N)
+    rng = random.Random(2500 + 100 * p + 10 * f + N)
+    outcomes, ds = [], set()
+    for _ in range(3):
+        pt = random_point(rng, ring, datum)
+        args = (ring, datum, pt.f_mats, pt.pairings, pt.signature)
+        assert make_point(*args) == pt
+        assert _make_point_by_scaled_adjugate(*args) is None
+        ds |= {sum(elementary_divisors(ring, mat)) for mat in pt.f_mats.values()}
+        for emb in pt.embeddings():
+            for k in (0, ring.budget - 1, ring.budget):
+                for which in ("f", "pairing"):
+                    mats = dict(pt.f_mats if which == "f" else pt.pairings)
+                    rows = [list(row) for row in mats[emb]]
+                    i, j = rng.randrange(2), rng.randrange(2)
+                    step = tuple(p**k * rng.randrange(1, ring.pn) for _ in range(ring.m))
+                    rows[i][j] = ring.add(rows[i][j], step)
+                    mats[emb] = tuple(tuple(row) for row in rows)
+                    f_mats, pairings = (mats, pt.pairings) if which == "f" else (pt.f_mats, mats)
+                    args = (ring, datum, f_mats, pairings, pt.signature)
+                    got = _outcome(make_point, *args)
+                    assert got == _outcome(_make_point_by_scaled_adjugate, *args)
+                    outcomes.append(got)
+    assert ds == {0, 1, 2}
+    assert None in outcomes
+    assert any(got and got[1].startswith("pairing is incompatible") for got in outcomes)
+
+
+def test_make_point_packs_each_entry_once(monkeypatch):
+    """Every F and pairing entry of the point is packed once: det F, F^T P
+    and adj(F) read one packing of F, det P and F^T P one packing of P."""
+    datum = _datum(3, False, (1,))
+    ring = ring_for_datum(datum, 3, 8)
+    pt = random_point(random.Random(61), ring, datum)
+    packed = []
+
+    def pack(self, a, _inner=type(ring)._pack):
+        packed.append(a)
+        return _inner(self, a)
+
+    monkeypatch.setattr(type(ring), "_pack", pack)
+    made = make_point(ring, datum, pt.f_mats, pt.pairings, pt.signature)
+    monkeypatch.undo()
+    assert made == pt
+    entries = [e for mats in (made.f_mats, made.pairings) for mat in mats.values()
+               for row in mat for e in row]
+    assert len(entries) == 8 * len(pt.embeddings())
+    assert [sum(a is e for a in packed) for e in entries] == [1] * len(entries)
 
 
 @pytest.mark.parametrize(

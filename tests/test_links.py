@@ -300,6 +300,12 @@ def test_trivial_hecke():
         standard_morphism(
             MorphismKind.TRIVIAL_HECKE, _datum(5, True), "p1", tau=ArchPlace("p1", 0)
         )
+    # one free place: tau_minus = tau_plus = tau, which EtaTauMinusPlus rejects too
+    one_free = _datum(3, True, [0, 1])
+    with pytest.raises(LinkError, match="^requires exactly the two unramified embeddings"):
+        standard_morphism(MorphismKind.TRIVIAL_HECKE, one_free, "p1", tau=ArchPlace("p1", 2))
+    with pytest.raises(LinkError, match="^requires at least two unramified embeddings$"):
+        standard_morphism(MorphismKind.ETA_TAU_MINUS_PLUS, one_free, "p1", tau=ArchPlace("p1", 2))
 
 
 def test_composite_morphism_adds_indentation():

@@ -7,13 +7,14 @@ import pytest
 
 from gostrata.picard import (
     PicardError,
+    PicardVector,
     ample_necessary,
     divisor_class,
     fiber_degree,
     hasse_matrix,
     normal_bundle_class,
 )
-from gostrata.places import ArchPlace, build_place_system, make_datum, n_tau
+from gostrata.places import ArchPlace, PlaceError, build_place_system, make_datum, n_tau
 
 
 def _datum(f, s_indices=()):
@@ -122,6 +123,26 @@ def test_normal_bundle_precondition():
     datum = _datum(3, [0, 1])
     with pytest.raises(PicardError):
         normal_bundle_class(datum, 3, ArchPlace("p1", 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda datum, tau: divisor_class(datum, 3, tau),
+        lambda datum, tau: fiber_degree(datum, 3, PicardVector(()), tau),
+        lambda datum, tau: normal_bundle_class(datum, 3, tau),
+    ],
+    ids=["divisor_class", "fiber_degree", "normal_bundle_class"],
+)
+@pytest.mark.parametrize("place", [("p1", 0), ("p1", 1)], ids=["ramified", "free"])
+def test_a_plain_tuple_is_not_a_place(call, place):
+    """The member check comes first: a tuple equal to a ramified or a free
+    place is rejected as not a place, as ``n_tau`` rejects it."""
+    datum = _datum(3, [0])
+    with pytest.raises(PlaceError) as info:
+        call(datum, place)
+    assert type(info.value) is PlaceError
+    assert str(info.value) == f"{place!r} is neither an ArchPlace nor an EmbE"
 
 
 def test_ample_necessary_examples():

@@ -34,12 +34,18 @@ from gostrata.witt import (
     mat_adjugate,
     mat_columns,
     mat_det,
+    mat_elem_mul,
     mat_identity,
     mat_mul,
+    mat_pack,
     mat_sigma,
     mat_times_sigma_basis,
     mat_transpose,
     mat_val,
+    packed_adjugate,
+    packed_det,
+    packed_mul,
+    packed_transpose,
     ring_from_json,
     ring_to_json,
     scaled_inverse,
@@ -563,10 +569,12 @@ def test_ring_ops_return_reduced_elements(p, m, N):
                 _assert_reduced(ring, e)
 
 
-@pytest.mark.parametrize(
-    "p, m, N",
-    [(2, 1, 4), (999983, 1, 8), (2, 2, 8), (3, 4, 8), (2, 8, 16), (3, 8, 16), (999983, 2, 8)],
-)
+EXTREME_RINGS = [
+    (2, 1, 4), (999983, 1, 8), (2, 2, 8), (3, 4, 8), (2, 8, 16), (3, 8, 16), (999983, 2, 8),
+]
+
+
+@pytest.mark.parametrize("p, m, N", EXTREME_RINGS)
 def test_slot_width_holds_extreme_operands(p, m, N):
     """Packed slots hold the largest sums the kernel forms: every coefficient
     p^N - 1, two such products in one matrix entry, and operands given with
@@ -594,6 +602,48 @@ def test_slot_width_holds_extreme_operands(p, m, N):
             assert frobenius(ring, a, k) == image
         if any(c % p for c in a):
             assert _naive_mul(ring, a, ring.inv(a)) == ring.one()
+
+
+@pytest.mark.parametrize("p, m, N", EXTREME_RINGS)
+def test_packed_operands_hold_extreme_entries(p, m, N):
+    """Packed matrices at the slot-width edge: the packed negation of an
+    all-zero entry puts p^N in every slot, and that of an all-(p^N - 1) entry
+    puts 1 there.  Products, transposed products, adjugate products and
+    determinants over such operands match the naive reference."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(3100 * m + N)
+    zero, top = ring.zero(), tuple([ring.pn - 1] * m)
+    entries = [zero, top, _rand_elem(rng, ring), _rand_elem(rng, ring)]
+    mats = [
+        mat2(ring, [[top, zero], [zero, top]]),
+        mat2(ring, [[zero, top], [top, zero]]),
+        mat2(ring, [[top, top], [top, top]]),
+    ] + [mat2(ring, [[rng.choice(entries) for _ in range(2)] for _ in range(2)]) for _ in range(5)]
+    for x in mats:
+        packed = mat_pack(ring, x)
+        adj = packed_adjugate(ring, packed)
+        negated = {x[0][1]: adj[1], x[1][0]: adj[2]}
+        if zero in negated:
+            assert negated[zero] == sum(ring.pn << s for s in range(0, ring._width * m, ring._width))
+        if top in negated:
+            assert negated[top] == sum(1 << s for s in range(0, ring._width * m, ring._width))
+        assert packed_det(ring, packed) == mat_det(ring, x) == _naive_det(ring, x)
+        assert packed_transpose(packed) == mat_pack(ring, mat_transpose(x))
+        for y in mats:
+            other = mat_pack(ring, y)
+            assert packed_mul(ring, packed, other) == _naive_mat_mul(ring, x, y)
+            assert packed_mul(ring, packed_transpose(packed), other) == _naive_mat_mul(
+                ring, mat_transpose(x), y
+            )
+            assert packed_mul(ring, other, adj) == _naive_mat_mul(ring, y, mat_adjugate(ring, x))
+            assert packed_mul(ring, adj, adj) == _naive_mat_mul(
+                ring, mat_adjugate(ring, x), mat_adjugate(ring, x)
+            )
+            assert mat_mul(ring, x, y) == _naive_mat_mul(ring, x, y)
+        scalar = rng.choice(entries)
+        assert mat_elem_mul(ring, scalar, x) == tuple(
+            tuple(_naive_mul(ring, scalar, e) for e in row) for row in x
+        )
 
 
 # --- elementary divisors ------------------------------------------------------
