@@ -18,7 +18,9 @@ precomputed packed tables:
   reduced mod p^N first, and then m slots are read off mod p^N;
 - per k, the images sigma^k(x^i) for i < m, built on first use.
   ``frobenius`` is m multiply-adds against that table, for any k,
-  sigma^-1 = sigma^(m-1) included.
+  sigma^-1 = sigma^(m-1) included.  Each row is a reduced element, of
+  degree below m, so the sum holds nothing above slot m - 1: its m slots
+  are read off mod p^N with no fold.
 
 Every sum a slot ever holds is below 3 m p^(2N) < 2^k.  The matrix kernel
 works on packed operands: ``mat_pack`` packs the four entries of a matrix
@@ -446,8 +448,9 @@ def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
         return a
     if not any(a[1:]):
         return ring.from_int(a[0])
-    pn = ring.pn
-    return ring._unpack(sum([c % pn * row for c, row in zip(a, ring._sigma_table(k))]))
+    pn, mask = ring.pn, ring._mask
+    packed = sum([c % pn * row for c, row in zip(a, ring._sigma_table(k))])
+    return tuple([(packed >> s & mask) % pn for s in ring._shifts])
 
 
 # --- 2x2 matrices ------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -891,6 +892,47 @@ def test_verify_roundtrip_returns_the_reconstructed_point():
             assert verify_roundtrip(pt, t) == expected
 
 
+@pytest.mark.parametrize(
+    "p, f, split, s_indices",
+    [(2, 2, True, ()), (3, 3, False, ()), (5, 2, False, ()), (2, 3, True, (0,)), (3, 4, True, (1,)),
+     (5, 3, False, (2,))],
+)
+def test_the_identity_frame_keeps_the_point(monkeypatch, p, f, split, s_indices):
+    """T = empty transports a point through the identity frame: the target
+    point and the rebuilt point are the point itself on the target and the
+    source datum, what ``make_point`` returns for its own matrices, with no
+    second ``make_point``.  A nonempty T still builds both points."""
+    datum = _datum(f, split, s_indices)
+    ring = ring_for_datum(datum, p)
+    _, template = _template_point(datum, set(range(f)), p=p)
+    t = frozenset(sorted(stratum_of_point(template))[:1])
+    assert t
+    calls = []
+
+    def counted(*args, _inner=dieudonne.make_point):
+        calls.append(args[1])
+        return _inner(*args)
+
+    for pt in (template, random_point(random.Random(97 + p + f), ring, datum)):
+        made = make_point(ring, pt.datum, pt.f_mats, pt.pairings, pt.signature)
+        target = stratum_descriptor(datum, frozenset())
+        target_datum = dataclasses.replace(datum, s=target.s_of_t, level_p=target.level_t)
+        assert target_datum != datum
+        rebuilt = make_point(ring, target_datum, pt.f_mats, pt.pairings, pt.signature)
+        with monkeypatch.context() as patch:
+            patch.setattr(dieudonne, "make_point", counted)
+            back = verify_roundtrip(pt, frozenset())
+            b_point = build_isogeny_triple(pt, frozenset()).b_point
+        assert calls == []
+        assert back == made == pt and back.datum is pt.datum
+        assert b_point == rebuilt and b_point.datum == target_datum
+        assert json.dumps(point_to_json(b_point)) == json.dumps(point_to_json(rebuilt))
+    with monkeypatch.context() as patch:
+        patch.setattr(dieudonne, "make_point", counted)
+        verify_roundtrip(template, t)
+    assert [d == datum for d in calls] == [False, True]
+
+
 def test_roundtrip_decomposes_the_chains_once(monkeypatch):
     datum = _datum(4, True)
     _, pt = _template_point(datum, {1})
@@ -1390,6 +1432,24 @@ def _signatures_that_do_not_sum_to_two():
     )
 
 
+def _matrices_without_one_embedding():
+    datum = _datum(2, True)
+    ring, pt = _antidiag_point(datum)
+    dropped = pt.embeddings()[-1]
+    f_mats = {emb: mat for emb, mat in pt.f_mats.items() if emb != dropped}
+    return (
+        lambda: make_point(ring, datum, f_mats, pt.pairings, pt.signature),
+        "matrices must be indexed by the full embedding cycle",
+    )
+
+
+def _point_record_whose_ring_lacks_p():
+    _, pt = _json_point()
+    data = point_to_json(pt)
+    del data["ring"]["p"]
+    return (lambda: point_from_json(data)), "point record field 'ring' lacks the key 'p'"
+
+
 @pytest.mark.parametrize(
     "case, error",
     [
@@ -1401,6 +1461,8 @@ def _signatures_that_do_not_sum_to_two():
         (_uncovered_half_system, DieudonneError),
         (_ring_of_the_wrong_degree, DieudonneError),
         (_signatures_that_do_not_sum_to_two, DieudonneError),
+        (_matrices_without_one_embedding, DieudonneError),
+        (_point_record_whose_ring_lacks_p, DieudonneError),
     ],
     ids=[
         "frobenius_composite_n_0",
@@ -1411,6 +1473,8 @@ def _signatures_that_do_not_sum_to_two():
         "half_system_coverage",
         "ring_degree_vs_cycle",
         "conjugate_signature_sum",
+        "embedding_missing_from_f_mats",
+        "ring_record_without_p",
     ],
 )
 def test_direct_calls_reach_their_raises(case, error):

@@ -4,8 +4,9 @@ private function and every private method of a class is referenced somewhere
 in ``src/``, every named parameter is read in the body of its function,
 every exception class derives from ``GostrataError``, every ``Enum`` member is
 read by name, every defaulted parameter of a private function is passed by
-some call, and every private attribute read on another object is defined in
-the reading module.
+some call, every private attribute read on another object is defined in
+the reading module, and a point is built only by ``make_point`` and moved to
+another datum only by ``_frame_point``.
 """
 
 from __future__ import annotations
@@ -268,4 +269,54 @@ def test_the_private_attribute_lint_sees_a_foreign_read():
     assert _foreign_private_reads({"places.py": owner}) == []
     assert sorted(_foreign_private_reads({"places.py": owner, "strata.py": reader})) == [
         "strata.py:2 datum._gaps", "strata.py:2 datum.places._entry"
+    ]
+
+
+# the one function each call may appear in: a point is built by make_point
+# alone, and dataclasses.replace, which moves a point to another datum, is
+# called by _frame_point alone
+DOORS = {"DieudonnePoint": "make_point", "replace": "_frame_point", "dataclasses.replace": "_frame_point"}
+
+
+def _calls_outside_their_door(trees: dict[str, ast.Module]) -> list[str]:
+    """Each call in ``DOORS`` (``DieudonnePoint`` also by a module prefix)
+    made outside its one function, with the innermost enclosing function; a
+    method such as ``str.replace`` is not ``replace``."""
+    found = []
+
+    def visit(module: str, node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee.endswith(".DieudonnePoint"):
+                    callee = "DieudonnePoint"
+                if callee in DOORS and function != DOORS[callee]:
+                    found.append(f"{module}:{child.lineno} {callee}() in {function}")
+            visit(module, child, inner)
+
+    for module, tree in trees.items():
+        visit(module, tree, None)
+    return found
+
+
+def test_a_point_is_built_and_moved_only_through_its_doors():
+    """``make_point`` validates every point it builds; ``_frame_point`` moves
+    one to another datum only where ``make_point`` would rebuild it from the
+    same matrices.  No other code constructs or replaces a point."""
+    assert not _calls_outside_their_door(TREES), _calls_outside_their_door(TREES)
+
+
+def test_the_door_lint_sees_a_foreign_construction():
+    source = ast.parse(
+        "def make_point(ring):\n    return DieudonnePoint(ring)\n"
+        "def _frame_point(pt, datum):\n    return replace(pt, datum=datum)\n"
+        "def twist(pt, datum):\n    name = pt.prime_id.replace('p', 'q')\n"
+        "    return dieudonne.DieudonnePoint(pt.ring), dataclasses.replace(pt, datum=datum)\n"
+        "def rebuild(pt):\n    def inner():\n        return replace(pt)\n    return inner\n"
+    )
+    assert _calls_outside_their_door({"walk.py": source}) == [
+        "walk.py:7 DieudonnePoint() in twist",
+        "walk.py:7 dataclasses.replace() in twist",
+        "walk.py:10 replace() in inner",
     ]

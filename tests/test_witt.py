@@ -646,6 +646,26 @@ def test_packed_operands_hold_extreme_entries(p, m, N):
         )
 
 
+@pytest.mark.parametrize("p, m, N", EXTREME_RINGS)
+def test_frobenius_reads_the_table_sum_without_a_fold(p, m, N):
+    """Each row of the sigma table has degree below m, so sigma^k reads the
+    m slots of its table sum directly: it matches the sum folded through
+    ``_unpack``, for every k in 1..m - 1, on all-(p^N - 1) and random
+    elements, and m steps of sigma return the element."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(3200 * m + N)
+    top = tuple([ring.pn - 1] * m)
+    for a in [top] + [_rand_elem(rng, ring) for _ in range(4)]:
+        for k in range(1, m):
+            table_sum = sum(c % ring.pn * row for c, row in zip(a, ring._sigma_table(k)))
+            assert frobenius(ring, a, k) == ring._unpack(table_sum)
+            assert frobenius(ring, frobenius(ring, a, k), m - k) == a
+        image = a
+        for _ in range(m):
+            image = frobenius(ring, image)
+        assert image == a
+
+
 # --- elementary divisors ------------------------------------------------------
 
 
