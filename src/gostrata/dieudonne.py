@@ -17,7 +17,7 @@ divisors are <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import GostrataError
@@ -141,10 +141,7 @@ class DieudonnePoint:
     FrozenMaps keyed by embedding, in embedding order.  Every coefficient of
     every matrix lies in [0, p^N), so ``==`` and ``point_to_json`` compare
     points as elements of W_N.  V is derived data, sigma^-1(p F^-1), which
-    ``v_matrix`` forms on demand.  Built only by ``make_point``, and moved
-    to another datum only by ``_frame_point``, which does so exactly where
-    ``make_point`` would rebuild the point from its own matrices: through
-    the identity frame, onto a datum that ``make_point`` reads the same."""
+    ``v_matrix`` forms on demand.  Built only by ``make_point``."""
 
     ring: WittRing
     datum: ShimuraDatum
@@ -406,29 +403,21 @@ def _frame_point(
     ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame; its
     F-matrices ``f_mats`` are the ones ``_framed_f_mats`` returned there.
 
-    Through the identity frame, the transport of T = empty, the point keeps
-    its matrices and is not validated again.  When every frame is the
-    standard lattice, shift included, the pairings built below are
-    ``pt.pairings``: sigma^0 and ``smul`` by 1 return their operand.  If
-    also ``f_mats`` and ``expected`` equal the point's own, and ``datum``
-    has the same places, the same ramification set and the same level at
-    the prime, then ``make_point`` would read exactly the inputs it
-    accepted when it built ``pt``, and it is a pure function of them.  So
-    ``pt`` with ``datum`` in place of its own is the point it would return,
-    and no check is skipped.  The datum is compared through what
-    ``make_point`` reads, not by ``==``: a descriptor's target datum names
-    hyperspecial level explicitly where ``make_datum`` leaves it out."""
+    Through the identity frame, the transport of T = empty, this is ``pt``
+    itself.  When every frame is the standard lattice, shift included, the
+    pairings built below are ``pt.pairings``: sigma^0 and ``smul`` by 1
+    return their operand.  If also ``f_mats``, ``expected`` and ``datum``
+    equal the point's own, ``make_point`` would read exactly the inputs it
+    accepted when it built ``pt``, and it is a pure function of them."""
     ring, system = pt.ring, pt.datum.places
-    std, pid = standard_lattice(ring), pt.prime_id
+    std = standard_lattice(ring)
     if (
         all(frames[emb] == std for emb in pt.embeddings())
         and f_mats == pt.f_mats
         and expected == pt.signature
-        and datum.places == system
-        and datum.s == pt.datum.s
-        and datum.level(pid) is pt.datum.level(pid)
+        and datum == pt.datum
     ):
-        return replace(pt, datum=datum)
+        return pt
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
@@ -654,12 +643,9 @@ def verify_roundtrip(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> DieudonnePo
     Returns the source point rebuilt from those same families, the point
     ``reconstruct_point`` gives for the triple.
 
-    For T = empty every family is the standard lattice, so both transports
-    go through the identity frame, and ``_frame_point`` returns the point
-    itself with the target datum and then with the source datum, without
-    validating its matrices again.  That is exact: the frames leave F and
-    the pairings as they are, the datums read the same to ``make_point``,
-    and ``make_point`` already accepted those inputs when it built ``pt``.
+    For T = empty every family is the standard lattice and the target
+    datum is the source datum, so both transports go through the identity
+    frame and return ``pt`` itself.
     """
     ring, datum = pt.ring, pt.datum
     triple = build_isogeny_triple(pt, t)

@@ -75,12 +75,17 @@ def hasse_matrix(datum: ShimuraDatum, p: int) -> HasseMatrix:
     return HasseMatrix(basis, tuple(tuple(row) for row in rows))
 
 
-def divisor_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> PicardVector:
-    """The class of the vanishing divisor at tau: p^{n_tau} e_{tau-minus} - e_tau."""
+def _free_gap(datum: ShimuraDatum, tau: ArchPlace) -> tuple[int, ArchPlace, ArchPlace]:
+    """``n_tau`` at a place of the base field; a PicardError if it is ramified."""
     datum.places.check_base(tau)
     if tau in datum.s.s_infty:
         raise PicardError(f"{tau} is ramified")
-    n, tau_minus, _ = n_tau(datum, tau)
+    return n_tau(datum, tau)
+
+
+def divisor_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> PicardVector:
+    """The class of the vanishing divisor at tau: p^{n_tau} e_{tau-minus} - e_tau."""
+    n, tau_minus, _ = _free_gap(datum, tau)
     coeffs: dict[ArchPlace, Fraction] = {}
     coeffs[tau_minus] = coeffs.get(tau_minus, Fraction(0)) + Fraction(p**n)
     coeffs[tau] = coeffs.get(tau, Fraction(0)) - 1
@@ -96,10 +101,7 @@ def fiber_degree(
     p^{n_tau} and -1 respectively; when tau-minus = tau both land on the same
     coordinate.
     """
-    datum.places.check_base(tau)
-    if tau in datum.s.s_infty:
-        raise PicardError(f"{tau} is ramified")
-    n, tau_minus, _ = n_tau(datum, tau)
+    n, tau_minus, _ = _free_gap(datum, tau)
     if tau_minus == tau:
         return (Fraction(p**n) - 1) * cls.at(tau)
     return Fraction(p**n) * cls.at(tau) - cls.at(tau_minus)
@@ -107,12 +109,9 @@ def fiber_degree(
 
 def normal_bundle_class(datum: ShimuraDatum, p: int, tau: ArchPlace) -> int:
     """Self-intersection degree of the vanishing divisor along its own fiber."""
-    datum.places.check_base(tau)
-    if tau in datum.s.s_infty:
-        raise PicardError(f"{tau} is ramified")
+    n = _free_gap(datum, tau)[0]
     if len(datum.free_places(tau.prime_id)) <= 1:
         raise PicardError("needs at least two unramified embeddings at the prime")
-    n = n_tau(datum, tau)[0]
     return -2 * p**n
 
 

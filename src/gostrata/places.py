@@ -258,6 +258,8 @@ class EvenPlaceSet:
 class ShimuraDatum:
     """A place system, a ramification set, and a level flag per prime: a
     FrozenMap from prime id to Level, hyperspecial where a prime has none.
+    The map keeps one form, sorted by prime id with hyperspecial primes left
+    out however they were given, so ``==`` and ``hash`` mean the same datum.
 
     Tables built once, and left out of equality, hashing and repr: ``_free``
     maps a prime id (or None, for all primes) to its free places, those
@@ -290,6 +292,8 @@ class ShimuraDatum:
         for pid in self.s.s_p:
             if self.level(pid) is not Level.MAXIMAL_ORDER:
                 raise PlaceError(f"ramified prime {pid!r} must carry maximal-order level")
+        kept = sorted((pid, lv) for pid, lv in self.level_p.items() if lv is not Level.HYPERSPECIAL)
+        object.__setattr__(self, "level_p", FrozenMap(kept))
         free, gaps = {}, {}
         for slot in self.places.primes:
             here = free[slot.id] = tuple(
@@ -331,7 +335,7 @@ def make_datum(
     return ShimuraDatum(
         places=system,
         s=EvenPlaceSet(s_infty, s_p, n_other),
-        level_p=FrozenMap(sorted(level_items.items())),
+        level_p=FrozenMap(level_items),
     )
 
 
@@ -414,5 +418,5 @@ def datum_from_json(data: Mapping) -> ShimuraDatum:
     return ShimuraDatum(
         places=system,
         s=EvenPlaceSet(s_infty, s_p, n_other),
-        level_p=FrozenMap(sorted(level_items)),
+        level_p=FrozenMap(level_items),
     )

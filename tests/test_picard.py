@@ -8,6 +8,7 @@ import pytest
 from gostrata.picard import (
     PicardError,
     PicardVector,
+    ample_inequalities,
     ample_necessary,
     divisor_class,
     fiber_degree,
@@ -125,7 +126,7 @@ def test_normal_bundle_precondition():
         normal_bundle_class(datum, 3, ArchPlace("p1", 2))
 
 
-@pytest.mark.parametrize(
+PLACE_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda datum, tau: divisor_class(datum, 3, tau),
@@ -134,6 +135,9 @@ def test_normal_bundle_precondition():
     ],
     ids=["divisor_class", "fiber_degree", "normal_bundle_class"],
 )
+
+
+@PLACE_CALLS
 @pytest.mark.parametrize("place", [("p1", 0), ("p1", 1)], ids=["ramified", "free"])
 def test_a_plain_tuple_is_not_a_place(call, place):
     """The member check comes first: a tuple equal to a ramified or a free
@@ -143,6 +147,24 @@ def test_a_plain_tuple_is_not_a_place(call, place):
         call(datum, place)
     assert type(info.value) is PlaceError
     assert str(info.value) == f"{place!r} is neither an ArchPlace nor an EmbE"
+
+
+@PLACE_CALLS
+def test_a_ramified_place_is_refused(call):
+    """A place of S_infty has no gap; with one free place left at the prime,
+    ``normal_bundle_class`` still names the ramified place first."""
+    tau = ArchPlace("p1", 0)
+    with pytest.raises(PicardError) as info:
+        call(_datum(3, [0, 1]), tau)
+    assert str(info.value) == "ArchPlace(prime_id='p1', i=0) is ramified" == f"{tau} is ramified"
+
+
+def test_weights_must_match_the_basis():
+    datum = _datum(3, [0])
+    for weights in ([Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(PicardError) as info:
+            ample_inequalities(datum, 3, weights)
+        assert str(info.value) == "weight vector length must match the basis"
 
 
 def test_ample_necessary_examples():

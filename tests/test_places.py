@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,7 @@ from gostrata.places import (
     n_tau,
     restrict,
 )
+from gostrata.strata import stratum_descriptor
 
 
 def test_build_place_system_basic():
@@ -411,5 +413,52 @@ def test_datum_levels_given_in_any_order_are_one_datum():
     assert one == other and hash(one) == hash(other)
     by_make = make_datum(system, s.s_infty, level=dict(reversed(levels)))
     assert by_make == one and hash(by_make) == hash(one)
-    assert list(by_make.level_p) == ["p1", "p2"]
+    assert list(by_make.level_p) == ["p1"]
     assert one.level("p1") is Level.IWAHORI and one.level("p2") is Level.HYPERSPECIAL
+
+
+def _one_prime_datums():
+    """(system, S_infty, S_p, level) for every one-prime datum with f <= 4,
+    split and inert, every S_infty and every admissible level."""
+    for f in range(1, 5):
+        for split in (True, False):
+            system = build_place_system([(f, split)])
+            cycle = system.arch_places("p1")
+            for bits in range(2**f):
+                s_infty = frozenset(tau for tau in cycle if bits >> tau.i & 1)
+                yield system, s_infty, frozenset(), Level.HYPERSPECIAL
+                if len(s_infty) == f:
+                    yield system, s_infty, frozenset(), Level.IWAHORI
+                    yield system, s_infty, frozenset({"p1"}), Level.MAXIMAL_ORDER
+
+
+def test_a_datum_has_one_spelling():
+    """However a datum is built, with hyperspecial level named or left out,
+    it is one datum: equal, with one hash and one JSON record, which names
+    no hyperspecial prime.  For T = empty the descriptor's target datum is
+    the datum itself, though its ``level_t`` names every prime's level."""
+    count = 0
+    for system, s_infty, s_p, level in _one_prime_datums():
+        first = make_datum(system, s_infty, s_p, level={"p1": level})
+        record = datum_to_json(first)
+        ways = [
+            first,
+            datum_from_json({**record, "level": {"p1": level.value}}),
+            replace(first, level_p=FrozenMap({"p1": level})),
+        ]
+        if level is Level.HYPERSPECIAL:
+            assert record["level"] == {}
+            bare = {key: value for key, value in record.items() if key != "level"}
+            ways += [make_datum(system, s_infty), datum_from_json(record), datum_from_json(bare)]
+        else:
+            assert record["level"] == {"p1": level.value}
+        if first.free_places():
+            descriptor = stratum_descriptor(first, frozenset())
+            assert descriptor.level_t == {"p1": level}
+            ways.append(ShimuraDatum(system, descriptor.s_of_t, descriptor.level_t))
+        for way in ways:
+            assert way == first and hash(way) == hash(first), (way, first)
+            assert json.dumps(datum_to_json(way)) == json.dumps(record)
+            assert way.level("p1") is level
+        count += 1
+    assert count == 76
