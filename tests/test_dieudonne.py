@@ -930,6 +930,14 @@ def test_the_identity_frame_keeps_the_point(monkeypatch, p, f, split, s_indices)
         patch.setattr(dieudonne, "make_point", counted)
         verify_roundtrip(template, t)
     assert [d == datum for d in calls] == [False, True]
+    # the identity frame onto another datum still builds the point there
+    other = dataclasses.replace(datum, s=dataclasses.replace(datum.s, n_other=datum.s.n_other + 2))
+    std = {emb: standard_lattice(ring) for emb in template.embeddings()}
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(dieudonne, "make_point", counted)
+        moved = dieudonne._frame_point(template, std, template.f_mats, other, template.signature)
+    assert calls == [other] and moved.datum == other != datum
 
 
 def test_roundtrip_decomposes_the_chains_once(monkeypatch):
