@@ -54,6 +54,7 @@ from .witt import (
     DieudonneError,
     Lattice2,
     Mat2,
+    Packed2,
     PrecisionError,
     WElem,
     WittRing,
@@ -69,17 +70,19 @@ from .witt import (
     mat_adjugate,
     mat_columns,
     mat_det,
-    mat_elem_mul,
     mat_mul,
     mat_pack,
     mat_sigma,
     mat_smul,
     mat_times_sigma_basis,
     mat_transpose,
+    mat_unpack,
     mat_val,
     packed_adjugate,
     packed_det,
     packed_mul,
+    packed_scale,
+    packed_sigma,
     packed_transpose,
     ring_from_json,
     ring_to_json,
@@ -121,6 +124,15 @@ def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
     return tuple(tuple(ring.div_p(e, -k) for e in row) for row in mat)
 
 
+def _packed_shift(ring: WittRing, a: Packed2, k: int) -> Packed2:
+    """p^k times a packed matrix with reduced slots; for negative k, p^-k
+    must divide every slot, and ``//`` divides each slot exactly."""
+    if k < 0:
+        q = ring.p**-k
+        return tuple([x // q for x in a])
+    return a if k == 0 else packed_scale(ring, ring.from_int(ring.p**k), a)
+
+
 def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
     """a = sign * b up to the trusted precision budget: p^budget divides each
     coefficient of x - sign * y, so the residues mod p^budget agree."""
@@ -138,10 +150,12 @@ def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
 @dataclass(frozen=True)
 class DieudonnePoint:
     """F, the pairing and the signature at each embedding of one prime:
-    FrozenMaps keyed by embedding, in embedding order.  Every coefficient of
-    every matrix lies in [0, p^N), so ``==`` and ``point_to_json`` compare
-    points as elements of W_N.  V is derived data, sigma^-1(p F^-1), which
-    ``v_matrix`` forms on demand.  Built only by ``make_point``."""
+    FrozenMaps keyed by embedding, in embedding order.  Each F and each
+    pairing is a ``Packed2``, the four packed ints of ``mat_pack`` with every
+    slot reduced mod p^N, so ``==`` and ``hash`` compare points as elements
+    of W_N; ``mat_unpack`` gives the coefficient tuples back.  V is derived
+    data, sigma^-1(p F^-1), which ``v_matrix`` forms on demand.  Built only
+    by ``make_point``."""
 
     ring: WittRing
     datum: ShimuraDatum
@@ -157,15 +171,15 @@ class DieudonnePoint:
 def make_point(
     ring: WittRing,
     datum: ShimuraDatum,
-    f_mats: Mapping[EmbE, Mat2],
-    pairings: Mapping[EmbE, Mat2],
+    f_mats: Mapping[EmbE, Packed2],
+    pairings: Mapping[EmbE, Packed2],
     expected_signature,
 ) -> DieudonnePoint:
-    """Assemble and validate a point from its F-matrices and pairings.
+    """Assemble and validate a point from its packed F-matrices and pairings.
 
-    The one door through which outside matrices reach a point: each
-    coefficient is reduced mod p^N once, before any check, so matrices that
-    differ by multiples of p^N give the same point.
+    The one door to a point.  It takes matrices packed by ``mat_pack``,
+    which reduces each coefficient mod p^N, so matrices that differ by
+    multiples of p^N give the same point, and it stores them as given.
 
     The pairing must satisfy <F x, y> = sigma(<x, V y>): at ``emb``, with c
     its conjugate and prev = sigma^-1(emb), F_emb^T P_emb = sigma(P_prev V_c).
@@ -174,22 +188,20 @@ def make_point(
     u F_emb^T P_emb = sigma(P_prev) adj(F_c) p^(1-d) mod p^budget, with no
     inverse and no V.  Multiplying both sides of a congruence mod p^budget
     by a unit keeps it exactly, so this is as strong as the check through V.
-    The scaling by p^(1-d) comes after the product.  At d = 0 the product
-    times p is exact mod p^N.  At d = 2 F_c has divisors (1, 1), so p divides
-    every entry of adj(F_c) and of the product, and the exact quotient agrees
-    with sigma(P_prev) (adj(F_c) / p) mod p^(N-1), so mod p^budget, since
-    budget <= N - 1.  So each check answers as it would with adj(F_c) scaled
-    before the product.
+    Both sides times p^d give the form checked here:
+    det(F_c) F_emb^T P_emb = p sigma(P_prev) adj(F_c) mod p^(budget + d).
+    Multiplying a congruence and its modulus by p^d keeps it exactly, and at
+    d = 2 p divides every entry of adj(F_c), so p times the exact quotient
+    is the product itself.  So the check answers as the one through V.
+    Each side is read as packed residues: det(F_c) times the packed, reduced
+    F_emb^T P_emb mod p^(budget + d), and p times the residues of
+    sigma(P_prev) adj(F_c) mod p^(budget + d - 1).  sigma(P_prev) is taken
+    by ``packed_sigma``, packed to packed.  Each F's determinant is taken
+    once, for its divisors and for this check.
 
-    Each F and each pairing is packed once (``mat_pack``), and so is each
-    sigma(P_prev): det F, F_emb^T P_emb and adj(F_c) read the one packing of
-    F, and det P_emb and F_emb^T P_emb the one packing of P.  Each F's
-    determinant is taken once, for its divisors and for u."""
-    pn = ring.pn
-    f_mats, pairings = (
-        {emb: tuple([tuple([tuple([c % pn for c in e]) for e in row]) for row in mat])
-         for emb, mat in mats.items()} for mats in (f_mats, pairings)
-    )
+    Antisymmetry at c is the transpose of antisymmetry at ``emb``, so it is
+    checked once per conjugate pair, at the first of the two; a failure
+    raises at the same embedding as a check at both would."""
     slot, cycle = _one_prime(datum)
     pid = slot.id
     prime_type = classify_prime(datum, pid)
@@ -202,20 +214,24 @@ def make_point(
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
-    packed_f = {emb: mat_pack(ring, f_mats[emb]) for emb in embs}
-    packed_p = {emb: mat_pack(ring, pairings[emb]) for emb in embs}
-    dets = {emb: packed_det(ring, packed_f[emb]) for emb in embs}
-    divisors = {emb: _f_divisors(ring, f_mats[emb], dets[emb], emb) for emb in embs}
+    dets = {emb: packed_det(ring, f_mats[emb]) for emb in embs}
+    divisors = {emb: _f_divisors(ring, mat_unpack(ring, f_mats[emb]), dets[emb], emb)
+                for emb in embs}
     signature = FrozenMap(
         (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
     )
 
     pairing_val = 1 if prime_type is PrimeType.BETA_SHARP else 0
+    seen = set()
     for emb in embs:
-        if ring.val(packed_det(ring, packed_p[emb])) != pairing_val:
+        if ring.val(packed_det(ring, pairings[emb])) != pairing_val:
             raise DieudonneError(f"pairing at {emb} has the wrong determinant valuation")
-        if not _close(ring, pairings[conjugate(system, emb)], mat_transpose(pairings[emb]), -1):
+        cemb = conjugate(system, emb)
+        # the check at cemb is the transpose of this one: made at the first of the two
+        if cemb not in seen and not _close(ring, mat_unpack(ring, pairings[cemb]),
+                                           mat_transpose(mat_unpack(ring, pairings[emb])), -1):
             raise DieudonneError(f"pairing at {emb} is not conjugate-antisymmetric")
+        seen.add(emb)
 
     for emb in embs:
         cemb = conjugate(system, emb)
@@ -228,16 +244,13 @@ def make_point(
             raise DieudonneError(f"signatures at {emb} and its conjugate do not sum to 2")
         if (signature[emb] == 1) == (restrict(system, emb) in datum.s.s_infty):
             raise DieudonneError(f"signature {signature[emb]} at {emb} does not fit S_infty")
-        # <F x, y> = sigma(<x, V y>), times u: sigma(V_c) = p^(1-d) adj(F_c) / u
-        d = sum(divisors[cemb])
-        unit = ring.div_p(dets[cemb], d)
-        lhs = mat_elem_mul(
-            ring, unit, packed_mul(ring, packed_transpose(packed_f[emb]), packed_p[emb])
-        )
-        prev = frobenius_shift(system, emb, -1)
-        sigma_prev = mat_pack(ring, mat_sigma(ring, pairings[prev], 1))
-        rhs = packed_mul(ring, sigma_prev, packed_adjugate(ring, packed_f[cemb]))
-        if not _close(ring, lhs, _mat_shift(ring, rhs, 1 - d)):
+        # <F x, y> = sigma(<x, V y>), times p^d u = det F_c: sigma(V_c) = p^(1-d) adj(F_c) / u
+        q = ring.p ** (ring.budget + sum(divisors[cemb]))
+        product = packed_mul(ring, packed_transpose(f_mats[emb]), pairings[emb])
+        lhs = packed_scale(ring, dets[cemb], product, q)
+        sigma_prev = packed_sigma(ring, pairings[frobenius_shift(system, emb, -1)], 1)
+        rhs = packed_mul(ring, sigma_prev, packed_adjugate(ring, f_mats[cemb]), q // ring.p)
+        if lhs != tuple([ring.p * y for y in rhs]):
             raise DieudonneError(f"pairing is incompatible with F and V at {emb}")
 
     return DieudonnePoint(
@@ -258,7 +271,7 @@ def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
     ``make_point`` bounds the divisors of F by (0, 1); exact to N - 1 digits
     where F has divisors (1, 1), to N elsewhere."""
     ring = pt.ring
-    d, inverse = scaled_inverse(ring, pt.f_mats[emb])
+    d, inverse = scaled_inverse(ring, mat_unpack(ring, pt.f_mats[emb]))
     return mat_sigma(ring, _mat_shift(ring, inverse, 1 - d), ring.m - 1)
 
 
@@ -268,7 +281,9 @@ def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
 
     Each step into a component uses F when the signature behind it is 1 or 2,
     and V^{-1} = F / p when it is 0, where ``make_point`` has checked that F
-    has divisors (1, 1), so the division is exact.
+    has divisors (1, 1), so p divides every slot of the packed F and the
+    division is exact slot by slot.  The chain stays packed: ``packed_sigma`` and
+    ``packed_mul`` at each step, one ``mat_unpack`` at the end.
     """
     if n < 1:
         raise DieudonneError("n must be at least 1")
@@ -278,9 +293,9 @@ def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
         mu = frobenius_shift(system, emb, -k)
         step = pt.f_mats[mu]
         if pt.signature[frobenius_shift(system, mu, -1)] == 0:
-            step = _mat_shift(ring, step, -1)
-        mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, 1))
-    return mat
+            step = _packed_shift(ring, step, -1)
+        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, 1))
+    return mat_unpack(ring, mat)
 
 
 def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -336,7 +351,7 @@ def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
     spans the same lattice, and d = 2 minus the signature at ``emb``."""
     ring, system = pt.ring, pt.datum.places
     f_mat = pt.f_mats[frobenius_shift(system, emb, 1)]
-    p_adj = _mat_shift(ring, mat_adjugate(ring, f_mat), pt.signature[emb] - 1)
+    p_adj = _mat_shift(ring, mat_adjugate(ring, mat_unpack(ring, f_mat)), pt.signature[emb] - 1)
     p = ring.from_int(ring.p)
     cols = mat_columns(mat_sigma(ring, p_adj, ring.m - 1))
     return lattice_normalize(ring, 0, cols + [(p, ring.zero()), (ring.zero(), p)])
@@ -401,14 +416,17 @@ def _frame_point(
 ) -> DieudonnePoint:
     """The point on ``datum`` whose module at each embedding is the lattice
     ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame; its
-    F-matrices ``f_mats`` are the ones ``_framed_f_mats`` returned there.
+    packed F-matrices ``f_mats`` are the ones ``_framed_f_mats`` returned
+    there.  Each pairing is framed on its coefficient tuples (``mat_unpack``)
+    and packed once for ``make_point`` (``mat_pack``).
 
     Through the identity frame, the transport of T = empty, this is ``pt``
     itself.  When every frame is the standard lattice, shift included, the
     pairings built below are ``pt.pairings``: sigma^0 and ``smul`` by 1
-    return their operand.  If also ``f_mats``, ``expected`` and ``datum``
-    equal the point's own, ``make_point`` would read exactly the inputs it
-    accepted when it built ``pt``, and it is a pure function of them."""
+    return their operand, and packing the unpacked reduced matrix gives the
+    same ints.  If also ``f_mats``, ``expected`` and ``datum`` equal the
+    point's own, ``make_point`` would read exactly the inputs it accepted
+    when it built ``pt``, and it is a pure function of them."""
     ring, system = pt.ring, pt.datum.places
     std = standard_lattice(ring)
     if (
@@ -421,14 +439,16 @@ def _frame_point(
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
-        out = basis_transpose_times(frame, mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0))
-        pairings[emb] = _mat_shift(ring, out, frame.shift + conj.shift)
+        pairing = mat_times_sigma_basis(ring, mat_unpack(ring, pt.pairings[emb]), conj, 0)
+        out = basis_transpose_times(frame, pairing)
+        pairings[emb] = mat_pack(ring, _mat_shift(ring, out, frame.shift + conj.shift))
     return make_point(ring, datum, f_mats, pairings, expected)
 
 
-def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat2]:
+def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Packed2]:
     """Check that each ``(label, lattices)`` family, in order, is F- and
-    V-stable, and return the F-matrices of the last one in its Hermite frames.
+    V-stable, and return the F-matrices of the last one in its Hermite
+    frames, packed for ``make_point``.
 
     At ``emb``, from the lattice behind p^s' B' to p^s B, F is M = p^k P with
     P = p^d B^-1 F sigma(B'), d = a + b and k = s' - s - d.  F-stable means M
@@ -439,18 +459,24 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
     recomputed: ``make_point`` sets the signature behind ``emb`` to the number
     of zero divisors of F there, which it bounds by (0, 1), so val det F is
     2 minus that signature.
+    Where both lattices are the standard one, M is F itself and its
+    divisors lie in (0, 1), so the triple is stable and F is taken as it is,
+    packed, with no framing.
     ``framed`` keeps the matrix of each (emb, lattice, lattice behind) triple
     that passed, so a caller that checks several families with one dict frames
     a triple once and a failure keeps the label of the first family."""
     ring, system = pt.ring, pt.datum.places
+    std = standard_lattice(ring)
     for label, lattices in families:
         f_mats = {}
         for emb, lattice in lattices.items():
             behind = frobenius_shift(system, emb, -1)
             prev = lattices[behind]
             key = (emb, lattice, prev)
-            if key not in framed:
-                image = mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1)
+            if key not in framed and lattice == prev == std:
+                framed[key] = pt.f_mats[emb]
+            elif key not in framed:
+                image = mat_times_sigma_basis(ring, mat_unpack(ring, pt.f_mats[emb]), prev, 1)
                 d, product = frame_times(lattice, image)
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
@@ -463,7 +489,7 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Mat
                     raise DieudonneError(f"{label} is not F-stable at {emb}")
                 if v2 + k > 1:
                     raise DieudonneError(f"{label} is not V-stable at {emb}")
-                framed[key] = _mat_shift(ring, product, k)
+                framed[key] = mat_pack(ring, _mat_shift(ring, product, k))
             f_mats[emb] = framed[key]
     return f_mats
 
@@ -546,13 +572,14 @@ def reconstruct_lattices(
     descriptor: StratumDescriptor,
     lift: LiftChoice,
     delta: DeltaSets,
-) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Mat2]]:
+) -> tuple[dict[EmbE, Lattice2], dict[EmbE, Lattice2], dict[EmbE, Packed2]]:
     """Rebuild the c- and a-lattice families in the b-frame, for the delta
     sets of the descriptor and lift, which a forward triple carries.
 
     Returns ``(m, l, f_mats)``: ``m`` the overlattices recovering c, ``l`` the
     sublattices recovering a, every one in Hermite form, and ``f_mats`` the
-    rebuilt a-family's framed F-matrices, which become the source point's F.
+    rebuilt a-family's framed F-matrices, packed, which become the source
+    point's F.
     """
     ring, system = b_point.ring, b_point.datum.places
     pid = b_point.prime_id
@@ -584,7 +611,7 @@ def reconstruct_lattices(
             m_lat[emb] = lattice_scale(h_lines[emb], -1)
     elif case is CaseTag.B2:
         for emb in delta.minus:
-            m_lat[emb] = lattice_dual(std, b_point.pairings[emb])
+            m_lat[emb] = lattice_dual(std, mat_unpack(ring, b_point.pairings[emb]))
     framed: dict = {}
     _framed_f_mats(b_point, [("the rebuilt c-family", m_lat)], framed)
     _check_colengths(m_lat, base, delta.minus, "rebuilt")
@@ -592,7 +619,8 @@ def reconstruct_lattices(
     l_lat: dict[EmbE, Lattice2] = {}
     for emb in b_point.embeddings():
         if emb in delta.plus:
-            l_lat[emb] = lattice_dual(m_lat[conjugate(system, emb)], b_point.pairings[emb])
+            pairing = mat_unpack(ring, b_point.pairings[emb])
+            l_lat[emb] = lattice_dual(m_lat[conjugate(system, emb)], pairing)
         else:
             l_lat[emb] = m_lat[emb]
     f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
@@ -683,8 +711,8 @@ def twisted_partial_frobenius(pt: DieudonnePoint) -> DieudonnePoint:
     signature = {}
     for emb in pt.embeddings():
         back = frobenius_shift(system, emb, -2)
-        f_mats[emb] = mat_sigma(ring, pt.f_mats[back], 2)
-        pairings[emb] = mat_sigma(ring, pt.pairings[back], 2)
+        f_mats[emb] = packed_sigma(ring, pt.f_mats[back], 2)
+        pairings[emb] = packed_sigma(ring, pt.pairings[back], 2)
         signature[emb] = pt.signature[back]
     return make_point(ring, new_datum, f_mats, pairings, signature)
 
@@ -725,35 +753,34 @@ def point_from_half_system(
     P^-1 (p F^-1)^T sigma(P_prev).  With det P = w and det F = p^d u, both
     inverses come from adjugates, P^-1 = adj(P) / w and
     p F^-1 = p^(1-d) adj(F) / u, and 1/w = u z, 1/u = w z from the one
-    inverse z = 1/(u w).
+    inverse z = 1/(u w).  The half-system matrices are packed once
+    (``mat_pack``), and everything after stays packed.
     """
     system = datum.places
     half = half_system(datum)
     if set(f_mats_half) != set(half) or set(pairings_half) != set(half):
         raise DieudonneError("half-system data must cover one lift per place")
-    units = {}
+    f_mats = {emb: mat_pack(ring, f_mats_half[emb]) for emb in half}
+    pairings = {emb: mat_pack(ring, pairings_half[emb]) for emb in half}
+    units, minus = {}, ring.from_int(-1)
     for emb in half:
-        f_det = mat_det(ring, f_mats_half[emb])
+        f_det = packed_det(ring, f_mats[emb])
         d = sum(_f_divisors(ring, f_mats_half[emb], f_det, emb))
-        w = mat_det(ring, pairings_half[emb])
+        w = packed_det(ring, pairings[emb])
         if ring.val(w) != 0:
             raise DieudonneError(f"half-system pairing at {emb} must be perfect")
         units[emb] = d, ring.div_p(f_det, d), w
-    pairings: dict[EmbE, Mat2] = dict(pairings_half)
-    for emb in half:
-        cemb = conjugate(system, emb)
-        pairings[cemb] = mat_smul(ring, -1, mat_transpose(pairings[emb]))
-    f_mats: dict[EmbE, Mat2] = dict(f_mats_half)
+        pairings[conjugate(system, emb)] = packed_scale(ring, minus, packed_transpose(pairings[emb]))
     for emb in half:
         cemb = conjugate(system, emb)
         prev = frobenius_shift(system, emb, -1)
         d, u, w = units[emb]
         z = ring.inv(ring.mul(u, w))
-        inv_pairing = mat_elem_mul(ring, ring.mul(u, z), mat_adjugate(ring, pairings[emb]))
-        p_f_inv = mat_elem_mul(ring, ring.mul(w, z), mat_adjugate(ring, f_mats[emb]))
-        p_f_inv_t = mat_transpose(_mat_shift(ring, p_f_inv, 1 - d))
-        twisted_prev = mat_sigma(ring, pairings[prev], 1)
-        f_mats[cemb] = mat_mul(ring, inv_pairing, mat_mul(ring, p_f_inv_t, twisted_prev))
+        inv_pairing = packed_scale(ring, ring.mul(u, z), packed_adjugate(ring, pairings[emb]))
+        p_f_inv = packed_scale(ring, ring.mul(w, z), packed_adjugate(ring, f_mats[emb]))
+        p_f_inv_t = packed_transpose(_packed_shift(ring, p_f_inv, 1 - d))
+        twisted_prev = packed_sigma(ring, pairings[prev], 1)
+        f_mats[cemb] = packed_mul(ring, inv_pairing, packed_mul(ring, p_f_inv_t, twisted_prev))
     return make_point(ring, datum, f_mats, pairings, expected_signature)
 
 
@@ -801,25 +828,25 @@ def _emb_key(emb: EmbE) -> str:
     return f"{emb.sheet}:{emb.i}"
 
 
-def _mat_to_json(mat: Mat2) -> list:
-    return [[["%x" % c for c in e] for e in row] for row in mat]
+def _mat_to_json(ring: WittRing, mat: Packed2) -> list:
+    return [[["%x" % c for c in e] for e in row] for row in mat_unpack(ring, mat)]
 
 
-def _mat_from_json(ring: WittRing, where: str, data) -> Mat2:
-    """A 2x2 matrix of m-coefficient elements, as read: ``make_point`` reduces it."""
+def _mat_from_json(ring: WittRing, where: str, data) -> Packed2:
+    """A 2x2 matrix of m-coefficient elements, packed: ``mat_pack`` reduces it."""
     if len(data) != 2 or any(len(row) != 2 for row in data):
         raise DieudonneError(f"{where} is not a 2x2 matrix")
     if any(len(e) != ring.m for row in data for e in row):
         raise DieudonneError(f"{where} has an entry without exactly m = {ring.m} coefficients")
-    return tuple(tuple(tuple(int(c, 16) for c in e) for e in row) for row in data)
+    return mat_pack(ring, tuple(tuple(tuple(int(c, 16) for c in e) for e in row) for row in data))
 
 
 def point_to_json(pt: DieudonnePoint) -> dict:
     return {
         "ring": ring_to_json(pt.ring),
         "datum": datum_to_json(pt.datum),
-        "f_mats": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.f_mats.items()},
-        "pairings": {_emb_key(emb): _mat_to_json(mat) for emb, mat in pt.pairings.items()},
+        "f_mats": {_emb_key(emb): _mat_to_json(pt.ring, mat) for emb, mat in pt.f_mats.items()},
+        "pairings": {_emb_key(emb): _mat_to_json(pt.ring, mat) for emb, mat in pt.pairings.items()},
         "signature": {_emb_key(emb): value for emb, value in pt.signature.items()},
     }
 

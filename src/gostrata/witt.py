@@ -89,7 +89,7 @@ RESERVE = 4
 
 WElem = tuple  # coefficient tuple of length m over Z/p^N
 Mat2 = tuple  # ((a, b), (c, d)) row-major over WElem
-Packed2 = tuple  # (a, b, c, d): the entries of a Mat2, row-major, each packed
+Packed2 = tuple  # (a, b, c, d): the entries of a Mat2, row-major, each packed, slots reduced
 
 
 class WittError(GostrataError):
@@ -292,6 +292,13 @@ class WittRing:
             packed = packed << k | c % pn
         return packed
 
+    def _repack(self, x: int, q: int) -> int:
+        """The m low slots of x, each reduced mod q, packed again."""
+        k, mask, packed = self._width, self._mask, 0
+        for s in reversed(self._shifts):
+            packed = packed << k | (x >> s & mask) % q
+        return packed
+
     def _unpack(self, packed: int) -> WElem:
         """The element of a packed sum of products: slots m to 2m - 2 folded
         back through the reduction rows, then m slots read off mod p^N.  A sum
@@ -471,11 +478,34 @@ def mat_identity(ring: WittRing) -> Mat2:
 
 
 def mat_pack(ring: WittRing, a: Mat2) -> Packed2:
-    """The entries of ``a``, row-major, each packed once: the operand of
-    ``packed_mul`` and ``packed_det``."""
+    """The entries of ``a``, row-major, each packed once with its
+    coefficients reduced mod p^N: the one form of a point's matrices."""
     pack = ring._pack
     (x, y), (z, w) = a
     return pack(x), pack(y), pack(z), pack(w)
+
+
+def mat_unpack(ring: WittRing, a: Packed2) -> Mat2:
+    """The matrix of a packed one whose slots are reduced: each entry's m
+    slots read off, the inverse of ``mat_pack``."""
+    mask, shifts = ring._mask, ring._shifts
+    x, y, z, w = [tuple([e >> s & mask for s in shifts]) for e in a]
+    return (x, y), (z, w)
+
+
+def packed_fold(ring: WittRing, x: int, q: int | None = None) -> int:
+    """The packed element of a packed sum of products, kept packed: slots m
+    to 2m - 2 folded back through the reduction rows, then each of the m
+    slots reduced mod q, by default p^N.  q divides p^N, so the slots are
+    the residues mod q of the element.  A sum with nothing above slot 0 is a
+    constant and skips the fold."""
+    pn, mask = ring.pn, ring._mask
+    q = q or pn
+    if x <= mask:
+        return x % q
+    for s, row in ring._reduce:
+        x += (x >> s & mask) % pn * row
+    return ring._repack(x, q)
 
 
 def packed_transpose(a: Packed2) -> Packed2:
@@ -488,16 +518,40 @@ def packed_adjugate(ring: WittRing, a: Packed2) -> Packed2:
     return w, ring._pn_packed - y, ring._pn_packed - z, x
 
 
-def packed_mul(ring: WittRing, a: Packed2, b: Packed2) -> Mat2:
-    """The product of two packed matrices: each entry is one two-term sum of
-    packed products, folded once."""
-    unpack = ring._unpack
+def _products(a: Packed2, b: Packed2) -> tuple[int, int, int, int]:
+    """The entries of the product of two packed matrices, row-major, each one
+    unreduced two-term sum of packed products."""
     x0, x1, y0, y1 = a
     b00, b01, b10, b11 = b
-    return (
-        (unpack(x0 * b00 + x1 * b10), unpack(x0 * b01 + x1 * b11)),
-        (unpack(y0 * b00 + y1 * b10), unpack(y0 * b01 + y1 * b11)),
-    )
+    return x0 * b00 + x1 * b10, x0 * b01 + x1 * b11, y0 * b00 + y1 * b10, y0 * b01 + y1 * b11
+
+
+def packed_mul(ring: WittRing, a: Packed2, b: Packed2, q: int | None = None) -> Packed2:
+    """The product of two packed matrices, packed: each entry one two-term
+    sum of packed products, through ``packed_fold`` mod q (default p^N)."""
+    return tuple([packed_fold(ring, x, q) for x in _products(a, b)])
+
+
+def packed_scale(ring: WittRing, e: WElem, a: Packed2, q: int | None = None) -> Packed2:
+    """e times each entry of a packed matrix, packed: e packed once, each
+    product through ``packed_fold`` mod q (default p^N)."""
+    scalar = ring._pack(e)
+    return tuple([packed_fold(ring, scalar * x, q) for x in a])
+
+
+def packed_sigma(ring: WittRing, a: Packed2, k: int = 1) -> Packed2:
+    """sigma^k of each entry of a packed matrix with reduced slots, packed:
+    the table pass of ``frobenius`` over the entry's slots, each slot of the
+    sum then reduced mod p^N.  A constant entry is fixed and returned as it
+    is."""
+    k %= ring.m
+    if not k:
+        return a
+    pn, mask, table = ring.pn, ring._mask, tuple(zip(ring._shifts, ring._sigma_table(k)))
+    return tuple([
+        x if x <= mask else ring._repack(sum([(x >> s & mask) * row for s, row in table]), pn)
+        for x in a
+    ])
 
 
 def packed_det(ring: WittRing, a: Packed2) -> WElem:
@@ -507,18 +561,13 @@ def packed_det(ring: WittRing, a: Packed2) -> WElem:
 
 
 def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
-    return packed_mul(ring, mat_pack(ring, a), mat_pack(ring, b))
+    unpack = ring._unpack
+    x, y, z, w = _products(mat_pack(ring, a), mat_pack(ring, b))
+    return (unpack(x), unpack(y)), (unpack(z), unpack(w))
 
 
 def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
     return tuple(tuple(ring.smul(k, e) for e in row) for row in a)
-
-
-def mat_elem_mul(ring: WittRing, e: WElem, a: Mat2) -> Mat2:
-    """e times each entry of a, with e packed once."""
-    pack, unpack = ring._pack, ring._unpack
-    scalar = pack(e)
-    return tuple(tuple([unpack(scalar * pack(entry)) for entry in row]) for row in a)
 
 
 def mat_transpose(a: Mat2) -> Mat2:
@@ -549,9 +598,11 @@ def mat_adjugate(ring: WittRing, a: Mat2) -> Mat2:
 
 
 def scaled_inverse(ring: WittRing, a: Mat2) -> tuple[int, Mat2]:
-    """(d, p^d * a^{-1}) with d the valuation of det(a)."""
-    d, unit = ring.unit_and_val(mat_det(ring, a))
-    return d, mat_elem_mul(ring, ring.inv(unit), mat_adjugate(ring, a))
+    """(d, p^d * a^{-1}) with d the valuation of det(a): adj(a) over the unit
+    of det(a), on one packing of a."""
+    packed = mat_pack(ring, a)
+    d, unit = ring.unit_and_val(packed_det(ring, packed))
+    return d, mat_unpack(ring, packed_scale(ring, ring.inv(unit), packed_adjugate(ring, packed)))
 
 
 def elementary_divisors(ring: WittRing, a: Mat2, det: WElem | None = None):

@@ -80,6 +80,7 @@ from gostrata.witt import (
     mat_mul,
     mat_sigma,
     mat_smul,
+    mat_unpack,
     witt_ring,
 )
 
@@ -396,10 +397,9 @@ def test_criterion_07_essential_identities() -> None:
         system = datum.places
         p_id = mat_smul(ring, ring.p, mat_identity(ring))
         for emb in pt.embeddings():
-            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, v_matrix(pt, emb), 1))
-            vf = mat_mul(
-                ring, v_matrix(pt, emb), mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
-            )
+            f_mat = mat_unpack(ring, pt.f_mats[emb])
+            fv = mat_mul(ring, f_mat, mat_sigma(ring, v_matrix(pt, emb), 1))
+            vf = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, f_mat, ring.m - 1))
             assert _close(ring, fv, p_id)
             assert _close(ring, vf, p_id)
             tau = restrict(system, emb)

@@ -69,15 +69,26 @@ from gostrata.witt import (
     mat_columns,
     mat_adjugate,
     mat_det,
-    mat_elem_mul,
     mat_identity,
     mat_mul,
+    mat_pack,
     mat_sigma,
     mat_smul,
     mat_transpose,
+    mat_unpack,
     standard_lattice,
     witt_ring,
 )
+
+
+def _packed(ring, mats):
+    """Each matrix of a table packed, as ``make_point`` takes it."""
+    return {emb: mat_pack(ring, mat) for emb, mat in mats.items()}
+
+
+def _unpacked(ring, mats):
+    """Each packed matrix of a point's table as coefficient tuples."""
+    return {emb: mat_unpack(ring, mat) for emb, mat in mats.items()}
 
 
 def _datum(f, split, s_indices=()):
@@ -190,8 +201,9 @@ def test_antidiag_point_is_everywhere_supersingular():
     assert stratum_of_point(pt) == frozenset(datum.places.arch_places("p1"))
     # V is the same antidiagonal matrix here, up to sign and trusted precision
     for emb in pt.embeddings():
-        assert _close(ring, v_matrix(pt, emb), pt.f_mats[emb]) or _close(
-            ring, v_matrix(pt, emb), mat_smul(ring, -1, pt.f_mats[emb])
+        f_mat = mat_unpack(ring, pt.f_mats[emb])
+        assert _close(ring, v_matrix(pt, emb), f_mat) or _close(
+            ring, v_matrix(pt, emb), mat_smul(ring, -1, f_mat)
         )
 
 
@@ -315,10 +327,10 @@ def test_make_point_names_each_pairing_fault(f, split, s_indices, perturb, messa
     ring = ring_for_datum(datum, 3)
     pt = random_point(random.Random(41), ring, datum)
     emb = pt.embeddings()[1]
-    pairings = dict(pt.pairings)
+    pairings = _unpacked(ring, pt.pairings)
     perturb(ring, pairings, emb, conjugate(datum.places, emb))
     with pytest.raises(DieudonneError) as info:
-        make_point(ring, datum, pt.f_mats, pairings, pt.signature)
+        make_point(ring, datum, pt.f_mats, _packed(ring, pairings), pt.signature)
     assert type(info.value) is DieudonneError
     assert str(info.value) == message
 
@@ -376,7 +388,8 @@ def _make_point_by_scaled_adjugate(ring, datum, f_mats, pairings, expected_signa
             raise DieudonneError(f"signature {signature[emb]} at {emb} does not fit S_infty")
         d = sum(divisors[cemb])
         unit = ring.div_p(dets[cemb], d)
-        lhs = mat_elem_mul(ring, unit, mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb]))
+        product = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
+        lhs = tuple(tuple(ring.mul(unit, e) for e in row) for row in product)
         prev = frobenius_shift(system, emb, -1)
         p_adj = dieudonne._mat_shift(ring, mat_adjugate(ring, f_mats[cemb]), 1 - d)
         rhs = mat_mul(ring, mat_sigma(ring, pairings[prev], 1), p_adj)
@@ -410,22 +423,23 @@ def test_make_point_on_packed_operands_matches_the_scaled_adjugate(p, f, split, 
     outcomes, ds = [], set()
     for _ in range(3):
         pt = random_point(rng, ring, datum)
-        args = (ring, datum, pt.f_mats, pt.pairings, pt.signature)
-        assert make_point(*args) == pt
-        assert _make_point_by_scaled_adjugate(*args) is None
-        ds |= {sum(elementary_divisors(ring, mat)) for mat in pt.f_mats.values()}
+        f_tuples, p_tuples = _unpacked(ring, pt.f_mats), _unpacked(ring, pt.pairings)
+        assert make_point(ring, datum, pt.f_mats, pt.pairings, pt.signature) == pt
+        assert _make_point_by_scaled_adjugate(ring, datum, f_tuples, p_tuples, pt.signature) is None
+        ds |= {sum(elementary_divisors(ring, mat)) for mat in f_tuples.values()}
         for emb in pt.embeddings():
             for k in (0, ring.budget - 1, ring.budget):
                 for which in ("f", "pairing"):
-                    mats = dict(pt.f_mats if which == "f" else pt.pairings)
+                    mats = dict(f_tuples if which == "f" else p_tuples)
                     rows = [list(row) for row in mats[emb]]
                     i, j = rng.randrange(2), rng.randrange(2)
                     step = tuple(p**k * rng.randrange(1, ring.pn) for _ in range(ring.m))
                     rows[i][j] = ring.add(rows[i][j], step)
                     mats[emb] = tuple(tuple(row) for row in rows)
-                    f_mats, pairings = (mats, pt.pairings) if which == "f" else (pt.f_mats, mats)
+                    f_mats, pairings = (mats, p_tuples) if which == "f" else (f_tuples, mats)
                     args = (ring, datum, f_mats, pairings, pt.signature)
-                    got = _outcome(make_point, *args)
+                    got = _outcome(make_point, ring, datum, _packed(ring, f_mats),
+                                   _packed(ring, pairings), pt.signature)
                     assert got == _outcome(_make_point_by_scaled_adjugate, *args)
                     outcomes.append(got)
     assert ds == {0, 1, 2}
@@ -434,25 +448,36 @@ def test_make_point_on_packed_operands_matches_the_scaled_adjugate(p, f, split, 
 
 
 def test_make_point_packs_each_entry_once(monkeypatch):
-    """Every F and pairing entry of the point is packed once: det F, F^T P
-    and adj(F) read one packing of F, det P and F^T P one packing of P."""
+    """Matrices reach ``make_point`` packed, and each input coefficient tuple
+    is packed exactly once, at the door (``mat_pack``).  Inside, the only
+    other packing is each F determinant, once, as the scalar of the pairing
+    check: no sigma image is packed, since sigma(P_prev) is taken packed to
+    packed, and neither ``frobenius`` nor ``mat_sigma`` is called."""
     datum = _datum(3, False, (1,))
     ring = ring_for_datum(datum, 3, 8)
     pt = random_point(random.Random(61), ring, datum)
+    f_mats, pairings = _unpacked(ring, pt.f_mats), _unpacked(ring, pt.pairings)
+    entries = [e for mats in (f_mats, pairings) for mat in mats.values() for row in mat for e in row]
+    assert len(entries) == 8 * len(pt.embeddings())
     packed = []
 
     def pack(self, a, _inner=type(ring)._pack):
         packed.append(a)
         return _inner(self, a)
 
-    monkeypatch.setattr(type(ring), "_pack", pack)
-    made = make_point(ring, datum, pt.f_mats, pt.pairings, pt.signature)
-    monkeypatch.undo()
+    def refuse(*args):
+        raise AssertionError("sigma taken on coefficient tuples")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(ring), "_pack", pack)
+        patch.setattr(witt, "frobenius", refuse)
+        patch.setattr(witt, "mat_sigma", refuse)
+        patch.setattr(dieudonne, "mat_sigma", refuse)
+        made = make_point(ring, datum, _packed(ring, f_mats), _packed(ring, pairings), pt.signature)
     assert made == pt
-    entries = [e for mats in (made.f_mats, made.pairings) for mat in mats.values()
-               for row in mat for e in row]
-    assert len(entries) == 8 * len(pt.embeddings())
-    assert [sum(a is e for a in packed) for e in entries] == [1] * len(entries)
+    door, inside = packed[: len(entries)], packed[len(entries):]
+    assert [sum(a is e for a in door) for e in entries] == [1] * len(entries)
+    assert sorted(inside) == sorted(mat_det(ring, mat) for mat in f_mats.values())
 
 
 @pytest.mark.parametrize(
@@ -496,10 +521,9 @@ def test_fv_equals_p_both_orders():
         pt = random_point(rng, ring, datum)
         p_id = mat_smul(ring, ring.p, mat_identity(ring))
         for emb in pt.embeddings():
-            fv = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, v_matrix(pt, emb), 1))
-            vf = mat_mul(
-                ring, v_matrix(pt, emb), mat_sigma(ring, pt.f_mats[emb], ring.m - 1)
-            )
+            f_mat = mat_unpack(ring, pt.f_mats[emb])
+            fv = mat_mul(ring, f_mat, mat_sigma(ring, v_matrix(pt, emb), 1))
+            vf = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, f_mat, ring.m - 1))
             assert _close(ring, fv, p_id)
             assert _close(ring, vf, p_id)
 
@@ -538,18 +562,16 @@ def _stepwise_image(pt, emb, n, start):
     for k in range(n - 1, -1, -1):
         mu = frobenius_shift(system, emb, -k)
         extra = -1 if pt.signature[frobenius_shift(system, mu, -1)] == 0 else 0
-        basis = mat_mul(ring, pt.f_mats[mu], mat_sigma(ring, lattice.basis, 1))
+        basis = mat_mul(ring, mat_unpack(ring, pt.f_mats[mu]), mat_sigma(ring, lattice.basis, 1))
         lattice = lattice_normalize(ring, lattice.shift + extra, mat_columns(basis))
     return lattice
 
 
 def _reduced_point(pt, ring):
-    """A point drawn at a larger N, read mod p^N on ``ring``."""
+    """A point drawn at a larger N, read mod p^N on ``ring``: its matrices
+    unpacked and packed again on ``ring``, which reduces them."""
     def reduce(table):
-        return {
-            emb: tuple(tuple(tuple(c % ring.pn for c in e) for e in row) for row in mat)
-            for emb, mat in table.items()
-        }
+        return _packed(ring, _unpacked(pt.ring, table))
 
     return make_point(ring, pt.datum, reduce(pt.f_mats), reduce(pt.pairings), pt.signature)
 
@@ -738,7 +760,7 @@ def _reference_stability(pt, label, lattices):
     ring, system = pt.ring, pt.datum.places
     for emb, lattice in lattices.items():
         prev = lattices[frobenius_shift(system, emb, -1)]
-        f_image = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, prev.basis, 1))
+        f_image = mat_mul(ring, mat_unpack(ring, pt.f_mats[emb]), mat_sigma(ring, prev.basis, 1))
         if not lattice_contains(lattice, lattice_normalize(ring, prev.shift, mat_columns(f_image))):
             return f"{label} is not F-stable at {emb}"
         v_image = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, lattice.basis, ring.m - 1))
@@ -872,7 +894,7 @@ def test_capped_valuation_never_reads_stable():
     ring, pt = _diag_point(datum, N=10)
     first = pt.embeddings()[0]
     behind = frobenius_shift(datum.places, first, -1)
-    assert pt.f_mats[first] == mat2(ring, [[1, 0], [0, 3]])
+    assert mat_unpack(ring, pt.f_mats[first]) == mat2(ring, [[1, 0], [0, 3]])
     family = {first: Lattice2(ring, 0, 4, 5, ring.zero())}
     family[behind] = Lattice2(ring, 1, 5, 5, ring.zero())
     family.update({e: standard_lattice(ring) for e in pt.embeddings() if e not in family})
@@ -1055,10 +1077,14 @@ def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     monkeypatch.setattr(dieudonne, "frame_times", counted)
     back = verify_roundtrip(pt, t)
     # forward: the c- and b-families; back: the rebuilt c- and a-families, whose
-    # framed F-matrices are the rebuilt point's F
+    # framed F-matrices are the rebuilt point's F.  A triple of two standard
+    # lattices takes F as it is, with no framing
+    std = standard_lattice(pt.ring)
     forward = _framing_triples(datum.places, triple.c, triple.b)
     rebuilt = _framing_triples(datum.places, m, l)
-    assert len(frames) == len(forward) + len(rebuilt)
+    standard = {key for key in forward | rebuilt if key[1:] == (std, std)}
+    assert standard and standard < forward | rebuilt
+    assert len(frames) == len(forward - standard) + len(rebuilt - standard)
     assert back.f_mats == f_mats
 
 
@@ -1143,9 +1169,7 @@ def test_precision_shortfall_is_a_precision_error():
     ring, pt = _antidiag_point(datum, N=8)
     shallow = ring_for_datum(datum, 3, 5)
     with pytest.raises(PrecisionError):
-        make_point(
-            shallow, datum, pt.f_mats, pt.pairings, pt.signature
-        )
+        _reduced_point(pt, shallow)
 
 
 def test_long_composites_keep_n_minus_one_digits():
@@ -1338,7 +1362,7 @@ def test_roundtrip_full_cycle_ramified_case():
         for emb in triple.b_point.embeddings():
             from gostrata.witt import mat_det
 
-            assert ring.val(mat_det(ring, triple.b_point.pairings[emb])) == 1
+            assert ring.val(mat_det(ring, mat_unpack(ring, triple.b_point.pairings[emb]))) == 1
 
 
 def test_roundtrip_odd_chain_uses_j_line():
@@ -1430,8 +1454,8 @@ def _signatures_that_do_not_sum_to_two():
     datum = _datum(2, True)
     ring = ring_for_datum(datum, 3)
     embs = datum.places.embeddings()
-    f_mats = dict.fromkeys(embs, mat2(ring, [[1, 0], [0, 1]]))
-    pairings = dict.fromkeys(embs, mat2(ring, [[0, 1], [ring.pn - 1, 0]]))
+    f_mats = dict.fromkeys(embs, mat_pack(ring, mat2(ring, [[1, 0], [0, 1]])))
+    pairings = dict.fromkeys(embs, mat_pack(ring, mat2(ring, [[0, 1], [ring.pn - 1, 0]])))
     signature = dict.fromkeys(embs, 2)
     return (
         lambda: make_point(ring, datum, f_mats, pairings, signature),
@@ -1642,7 +1666,7 @@ def _assert_det_val_is_read_off_the_signature(pt):
     ring, system = pt.ring, pt.datum.places
     for emb in pt.embeddings():
         behind = frobenius_shift(system, emb, -1)
-        assert ring.val(mat_det(ring, pt.f_mats[emb])) == 2 - pt.signature[behind], emb
+        assert ring.val(mat_det(ring, mat_unpack(ring, pt.f_mats[emb]))) == 2 - pt.signature[behind], emb
 
 
 @pytest.mark.parametrize(
@@ -1681,10 +1705,13 @@ def test_random_points_read_det_val_off_the_signature(p, f, split, s_indices, N)
 
 
 def _assert_point_reduced(pt):
-    """Every coefficient of every F, V and pairing matrix lies in [0, p^N)."""
+    """Every coefficient of every F, V and pairing matrix lies in [0, p^N),
+    and each packed matrix is the packing of its coefficients."""
     ring = pt.ring
     v_mats = {emb: v_matrix(pt, emb) for emb in pt.embeddings()}
-    for mats in (pt.f_mats, v_mats, pt.pairings):
+    f_mats, pairings = _unpacked(ring, pt.f_mats), _unpacked(ring, pt.pairings)
+    assert _packed(ring, f_mats) == pt.f_mats and _packed(ring, pairings) == pt.pairings
+    for mats in (f_mats, v_mats, pairings):
         for emb, mat in mats.items():
             for e in itertools.chain(*mat):
                 assert len(e) == ring.m and all(0 <= c < ring.pn for c in e), (emb, e)
@@ -1820,11 +1847,12 @@ def test_unreduced_point_entries_frame_like_reduced_ones():
     def unreduced(mat, k):
         return tuple(tuple(tuple(c + k * pn for c in e) for e in row) for row in mat)
 
-    f_mats = {emb: unreduced(mat, 1 + i % 2) for i, (emb, mat) in enumerate(pt.f_mats.items())}
-    pairings = {emb: unreduced(mat, -1) for emb, mat in pt.pairings.items()}
+    f_mats = {emb: unreduced(mat, 1 + i % 2)
+              for i, (emb, mat) in enumerate(_unpacked(ring, pt.f_mats).items())}
+    pairings = {emb: unreduced(mat, -1) for emb, mat in _unpacked(ring, pt.pairings).items()}
     half = half_system(datum)
     for raw in (
-        make_point(ring, datum, f_mats, pairings, pt.signature),
+        make_point(ring, datum, _packed(ring, f_mats), _packed(ring, pairings), pt.signature),
         point_from_half_system(
             ring, datum, {emb: f_mats[emb] for emb in half},
             {emb: pairings[emb] for emb in half}, pt.signature,

@@ -65,9 +65,11 @@ from gostrata.witt import (
     mat_columns,
     mat_det,
     mat_mul,
+    mat_pack,
     mat_sigma,
     mat_smul,
     mat_transpose,
+    mat_unpack,
     scaled_inverse,
     standard_lattice,
 )
@@ -177,9 +179,10 @@ def _base_change(pt, rng):
     for emb in pt.embeddings():
         behind = frobenius_shift(system, emb, -1)
         sigma_inv = _inverse(ring, mat_sigma(ring, g[behind], 1))
-        f_mats[emb] = mat_mul(ring, g[emb], mat_mul(ring, pt.f_mats[emb], sigma_inv))
-        pairing = mat_mul(ring, pt.pairings[emb], inv[conjugate(system, emb)])
-        pairings[emb] = mat_mul(ring, mat_transpose(inv[emb]), pairing)
+        f_mat = mat_mul(ring, mat_unpack(ring, pt.f_mats[emb]), sigma_inv)
+        f_mats[emb] = mat_pack(ring, mat_mul(ring, g[emb], f_mat))
+        pairing = mat_mul(ring, mat_unpack(ring, pt.pairings[emb]), inv[conjugate(system, emb)])
+        pairings[emb] = mat_pack(ring, mat_mul(ring, mat_transpose(inv[emb]), pairing))
     return make_point(ring, pt.datum, f_mats, pairings, pt.signature)
 
 
@@ -254,7 +257,8 @@ def test_pairing_check_matches_the_check_through_v():
         for k in range(ring.budget - 2, ring.budget + 2):
             for _ in range(2):
                 emb = rng.choice(pt.embeddings())
-                pairings = dict(pt.pairings)
+                f_mats = {emb: mat_unpack(ring, mat) for emb, mat in pt.f_mats.items()}
+                pairings = {emb: mat_unpack(ring, mat) for emb, mat in pt.pairings.items()}
                 nudge = mat_smul(ring, ring.p**k, _unimodular(rng, ring))
                 pairings[emb] = tuple(
                     tuple(ring.add(x, y) for x, y in zip(row, step))
@@ -263,10 +267,11 @@ def test_pairing_check_matches_the_check_through_v():
                 pairings[conjugate(system, emb)] = mat_smul(ring, -1, mat_transpose(pairings[emb]))
                 failing = [
                     e for e in pt.embeddings()
-                    if not _v_based_compatible(ring, datum, pt.f_mats, pairings, e)
+                    if not _v_based_compatible(ring, datum, f_mats, pairings, e)
                 ]
+                packed = {emb: mat_pack(ring, mat) for emb, mat in pairings.items()}
                 try:
-                    make_point(ring, datum, pt.f_mats, pairings, pt.signature)
+                    make_point(ring, datum, pt.f_mats, packed, pt.signature)
                 except DieudonneError as error:
                     assert failing, error
                     assert str(error) == f"pairing is incompatible with F and V at {failing[0]}"
@@ -302,7 +307,7 @@ def _reference_stability(pt, label, lattices):
     ring, system = pt.ring, pt.datum.places
     for emb, lattice in lattices.items():
         prev = lattices[frobenius_shift(system, emb, -1)]
-        f_image = mat_mul(ring, pt.f_mats[emb], mat_sigma(ring, prev.basis, 1))
+        f_image = mat_mul(ring, mat_unpack(ring, pt.f_mats[emb]), mat_sigma(ring, prev.basis, 1))
         if not lattice_contains(lattice, lattice_normalize(ring, prev.shift, mat_columns(f_image))):
             return f"{label} is not F-stable at {emb}"
         v_image = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, lattice.basis, ring.m - 1))

@@ -34,17 +34,20 @@ from gostrata.witt import (
     mat_adjugate,
     mat_columns,
     mat_det,
-    mat_elem_mul,
     mat_identity,
     mat_mul,
     mat_pack,
     mat_sigma,
     mat_times_sigma_basis,
     mat_transpose,
+    mat_unpack,
     mat_val,
     packed_adjugate,
     packed_det,
+    packed_fold,
     packed_mul,
+    packed_scale,
+    packed_sigma,
     packed_transpose,
     ring_from_json,
     ring_to_json,
@@ -314,6 +317,41 @@ def test_kernel_matches_naive_reference(p, m, N):
         nonunit = ring.smul(p, a)
         with pytest.raises(WittError):
             ring.inv(nonunit)
+
+
+@pytest.mark.parametrize("p, m, N", KERNEL_CASES)
+def test_packed_kernel_matches_the_tuple_kernel(p, m, N):
+    """The packed matrix kernel against the tuple one, on matrices whose
+    entries are zero, constant or random, given with unreduced and negative
+    coefficients: ``mat_unpack`` inverts ``mat_pack`` up to reduction mod
+    p^N; ``packed_sigma`` is ``mat_sigma`` for k in {0, 1, 2, m - 1, m, -1};
+    ``packed_fold`` of a product sum, mod p^N or mod a smaller power of p,
+    is the sum unpacked and packed again; and dividing each packed int by p
+    is ``div_p`` entry by entry where p divides every coefficient."""
+    ring = witt_ring(p, m, N)
+    rng = random.Random(2800 * p + 10 * m + N)
+    pn = ring.pn
+    entries = [ring.zero(), ring.from_int(rng.randrange(1, pn)), ring.from_int(pn - 1)]
+    for _ in range(12):
+        raw = [[[rng.randrange(-2 * pn, 3 * pn) for _ in range(m)] for _ in range(2)] for _ in range(2)]
+        for i, j in rng.sample([(0, 0), (0, 1), (1, 0), (1, 1)], rng.randrange(3)):
+            raw[i][j] = list(rng.choice(entries))
+        a = tuple(tuple(tuple(e) for e in row) for row in raw)
+        reduced = tuple(tuple(tuple(c % pn for c in e) for e in row) for row in a)
+        packed = mat_pack(ring, a)
+        assert mat_unpack(ring, packed) == reduced
+        assert mat_pack(ring, reduced) == packed
+        for k in (0, 1, 2, m - 1, m, -1):
+            assert packed_sigma(ring, packed, k) == mat_pack(ring, mat_sigma(ring, a, k)), k
+        other = mat_pack(ring, _rand_unimodular(rng, ring))
+        for x in (packed[0] * other[1] + packed[1] * other[3], packed[2] * other[0]):
+            assert packed_fold(ring, x) == ring._pack(ring._unpack(x))
+            for q in (p, p ** (N // 2), pn):
+                residues = tuple(c % q for c in ring._unpack(x))
+                assert packed_fold(ring, x, q) == ring._pack(residues), q
+        multiple = mat_pack(ring, tuple(tuple(ring.smul(p, e) for e in row) for row in a))
+        quotient = tuple(tuple(ring.div_p(e, 1) for e in row) for row in mat_unpack(ring, multiple))
+        assert tuple(x // p for x in multiple) == mat_pack(ring, quotient)
 
 
 @pytest.mark.parametrize("p, m, N", KERNEL_CASES)
@@ -609,7 +647,8 @@ def test_packed_operands_hold_extreme_entries(p, m, N):
     """Packed matrices at the slot-width edge: the packed negation of an
     all-zero entry puts p^N in every slot, and that of an all-(p^N - 1) entry
     puts 1 there.  Products, transposed products, adjugate products and
-    determinants over such operands match the naive reference."""
+    determinants over such operands match the naive reference, and so do
+    their scalar multiples."""
     ring = witt_ring(p, m, N)
     rng = random.Random(3100 * m + N)
     zero, top = ring.zero(), tuple([ring.pn - 1] * m)
@@ -631,17 +670,20 @@ def test_packed_operands_hold_extreme_entries(p, m, N):
         assert packed_transpose(packed) == mat_pack(ring, mat_transpose(x))
         for y in mats:
             other = mat_pack(ring, y)
-            assert packed_mul(ring, packed, other) == _naive_mat_mul(ring, x, y)
-            assert packed_mul(ring, packed_transpose(packed), other) == _naive_mat_mul(
-                ring, mat_transpose(x), y
+            product = packed_mul(ring, packed, other)
+            assert mat_unpack(ring, product) == _naive_mat_mul(ring, x, y)
+            assert mat_unpack(ring, packed_mul(ring, packed_transpose(packed), other)) == (
+                _naive_mat_mul(ring, mat_transpose(x), y)
             )
-            assert packed_mul(ring, other, adj) == _naive_mat_mul(ring, y, mat_adjugate(ring, x))
-            assert packed_mul(ring, adj, adj) == _naive_mat_mul(
+            assert mat_unpack(ring, packed_mul(ring, other, adj)) == _naive_mat_mul(
+                ring, y, mat_adjugate(ring, x)
+            )
+            assert mat_unpack(ring, packed_mul(ring, adj, adj)) == _naive_mat_mul(
                 ring, mat_adjugate(ring, x), mat_adjugate(ring, x)
             )
             assert mat_mul(ring, x, y) == _naive_mat_mul(ring, x, y)
         scalar = rng.choice(entries)
-        assert mat_elem_mul(ring, scalar, x) == tuple(
+        assert mat_unpack(ring, packed_scale(ring, scalar, packed)) == tuple(
             tuple(_naive_mul(ring, scalar, e) for e in row) for row in x
         )
 
