@@ -3,7 +3,8 @@ components, the essential Frobenius calculus, partial Hasse invariants, and the
 lattice constructions that pass a point across an isogeny chain and back.
 
 A point carries, for each embedding upstairs, a 2x2 matrix over a truncated
-Witt ring describing F on that component (x maps to f_mat times sigma(x)).
+Witt ring describing F on that component (x maps to f_mat times sigma(x)),
+held packed (``witt.Packed2``) like its pairings.
 V is not stored: FV = p fixes it as sigma^-1(p F^-1), and ``v_matrix`` forms
 it where a caller reads it.  ``make_point`` checks the pairing against the
 adjugate of F, and ``omega_lattice`` spans its lattice from the adjugate, so
@@ -128,8 +129,7 @@ def _packed_shift(ring: WittRing, a: Packed2, k: int) -> Packed2:
     """p^k times a packed matrix with reduced slots; for negative k, p^-k
     must divide every slot, and ``//`` divides each slot exactly."""
     if k < 0:
-        q = ring.p**-k
-        return tuple([x // q for x in a])
+        return tuple([x // ring.p**-k for x in a])
     return a if k == 0 else packed_scale(ring, ring.from_int(ring.p**k), a)
 
 
@@ -215,8 +215,7 @@ def make_point(
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
     dets = {emb: packed_det(ring, f_mats[emb]) for emb in embs}
-    divisors = {emb: _f_divisors(ring, mat_unpack(ring, f_mats[emb]), dets[emb], emb)
-                for emb in embs}
+    divisors = {e: _f_divisors(ring, mat_unpack(ring, f_mats[e]), dets[e], e) for e in embs}
     signature = FrozenMap(
         (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
     )
@@ -762,7 +761,7 @@ def point_from_half_system(
         raise DieudonneError("half-system data must cover one lift per place")
     f_mats = {emb: mat_pack(ring, f_mats_half[emb]) for emb in half}
     pairings = {emb: mat_pack(ring, pairings_half[emb]) for emb in half}
-    units, minus = {}, ring.from_int(-1)
+    units, neg = {}, ring.from_int(-1)
     for emb in half:
         f_det = packed_det(ring, f_mats[emb])
         d = sum(_f_divisors(ring, f_mats_half[emb], f_det, emb))
@@ -770,7 +769,7 @@ def point_from_half_system(
         if ring.val(w) != 0:
             raise DieudonneError(f"half-system pairing at {emb} must be perfect")
         units[emb] = d, ring.div_p(f_det, d), w
-        pairings[conjugate(system, emb)] = packed_scale(ring, minus, packed_transpose(pairings[emb]))
+        pairings[conjugate(system, emb)] = packed_scale(ring, neg, packed_transpose(pairings[emb]))
     for emb in half:
         cemb = conjugate(system, emb)
         prev = frobenius_shift(system, emb, -1)

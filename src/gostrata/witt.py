@@ -23,28 +23,41 @@ precomputed packed tables:
   are read off mod p^N with no fold.
 
 Every sum a slot ever holds is below 3 m p^(2N) < 2^k.  The matrix kernel
-works on packed operands: ``mat_pack`` packs the four entries of a matrix
-once, and ``packed_mul`` and ``packed_det`` build each entry of a product or
-the determinant as a two-term sum of packed products and fold it once, so a
-caller that reads one matrix in several products packs it once.
+works on packed operands, and a ``Packed2`` (the four entries of a matrix,
+each packed, every slot reduced mod p^N) is also the one form of a point's
+matrices in ``dieudonne``: one int per entry is canonical, so ``==`` and
+``hash`` are element equality.  ``mat_pack`` packs a tuple matrix, reducing
+each coefficient, and ``mat_unpack`` reads the slots back.  A packed sum of
+products becomes a packed element again through ``packed_fold``: the fold
+above, then each of the m slots reduced mod p^N, or mod a smaller power q of
+p, which gives the residues mod q that a comparison reads.
+``packed_mul`` builds each entry of a product as a two-term sum of packed
+products and folds it once; ``packed_scale`` multiplies each entry by one
+packed scalar; ``packed_sigma`` is the table pass of ``frobenius`` over an
+entry's slots, the sum's slots reduced mod p^N; each keeps its result
+packed, so a chain of products and twists never leaves the packed form.
+``packed_det`` folds ad + (-b)c once into an element.
 ``packed_transpose`` reorders the four ints; ``packed_adjugate`` negates
 two of them.  The packed negation of x is ``_pn_packed`` - x, with p^N in
 every slot: for packed x, whose slots lie in [0, p^N), each slot of the
 difference lies in [1, p^N], so nothing borrows across slots and the slot
-is -x_i mod p^N.  A product of two operands with slots in [0, p^N] holds at
-most m p^(2N) per slot, a two-term sum at most 2 m p^(2N), and the fold adds
-m - 1 more terms, each below p^(2N).  So no slot carries into the next and
-every result is exact.  ``mat_mul`` and ``mat_det`` pack their arguments and
-call the same two functions.  Packing reduces each coefficient mod p^N, so
-negated or otherwise unreduced operands are exact too.  There is one
-product path: every operand, constant or not, is packed the same way.  Two
-exits skip work on constants, elements of W_N(F_p): a packed sum with
-nothing above slot 0 is read off as (slot 0 mod p^N, 0, ..., 0) without the
-fold, and ``frobenius`` returns a constant, reduced mod p^N, without the
-table pass, since sigma fixes W_N(F_p).  Every op returns coefficients in
-[0, p^N) when its operands have them, and ``dieudonne.make_point`` reduces
-the matrices it is given, so every element a point or lattice holds is
-reduced: ``smul`` by 1, like ``frobenius`` by sigma^0, returns its operand.
+is -x_i mod p^N; such an operand is for products only, not for storage.
+A product of two operands with slots in [0, p^N] holds at most m p^(2N)
+per slot, a two-term sum at most 2 m p^(2N), and the fold adds m - 1 more
+terms, each below p^(2N).  So no slot carries into the next and every
+result is exact.  A packed int whose slots are each divisible by p divides
+by p slot by slot, exactly, with ``// p``.  ``mat_mul`` and ``mat_det``
+pack their arguments and form the same sums, read off as tuples.  Packing
+reduces each coefficient mod p^N, so negated or otherwise unreduced
+operands are exact too.  There is one product path: every operand,
+constant or not, is packed the same way.  Two exits skip work on constants,
+elements of W_N(F_p): a packed sum with nothing above slot 0 is read off as
+slot 0 mod p^N without the fold, and ``frobenius`` and ``packed_sigma``
+return a constant as it is, since sigma fixes W_N(F_p).  Every op returns
+coefficients in [0, p^N) when its operands have them, and a point's
+matrices are packed by ``mat_pack``, so every element a point or lattice
+holds is reduced: ``smul`` by 1, like ``frobenius`` by sigma^0, returns its
+operand.
 
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
@@ -356,7 +369,7 @@ class WittRing:
     def smul(self, k: int, a: WElem) -> WElem:
         """k * a; for k = 1 that is a itself, as for ``frobenius(a, 0)``, since
         every element a point or lattice holds is reduced: ring ops return
-        reduced elements, and ``make_point`` reduces a point's matrices."""
+        reduced elements, and a point's matrices are packed by ``mat_pack``."""
         return a if k == 1 else tuple(k * u % self.pn for u in a)
 
     def val(self, a: WElem) -> int:

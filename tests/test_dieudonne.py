@@ -1225,6 +1225,44 @@ def test_lowering_precision_never_changes_the_stratum():
     assert outcomes["equal"] and outcomes["nonempty"] and outcomes["precision"]
 
 
+def _reduced_lattice(ring, lattice):
+    """A lattice found at a larger N, read on ``ring``."""
+    return Lattice2(ring, lattice.shift, lattice.a, lattice.b, tuple(c % ring.pn for c in lattice.c))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_point_read_at_two_lower_precisions_roundtrips_to_the_same_lattices(p):
+    """Template points drawn at N = 16, with a stratum of every free place,
+    and read through ``make_point`` at N = 8 and N = 6 keep their stratum, and every T inside it roundtrips to
+    the N = 16 b- and c-lattices, reduced; at N = 5 the budget of one digit
+    cannot split the divisors (0, 1), and ``make_point`` raises
+    ``PrecisionError``."""
+    roundtrips = 0
+    for f, split in [(2, True), (3, False), (4, True)]:
+        datum = _datum(f, split)
+        _, pt = _template_point(datum, set(range(f)), p=p, N=16)
+        stratum = sorted(stratum_of_point(pt))
+        assert len(stratum) == f
+        subsets = [frozenset(t) for size in range(len(stratum) + 1)
+                   for t in itertools.combinations(stratum, size)]
+        forward = {t: build_isogeny_triple(pt, t) for t in subsets}
+        for n in (8, 6):
+            low = ring_for_datum(datum, p, n)
+            read = _reduced_point(pt, low)
+            assert stratum_of_point(read) == frozenset(stratum)
+            for t in subsets:
+                verify_roundtrip(read, t)
+                triple = build_isogeny_triple(read, t)
+                for family in ("b", "c"):
+                    expected = {emb: _reduced_lattice(low, lattice)
+                                for emb, lattice in getattr(forward[t], family).items()}
+                    assert getattr(triple, family) == expected, (f, split, n, t, family)
+                roundtrips += 1
+        with pytest.raises(PrecisionError):
+            _reduced_point(pt, ring_for_datum(datum, p, 5))
+    assert roundtrips == 2 * (2**2 + 2**3 + 2**4)
+
+
 # --- roundtrips ---------------------------------------------------------------
 
 
@@ -1514,6 +1552,53 @@ def test_direct_calls_reach_their_raises(case, error):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def _one_coefficient_off(datum, table, index):
+    """``make_point`` on a seeded point (p = 3, N = 8) with p^(budget - 1)
+    added to coefficient 0 of entry (0, 1) of its F-matrix or pairing at
+    the embedding ``index``; with the point's ring and F-matrices."""
+    ring = ring_for_datum(datum, 3)
+    pt = random_point(random.Random(41), ring, datum)
+    mats = {"f": _unpacked(ring, pt.f_mats), "pairing": _unpacked(ring, pt.pairings)}
+    emb = pt.embeddings()[index]
+    rows = [list(row) for row in mats[table][emb]]
+    rows[0][1] = ring.add(rows[0][1], ring.from_int(ring.p ** (ring.budget - 1)))
+    mats[table][emb] = tuple(map(tuple, rows))
+    f_mats, pairings = _packed(ring, mats["f"]), _packed(ring, mats["pairing"])
+    return (lambda: make_point(ring, datum, f_mats, pairings, pt.signature)), ring, mats["f"]
+
+
+@pytest.mark.parametrize(
+    "shape, table, index, d, message",
+    [
+        ((2, True, (0,)), "pairing", 1, None,
+         f"pairing at {_emb_text(0, 1)} is not conjugate-antisymmetric"),
+        ((2, True, (0,)), "pairing", 3, None,
+         f"pairing at {_emb_text(0, 1)} is not conjugate-antisymmetric"),
+        ((2, True, (0,)), "f", 1, 0, f"pairing is incompatible with F and V at {_emb_text(0, 1)}"),
+        ((2, True, (0,)), "f", 3, 2, f"pairing is incompatible with F and V at {_emb_text(1, 1)}"),
+        ((3, False, (1,)), "f", 2, 0, f"pairing is incompatible with F and V at {_emb_text(0, 2)}"),
+        ((3, False, (1,)), "f", 5, 2, f"pairing is incompatible with F and V at {_emb_text(0, 5)}"),
+    ],
+    ids=["antisym_break_in_p_e", "antisym_break_in_p_c", "compat_conjugate_d_0",
+         "compat_conjugate_d_2", "compat_conjugate_d_0_inert", "compat_conjugate_d_2_inert"],
+)
+def test_fused_pairing_checks_keep_their_raises(shape, table, index, d, message):
+    """The pairing checks that ``make_point`` fuses, each broken in one
+    coefficient, raise where checks at every embedding would, with the
+    same message: antisymmetry once per conjugate pair, whether P at 0:1
+    or at its conjugate 1:1 is broken, names 0:1; the compatibility check,
+    which folds p^(1 - d) into its residues, names the embedding it names
+    unfused, where the conjugate's F has det valuation d = 0 and d = 2."""
+    call, ring, f_mats = _one_coefficient_off(_datum(*shape), table, index)
+    with pytest.raises(DieudonneError) as info:
+        call()
+    assert type(info.value) is DieudonneError and str(info.value) == message
+    if d is not None:
+        named = next(emb for emb in f_mats if str(emb) in message)
+        conj = conjugate(_datum(*shape).places, named)
+        assert ring.val(mat_det(ring, f_mats[conj])) == d
 
 
 # --- twisted partial Frobenius ------------------------------------------------

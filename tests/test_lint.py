@@ -5,8 +5,9 @@ in ``src/``, every named parameter is read in the body of its function,
 every exception class derives from ``GostrataError``, every ``Enum`` member is
 read by name, every defaulted parameter of a private function is passed by
 some call, every private attribute read on another object is defined in
-the reading module, a point is built only by ``make_point``, and nothing
-calls ``dataclasses.replace``.
+the reading module, a point is built only by ``make_point``, nothing
+calls ``dataclasses.replace``, and no product or sigma image is packed
+again by ``mat_pack``.
 """
 
 from __future__ import annotations
@@ -321,4 +322,46 @@ def test_the_door_lint_sees_a_foreign_construction():
         "walk.py:7 dataclasses.replace() in twist",
         "walk.py:10 replace() in inner",
         "walk.py:12 dataclasses.replace() in None",
+    ]
+
+
+# the calls whose matrix comes out of the packed kernel already: packing
+# their result again unpacks and repacks the same ints
+REPACKED = {"mat_sigma", "mat_mul", "packed_mul"}
+
+
+def _repacks(trees: dict[str, ast.Module]) -> list[str]:
+    """Each ``mat_pack`` call (also by a module prefix) with an argument that
+    is itself a call in ``REPACKED``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "mat_pack":
+                for arg in node.args + [keyword.value for keyword in node.keywords]:
+                    if isinstance(arg, ast.Call):
+                        callee = ast.unparse(arg.func)
+                        if callee.split(".")[-1] in REPACKED:
+                            found.append(f"{module}:{node.lineno} mat_pack({callee}(...))")
+    return found
+
+
+def test_no_product_or_sigma_image_is_packed_again():
+    """``packed_sigma`` and ``packed_mul`` keep a result packed; a tuple
+    matrix from ``mat_sigma`` or ``mat_mul`` handed to ``mat_pack`` is the
+    unpack-and-repack those replace."""
+    assert not _repacks(TREES), _repacks(TREES)
+
+
+def test_the_repack_lint_sees_a_repack():
+    source = ast.parse(
+        "def door(ring, a, b, pairing):\n"
+        "    x = mat_pack(ring, mat_sigma(ring, pairing, 1))\n"
+        "    y = witt.mat_pack(ring, a=W.mat_mul(ring, a, b))\n"
+        "    z = mat_pack(ring, packed_mul(ring, a, b))\n"
+        "    return mat_pack(ring, a), mat_pack(ring, mat_transpose(b)), packed_sigma(ring, x, 1)\n"
+    )
+    assert _repacks({"door.py": source}) == [
+        "door.py:2 mat_pack(mat_sigma(...))",
+        "door.py:3 mat_pack(W.mat_mul(...))",
+        "door.py:4 mat_pack(packed_mul(...))",
     ]
