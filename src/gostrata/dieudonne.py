@@ -4,7 +4,11 @@ lattice constructions that pass a point across an isogeny chain and back.
 
 A point carries, for each embedding upstairs, a 2x2 matrix over a truncated
 Witt ring describing F on that component (x maps to f_mat times sigma(x)),
-held packed (``witt.Packed2``) like its pairings.
+held packed (``witt.Packed2``) like its pairings.  The frame stage, the
+checks of ``make_point`` and the partial Hasse invariants read them packed;
+``mat_unpack`` is used only at the output boundary (the JSON record, V, the
+public essential composites, omega) and for columns that go into
+``lattice_normalize``.
 V is not stored: FV = p fixes it as sigma^-1(p F^-1), and ``v_matrix`` forms
 it where a caller reads it.  ``make_point`` checks the pairing against the
 adjugate of F, and ``omega_lattice`` spans its lattice from the adjugate, so
@@ -68,21 +72,17 @@ from .witt import (
     lattice_normalize,
     lattice_scale,
     mat2,
-    mat_adjugate,
     mat_columns,
-    mat_det,
-    mat_mul,
     mat_pack,
-    mat_sigma,
-    mat_smul,
     mat_times_sigma_basis,
-    mat_transpose,
     mat_unpack,
     mat_val,
     packed_adjugate,
     packed_det,
+    packed_fold,
     packed_mul,
     packed_scale,
+    packed_shift,
     packed_sigma,
     packed_transpose,
     ring_from_json,
@@ -93,9 +93,9 @@ from .witt import (
 )
 
 
-def _f_divisors(ring: WittRing, mat: Mat2, det: WElem, emb: EmbE) -> tuple[int, int]:
-    """Elementary divisors of an F-matrix with determinant ``det``, which
-    FV = p bounds by (0, 1)."""
+def _f_divisors(ring: WittRing, mat: Packed2, det: WElem, emb: EmbE) -> tuple[int, int]:
+    """Elementary divisors of a packed F-matrix with determinant ``det``,
+    which FV = p bounds by (0, 1)."""
     divisors = elementary_divisors(ring, mat, det)
     if divisors is NOT_SPLIT:
         raise PrecisionError(f"precision budget N - RESERVE = {ring.N} - {RESERVE} = "
@@ -116,32 +116,18 @@ def _one_prime(datum: ShimuraDatum) -> tuple[PrimeSlot, int]:
 # --- small matrix helpers -----------------------------------------------------
 
 
-def _mat_shift(ring: WittRing, mat: Mat2, k: int) -> Mat2:
-    """Multiply by p^k; for negative k the division must be exact."""
-    if k == 0:
-        return mat
-    if k > 0:
-        return mat_smul(ring, ring.p**k, mat)
-    return tuple(tuple(ring.div_p(e, -k) for e in row) for row in mat)
-
-
-def _packed_shift(ring: WittRing, a: Packed2, k: int) -> Packed2:
-    """p^k times a packed matrix with reduced slots; for negative k, p^-k
-    must divide every slot, and ``//`` divides each slot exactly."""
-    if k < 0:
-        return tuple([x // ring.p**-k for x in a])
-    return a if k == 0 else packed_scale(ring, ring.from_int(ring.p**k), a)
-
-
-def _close(ring: WittRing, a: Mat2, b: Mat2, sign: int = 1) -> bool:
-    """a = sign * b up to the trusted precision budget: p^budget divides each
-    coefficient of x - sign * y, so the residues mod p^budget agree."""
+def _close(ring: WittRing, a: Packed2, b: Packed2, sign: int = 1) -> bool:
+    """a = sign * b, sign = 1 or -1, up to the trusted precision budget, for
+    packed a and b with reduced slots: p^budget divides each coefficient of
+    x - sign * y, so the slots' residues mod p^budget agree, or for sign = -1
+    those of the slots of x + y vanish.  Each such slot lies below 2 p^N, so
+    the sum carries into no other slot."""
     if ring.budget <= 0:
         return True
     q = ring.p**ring.budget
-    return [u % q for row in a for x in row for u in x] == [
-        sign * v % q for row in b for y in row for v in y
-    ]
+    if sign == 1:
+        return [packed_fold(ring, x, q) for x in a] == [packed_fold(ring, y, q) for y in b]
+    return not any(packed_fold(ring, x + y, q) for x, y in zip(a, b))
 
 
 # --- the point ----------------------------------------------------------------
@@ -201,21 +187,21 @@ def make_point(
 
     Antisymmetry at c is the transpose of antisymmetry at ``emb``, so it is
     checked once per conjugate pair, at the first of the two; a failure
-    raises at the same embedding as a check at both would."""
+    raises at the same embedding as a check at both would.  It reads P_c +
+    P_emb^T reduced mod p^budget, which must be 0.  The divisors of each F
+    are read off its packed slots too: no matrix is unpacked."""
     slot, cycle = _one_prime(datum)
     pid = slot.id
     prime_type = classify_prime(datum, pid)
     if ring.m % cycle != 0:
-        raise DieudonneError(
-            f"ring degree {ring.m} incompatible with cycle length {cycle}"
-        )
+        raise DieudonneError(f"ring degree {ring.m} incompatible with cycle length {cycle}")
     system = datum.places
     embs = system.embeddings(pid)
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
 
     dets = {emb: packed_det(ring, f_mats[emb]) for emb in embs}
-    divisors = {e: _f_divisors(ring, mat_unpack(ring, f_mats[e]), dets[e], e) for e in embs}
+    divisors = {e: _f_divisors(ring, f_mats[e], dets[e], e) for e in embs}
     signature = FrozenMap(
         (emb, divisors[frobenius_shift(system, emb, 1)].count(0)) for emb in embs
     )
@@ -227,8 +213,8 @@ def make_point(
             raise DieudonneError(f"pairing at {emb} has the wrong determinant valuation")
         cemb = conjugate(system, emb)
         # the check at cemb is the transpose of this one: made at the first of the two
-        if cemb not in seen and not _close(ring, mat_unpack(ring, pairings[cemb]),
-                                           mat_transpose(mat_unpack(ring, pairings[emb])), -1):
+        if cemb not in seen and not _close(ring, pairings[cemb],
+                                           packed_transpose(pairings[emb]), -1):
             raise DieudonneError(f"pairing at {emb} is not conjugate-antisymmetric")
         seen.add(emb)
 
@@ -265,13 +251,33 @@ def make_point(
 # --- essential Frobenius calculus --------------------------------------------
 
 
+def _packed_v(pt: DieudonnePoint, emb: EmbE) -> Packed2:
+    """V at ``emb``, packed: sigma^-1(p^(1-d) adj(F) / u) for det F = p^d u."""
+    ring = pt.ring
+    d, inverse = scaled_inverse(ring, pt.f_mats[emb])
+    return packed_sigma(ring, packed_shift(ring, inverse, 1 - d), ring.m - 1)
+
+
 def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
     """V at ``emb``, semilinear sigma^-1: sigma^-1(p F^-1), integral since
     ``make_point`` bounds the divisors of F by (0, 1); exact to N - 1 digits
     where F has divisors (1, 1), to N elsewhere."""
-    ring = pt.ring
-    d, inverse = scaled_inverse(ring, mat_unpack(ring, pt.f_mats[emb]))
-    return mat_sigma(ring, _mat_shift(ring, inverse, 1 - d), ring.m - 1)
+    return mat_unpack(pt.ring, _packed_v(pt, emb))
+
+
+def _packed_essential_frobenius(pt: DieudonnePoint, emb: EmbE, n: int) -> Packed2:
+    """``essential_frobenius_matrix``, packed."""
+    if n < 1:
+        raise DieudonneError("n must be at least 1")
+    ring, system = pt.ring, pt.datum.places
+    mat = None
+    for k in range(n - 1, -1, -1):
+        mu = frobenius_shift(system, emb, -k)
+        step = pt.f_mats[mu]
+        if pt.signature[frobenius_shift(system, mu, -1)] == 0:
+            step = packed_shift(ring, step, -1)
+        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, 1))
+    return mat
 
 
 def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -284,17 +290,7 @@ def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
     division is exact slot by slot.  The chain stays packed: ``packed_sigma`` and
     ``packed_mul`` at each step, one ``mat_unpack`` at the end.
     """
-    if n < 1:
-        raise DieudonneError("n must be at least 1")
-    ring, system = pt.ring, pt.datum.places
-    mat = None
-    for k in range(n - 1, -1, -1):
-        mu = frobenius_shift(system, emb, -k)
-        step = pt.f_mats[mu]
-        if pt.signature[frobenius_shift(system, mu, -1)] == 0:
-            step = _packed_shift(ring, step, -1)
-        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, 1))
-    return mat_unpack(ring, mat)
+    return mat_unpack(pt.ring, _packed_essential_frobenius(pt, emb, n))
 
 
 def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -303,7 +299,7 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2
 
     Each step out of a component uses V when the signature behind it is 0 or 1,
     and F^{-1} = V / p when it is 2, where F is a unit, so the division is
-    exact.
+    exact.  The chain stays packed, with one ``mat_unpack`` at the end.
     """
     if n < 1:
         raise DieudonneError("n must be at least 1")
@@ -311,20 +307,21 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2
     mat = None
     for k in range(n):
         mu = frobenius_shift(system, emb, -k)
-        step = v_matrix(pt, mu)
+        step = _packed_v(pt, mu)
         if pt.signature[frobenius_shift(system, mu, -1)] == 2:
-            step = _mat_shift(ring, step, -1)
-        mat = step if mat is None else mat_mul(ring, step, mat_sigma(ring, mat, ring.m - 1))
-    return mat
+            step = packed_shift(ring, step, -1)
+        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, ring.m - 1))
+    return mat_unpack(ring, mat)
 
 
 def essential_frobenius_image(pt: DieudonnePoint, emb: EmbE, n: int, start: Lattice2) -> Lattice2:
     """Image of F_es^n applied to the lattice ``start`` at the component
     sigma^{-n}(emb): the composite ``essential_frobenius_matrix`` applied to
-    sigma^n of the start's basis, normalized once."""
+    sigma^n of the start's basis, packed, and normalized once: its columns
+    are unpacked for ``lattice_normalize``."""
     ring = pt.ring
-    basis = mat_times_sigma_basis(ring, essential_frobenius_matrix(pt, emb, n), start, n)
-    return lattice_normalize(ring, start.shift, mat_columns(basis))
+    basis = mat_times_sigma_basis(ring, _packed_essential_frobenius(pt, emb, n), start, n)
+    return lattice_normalize(ring, start.shift, mat_columns(mat_unpack(ring, basis)))
 
 
 def _walk(pt: DieudonnePoint, run: frozenset[EmbE], behind: Mapping[EmbE, Lattice2]):
@@ -347,12 +344,15 @@ def omega_lattice(pt: DieudonnePoint, emb: EmbE) -> Lattice2:
     """The lattice V(D at sigma emb) + p D at ``emb``, spanned with
     sigma^-1(p^(1-d) adj F) in place of V, F at sigma emb with
     det F = p^d u: V is that matrix times the unit sigma^-1(1/u), which
-    spans the same lattice, and d = 2 minus the signature at ``emb``."""
+    spans the same lattice, and d = 2 minus the signature at ``emb``.  The
+    adjugate is packed with its negated entries reduced, and the columns
+    are unpacked for ``lattice_normalize``."""
     ring, system = pt.ring, pt.datum.places
     f_mat = pt.f_mats[frobenius_shift(system, emb, 1)]
-    p_adj = _mat_shift(ring, mat_adjugate(ring, mat_unpack(ring, f_mat)), pt.signature[emb] - 1)
+    adj = tuple([packed_fold(ring, x) for x in packed_adjugate(ring, f_mat)])
+    p_adj = packed_shift(ring, adj, pt.signature[emb] - 1)
     p = ring.from_int(ring.p)
-    cols = mat_columns(mat_sigma(ring, p_adj, ring.m - 1))
+    cols = mat_columns(mat_unpack(ring, packed_sigma(ring, p_adj, ring.m - 1)))
     return lattice_normalize(ring, 0, cols + [(p, ring.zero()), (ring.zero(), p)])
 
 
@@ -370,11 +370,12 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
     exactly omega modulo p.  So F_es^(n+1) is zero mod p exactly when that
     line is omega.  For S_infty empty every n_tau is 1 and this is the
     Goren-Oort rule for Hilbert modular varieties (J. Algebraic Geom. 2000):
-    F into sigma(emb) after F into emb is zero mod p.
+    F into sigma(emb) after F into emb is zero mod p.  The composite is read
+    packed.
     """
     system = pt.datum.places
     n = n_tau(pt.datum, restrict(system, emb))[0]
-    composite = essential_frobenius_matrix(pt, frobenius_shift(system, emb, 1), n + 1)
+    composite = _packed_essential_frobenius(pt, frobenius_shift(system, emb, 1), n + 1)
     return mat_val(pt.ring, composite) >= 1
 
 
@@ -416,16 +417,17 @@ def _frame_point(
     """The point on ``datum`` whose module at each embedding is the lattice
     ``frames[emb]`` of the isocrystal of ``pt``, in its Hermite frame; its
     packed F-matrices ``f_mats`` are the ones ``_framed_f_mats`` returned
-    there.  Each pairing is framed on its coefficient tuples (``mat_unpack``)
-    and packed once for ``make_point`` (``mat_pack``).
+    there.  Each pairing is framed packed, by the frame helpers of ``witt``
+    and ``packed_shift``, in the order the scalings are reduced: each
+    helper's result mod p^N before any exact division.
 
     Through the identity frame, the transport of T = empty, this is ``pt``
     itself.  When every frame is the standard lattice, shift included, the
-    pairings built below are ``pt.pairings``: sigma^0 and ``smul`` by 1
-    return their operand, and packing the unpacked reduced matrix gives the
-    same ints.  If also ``f_mats``, ``expected`` and ``datum`` equal the
-    point's own, ``make_point`` would read exactly the inputs it accepted
-    when it built ``pt``, and it is a pure function of them."""
+    pairings built below are ``pt.pairings``: sigma^0, scaling by 1 and a
+    shift by p^0 return their operand's ints.  If also ``f_mats``,
+    ``expected`` and ``datum`` equal the point's own, ``make_point`` would
+    read exactly the inputs it accepted when it built ``pt``, and it is a
+    pure function of them."""
     ring, system = pt.ring, pt.datum.places
     std = standard_lattice(ring)
     if (
@@ -438,9 +440,9 @@ def _frame_point(
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
-        pairing = mat_times_sigma_basis(ring, mat_unpack(ring, pt.pairings[emb]), conj, 0)
+        pairing = mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0)
         out = basis_transpose_times(frame, pairing)
-        pairings[emb] = mat_pack(ring, _mat_shift(ring, out, frame.shift + conj.shift))
+        pairings[emb] = packed_shift(ring, out, frame.shift + conj.shift)
     return make_point(ring, datum, f_mats, pairings, expected)
 
 
@@ -460,7 +462,9 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
     2 minus that signature.
     Where both lattices are the standard one, M is F itself and its
     divisors lie in (0, 1), so the triple is stable and F is taken as it is,
-    packed, with no framing.
+    packed, with no framing.  Elsewhere F is framed packed, by the frame
+    helpers of ``witt``: v1 is the packed ``mat_val`` of P, and M is
+    ``packed_shift`` of P, exact for negative k once v1 + k >= 0.
     ``framed`` keeps the matrix of each (emb, lattice, lattice behind) triple
     that passed, so a caller that checks several families with one dict frames
     a triple once and a failure keeps the label of the first family."""
@@ -475,7 +479,7 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
             if key not in framed and lattice == prev == std:
                 framed[key] = pt.f_mats[emb]
             elif key not in framed:
-                image = mat_times_sigma_basis(ring, mat_unpack(ring, pt.f_mats[emb]), prev, 1)
+                image = mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1)
                 d, product = frame_times(lattice, image)
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
@@ -488,7 +492,7 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
                     raise DieudonneError(f"{label} is not F-stable at {emb}")
                 if v2 + k > 1:
                     raise DieudonneError(f"{label} is not V-stable at {emb}")
-                framed[key] = mat_pack(ring, _mat_shift(ring, product, k))
+                framed[key] = packed_shift(ring, product, k)
             f_mats[emb] = framed[key]
     return f_mats
 
@@ -610,7 +614,7 @@ def reconstruct_lattices(
             m_lat[emb] = lattice_scale(h_lines[emb], -1)
     elif case is CaseTag.B2:
         for emb in delta.minus:
-            m_lat[emb] = lattice_dual(std, mat_unpack(ring, b_point.pairings[emb]))
+            m_lat[emb] = lattice_dual(std, b_point.pairings[emb])
     framed: dict = {}
     _framed_f_mats(b_point, [("the rebuilt c-family", m_lat)], framed)
     _check_colengths(m_lat, base, delta.minus, "rebuilt")
@@ -618,8 +622,7 @@ def reconstruct_lattices(
     l_lat: dict[EmbE, Lattice2] = {}
     for emb in b_point.embeddings():
         if emb in delta.plus:
-            pairing = mat_unpack(ring, b_point.pairings[emb])
-            l_lat[emb] = lattice_dual(m_lat[conjugate(system, emb)], pairing)
+            l_lat[emb] = lattice_dual(m_lat[conjugate(system, emb)], b_point.pairings[emb])
         else:
             l_lat[emb] = m_lat[emb]
     f_mats = _framed_f_mats(b_point, [("the rebuilt a-family", l_lat)], framed)
@@ -719,16 +722,13 @@ def twisted_partial_frobenius(pt: DieudonnePoint) -> DieudonnePoint:
 # --- random points ------------------------------------------------------------
 
 
-def _random_elem(rng, ring: WittRing):
-    return tuple(rng.randrange(ring.pn) for _ in range(ring.m))
-
-
-def _random_unimodular(rng, ring: WittRing) -> Mat2:
+def _random_unimodular(rng, ring: WittRing) -> Packed2:
+    """A packed matrix of random coefficients, drawn entry by entry in
+    row-major order until its determinant is a unit."""
     while True:
-        mat = tuple(
-            tuple(_random_elem(rng, ring) for _ in range(2)) for _ in range(2)
-        )
-        if ring.val(mat_det(ring, mat)) == 0:
+        mat = mat_pack(ring, [[[rng.randrange(ring.pn) for _ in range(ring.m)] for _ in range(2)]
+                              for _ in range(2)])
+        if ring.val(packed_det(ring, mat)) == 0:
             return mat
 
 
@@ -755,16 +755,23 @@ def point_from_half_system(
     inverse z = 1/(u w).  The half-system matrices are packed once
     (``mat_pack``), and everything after stays packed.
     """
-    system = datum.places
     half = half_system(datum)
     if set(f_mats_half) != set(half) or set(pairings_half) != set(half):
         raise DieudonneError("half-system data must cover one lift per place")
-    f_mats = {emb: mat_pack(ring, f_mats_half[emb]) for emb in half}
-    pairings = {emb: mat_pack(ring, pairings_half[emb]) for emb in half}
+    f_mats, pairings = ({emb: mat_pack(ring, mats[emb]) for emb in half}
+                        for mats in (f_mats_half, pairings_half))
+    return _point_from_packed_half(ring, datum, f_mats, pairings, expected_signature)
+
+
+def _point_from_packed_half(ring: WittRing, datum: ShimuraDatum, f_mats: dict, pairings: dict,
+                            expected_signature) -> DieudonnePoint:
+    """``point_from_half_system`` on packed half-system matrices, which it
+    completes in place: the body that ``random_point`` shares."""
+    system, half = datum.places, half_system(datum)
     units, neg = {}, ring.from_int(-1)
     for emb in half:
         f_det = packed_det(ring, f_mats[emb])
-        d = sum(_f_divisors(ring, f_mats_half[emb], f_det, emb))
+        d = sum(_f_divisors(ring, f_mats[emb], f_det, emb))
         w = packed_det(ring, pairings[emb])
         if ring.val(w) != 0:
             raise DieudonneError(f"half-system pairing at {emb} must be perfect")
@@ -777,7 +784,7 @@ def point_from_half_system(
         z = ring.inv(ring.mul(u, w))
         inv_pairing = packed_scale(ring, ring.mul(u, z), packed_adjugate(ring, pairings[emb]))
         p_f_inv = packed_scale(ring, ring.mul(w, z), packed_adjugate(ring, f_mats[emb]))
-        p_f_inv_t = packed_transpose(_packed_shift(ring, p_f_inv, 1 - d))
+        p_f_inv_t = packed_transpose(packed_shift(ring, p_f_inv, 1 - d))
         twisted_prev = packed_sigma(ring, pairings[prev], 1)
         f_mats[cemb] = packed_mul(ring, inv_pairing, packed_mul(ring, p_f_inv_t, twisted_prev))
     return make_point(ring, datum, f_mats, pairings, expected_signature)
@@ -792,6 +799,7 @@ def random_point(
     templates [[0,1],[p,0]] and diag(1,p) (signature 1), p times a unit
     (signature 0 behind) or a unit (signature 2 behind); the conjugate half is
     derived from the pairing compatibility, as are the conjugate pairings.
+    Each draw is packed once, and each F is formed by ``packed_mul``.
     """
     system = datum.places
     half = half_system(datum)
@@ -800,7 +808,7 @@ def random_point(
         signature = signature_from_lift(datum, zeros)
 
     pairings = {emb: _random_unimodular(rng, ring) for emb in half}
-    f_mats: dict[EmbE, Mat2] = {}
+    f_mats: dict[EmbE, Packed2] = {}
     p = ring.p
     for emb in half:
         behind = signature[frobenius_shift(system, emb, -1)]
@@ -810,9 +818,9 @@ def random_point(
             core = ((p, 0), (0, p))
         else:
             core = ((1, 0), (0, 1))
-        mat = mat_mul(ring, _random_unimodular(rng, ring), mat2(ring, core))
-        f_mats[emb] = mat_mul(ring, mat, _random_unimodular(rng, ring))
-    return point_from_half_system(ring, datum, f_mats, pairings, signature)
+        mat = packed_mul(ring, _random_unimodular(rng, ring), mat_pack(ring, mat2(ring, core)))
+        f_mats[emb] = packed_mul(ring, mat, _random_unimodular(rng, ring))
+    return _point_from_packed_half(ring, datum, f_mats, pairings, signature)
 
 
 def ring_for_datum(datum: ShimuraDatum, p: int, N: int = 8) -> WittRing:

@@ -30,7 +30,9 @@ matrices in ``dieudonne``: one int per entry is canonical, so ``==`` and
 each coefficient, and ``mat_unpack`` reads the slots back.  A packed sum of
 products becomes a packed element again through ``packed_fold``: the fold
 above, then each of the m slots reduced mod p^N, or mod a smaller power q of
-p, which gives the residues mod q that a comparison reads.
+p, which gives the residues mod q that a comparison reads.  For p = 2 every
+such q is a power of 2, and the m reductions are one AND with q - 1 in every
+low slot, which also drops the slots above them that the fold leaves.
 ``packed_mul`` builds each entry of a product as a two-term sum of packed
 products and folds it once; ``packed_scale`` multiplies each entry by one
 packed scalar; ``packed_sigma`` is the table pass of ``frobenius`` over an
@@ -46,7 +48,12 @@ A product of two operands with slots in [0, p^N] holds at most m p^(2N)
 per slot, a two-term sum at most 2 m p^(2N), and the fold adds m - 1 more
 terms, each below p^(2N).  So no slot carries into the next and every
 result is exact.  A packed int whose slots are each divisible by p divides
-by p slot by slot, exactly, with ``// p``.  ``mat_mul`` and ``mat_det``
+by p slot by slot, exactly, with ``// p``, and ``packed_shift`` is that
+division, or a scaling by p^k with each slot reduced mod p^N.  p divides a
+packed int whenever it divides every slot, so for ``mat_val``, the least
+valuation of a packed matrix's slots, a nonzero x % p already shows a unit
+slot.  ``elementary_divisors`` and ``scaled_inverse`` take packed matrices
+too.  ``mat_mul`` and ``mat_det``
 pack their arguments and form the same sums, read off as tuples.  Packing
 reduces each coefficient mod p^N, so negated or otherwise unreduced
 operands are exact too.  There is one product path: every operand,
@@ -56,21 +63,25 @@ slot 0 mod p^N without the fold, and ``frobenius`` and ``packed_sigma``
 return a constant as it is, since sigma fixes W_N(F_p).  Every op returns
 coefficients in [0, p^N) when its operands have them, and a point's
 matrices are packed by ``mat_pack``, so every element a point or lattice
-holds is reduced: ``smul`` by 1, like ``frobenius`` by sigma^0, returns its
-operand.
+holds is reduced: ``smul`` by 1, like ``frobenius`` by sigma^0 and a packed
+scaling by 1, returns its operand.
 
 A lattice is its Hermite coordinates: ``Lattice2(ring, shift, a, b, c)`` is
 p^shift times the column span of [[p^a, 0], [c, p^b]] with c reduced mod p^b,
 so dataclass equality is lattice equality.  ``lattice_normalize`` builds one
 from generators; ``basis`` is derived, and no product by a basis goes
-through ``mat_mul``.  From the coordinates, each in two ring products by c
-plus scalings by p^a and p^b: ``mat_times_sigma_basis`` is a matrix times
-sigma^n(basis), since sigma^n fixes p^a and p^b and only c moves (one sigma
-more); ``frame_times`` is p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]]
-times a matrix; and ``basis_transpose_times`` is basis^T times a matrix.
-When c = 0, as for every lattice with b = 0 (c is reduced mod p^b), the
-products by c and its sigma are zero and are skipped: only the scalings are
-left.  Containment and ``lattice_in_frame`` read
+through ``mat_mul``.  The three frame helpers take a packed matrix and
+return one, each from the coordinates in two packed products by c, each
+folded once, plus scalings by p^a and p^b, each slot reduced mod p^N:
+``mat_times_sigma_basis`` is a matrix times sigma^n(basis), since sigma^n
+fixes p^a and p^b and only c moves (one sigma more, packed with c);
+``frame_times`` is p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]]
+times a matrix, -c packed as a negation; and ``basis_transpose_times`` is
+basis^T times a matrix.  Every result is reduced, as the tuple products were,
+so an exact division that follows reads the same residues.  When c = 0, as
+for every lattice with b = 0 (c is reduced mod p^b), the products by c and
+its sigma are zero and are skipped: only the scalings are left, with no
+fold.  Containment and ``lattice_in_frame`` read
 adj(outer) * inner = [[p^(b+a'), 0], [p^a c' - p^a' c, p^(a+b')]] off the
 coordinates.  That matrix is already lower triangular, so ``lattice_in_frame``
 takes its Hermite form in closed form, dividing out the least valuation of
@@ -78,8 +89,11 @@ its entries, with no unit inverse and no ``lattice_normalize``.  The index
 valuation is 2 shift + a + b, capped at N.  Once a + b >= N (possible for
 N >= 10) det(basis) is zero mod p^N, and ``frame_times``, ``lattice_contains``
 and ``lattice_in_frame`` raise ``PrecisionError`` on that frame.
+``lattice_colength`` of a lattice in itself is 0 with no frame.
 ``lattice_dual`` spans the columns of the adjugate of basis^T pairing^T,
-which is p^d times its inverse up to a unit, so it inverts no unit either.
+which is p^d times its inverse up to a unit, so it inverts no unit either;
+it takes a packed pairing and unpacks basis^T pairing^T once, for those
+columns.
 
 Units are inverted by extended Euclid over F_p[x] in the residue field and
 Newton steps that double the p-adic precision, so ceil(log2 N) steps suffice.
@@ -270,6 +284,7 @@ class WittRing:
     budget: int = field(init=False, repr=False, compare=False)
     _width: int = field(init=False, repr=False, compare=False)
     _mask: int = field(init=False, repr=False, compare=False)
+    _ones: int = field(init=False, repr=False, compare=False)
     _pn_packed: int = field(init=False, repr=False, compare=False)
     _shifts: tuple = field(init=False, repr=False, compare=False)
     _reduce: tuple = field(init=False, repr=False, compare=False)
@@ -284,7 +299,8 @@ class WittRing:
         object.__setattr__(self, "_width", k)
         object.__setattr__(self, "_mask", (1 << k) - 1)
         object.__setattr__(self, "_shifts", tuple(range(0, k * m, k)))
-        object.__setattr__(self, "_pn_packed", sum(pn << s for s in self._shifts))
+        object.__setattr__(self, "_ones", sum(1 << s for s in self._shifts))
+        object.__setattr__(self, "_pn_packed", pn * self._ones)
         # rows x^m, ..., x^(2m-2) reduced modulo the monic modulus
         row = tuple(-c % pn for c in self.modulus[:-1])
         rows = []
@@ -306,7 +322,11 @@ class WittRing:
         return packed
 
     def _repack(self, x: int, q: int) -> int:
-        """The m low slots of x, each reduced mod q, packed again."""
+        """The m low slots of x, each reduced mod q, packed again.  For p = 2,
+        q is a power of 2, so that is one AND with q - 1 in every low slot,
+        which also drops the slots above them."""
+        if self.p == 2:
+            return x & (q - 1) * self._ones
         k, mask, packed = self._width, self._mask, 0
         for s in reversed(self._shifts):
             packed = packed << k | (x >> s & mask) % q
@@ -478,12 +498,8 @@ def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
 
 def mat2(ring: WittRing, entries) -> Mat2:
     """Build a matrix from a 2x2 array of integers or ring elements."""
-    rows = []
-    for row in entries:
-        rows.append(
-            tuple(e if isinstance(e, tuple) else ring.from_int(e) for e in row)
-        )
-    return tuple(rows)
+    return tuple(tuple(e if isinstance(e, tuple) else ring.from_int(e) for e in row)
+                 for row in entries)
 
 
 def mat_identity(ring: WittRing) -> Mat2:
@@ -552,6 +568,27 @@ def packed_scale(ring: WittRing, e: WElem, a: Packed2, q: int | None = None) -> 
     return tuple([packed_fold(ring, scalar * x, q) for x in a])
 
 
+def _scaled(ring: WittRing, x: int, k: int) -> int:
+    """k x for a packed element x with reduced slots and 0 <= k <= p^N, each
+    slot reduced mod p^N: x itself for k = 1, no fold, since k x holds
+    nothing above slot m - 1."""
+    if k == 1:
+        return x
+    return ring._repack(x * k, ring.pn) if x > ring._mask else x * k % ring.pn
+
+
+def packed_shift(ring: WittRing, a: Packed2, k: int) -> Packed2:
+    """p^k times a packed matrix with reduced slots, its slots reduced.  For
+    negative k, p^-k must divide every slot, which ``//`` then divides
+    exactly; otherwise it raises as ``div_p`` does."""
+    if k >= 0:
+        return a if k == 0 else tuple([_scaled(ring, x, ring.p**k % ring.pn) for x in a])
+    mask, q = ring._mask, ring.p**-k
+    if any((x >> s & mask) % q for x in a for s in ring._shifts):
+        raise WittError("element not divisible by the requested power of p")
+    return tuple([x // q for x in a])
+
+
 def packed_sigma(ring: WittRing, a: Packed2, k: int = 1) -> Packed2:
     """sigma^k of each entry of a packed matrix with reduced slots, packed:
     the table pass of ``frobenius`` over the entry's slots, each slot of the
@@ -599,8 +636,13 @@ def mat_det(ring: WittRing, a: Mat2) -> WElem:
     return packed_det(ring, mat_pack(ring, a))
 
 
-def mat_val(ring: WittRing, a: Mat2) -> int:
-    return min(ring.val(e) for row in a for e in row)
+def mat_val(ring: WittRing, a: Packed2) -> int:
+    """The least valuation of the entries of a packed matrix, capped at N.
+    p divides a packed int when it divides each of its slots, so a nonzero
+    x % p shows a unit slot before any slot is read."""
+    if any(x % ring.p for x in a):
+        return 0
+    return ring.val([x >> s & ring._mask for x in a for s in ring._shifts])
 
 
 def mat_adjugate(ring: WittRing, a: Mat2) -> Mat2:
@@ -610,21 +652,21 @@ def mat_adjugate(ring: WittRing, a: Mat2) -> Mat2:
     )
 
 
-def scaled_inverse(ring: WittRing, a: Mat2) -> tuple[int, Mat2]:
-    """(d, p^d * a^{-1}) with d the valuation of det(a): adj(a) over the unit
-    of det(a), on one packing of a."""
-    packed = mat_pack(ring, a)
-    d, unit = ring.unit_and_val(packed_det(ring, packed))
-    return d, mat_unpack(ring, packed_scale(ring, ring.inv(unit), packed_adjugate(ring, packed)))
+def scaled_inverse(ring: WittRing, a: Packed2) -> tuple[int, Packed2]:
+    """(d, p^d * a^{-1}) for a packed matrix, packed, with d the valuation of
+    det(a): adj(a) over the unit of det(a)."""
+    d, unit = ring.unit_and_val(packed_det(ring, a))
+    return d, packed_scale(ring, ring.inv(unit), packed_adjugate(ring, a))
 
 
-def elementary_divisors(ring: WittRing, a: Mat2, det: WElem | None = None):
-    """Valuations (v1, v2) with v1 <= v2, or NOT_SPLIT beyond the budget;
-    ``det`` is det(a), for a caller that has already taken it."""
+def elementary_divisors(ring: WittRing, a: Packed2, det: WElem | None = None):
+    """Valuations (v1, v2) with v1 <= v2 of a packed matrix, or NOT_SPLIT
+    beyond the budget; ``det`` is det(a), for a caller that has already
+    taken it."""
     v1 = mat_val(ring, a)
     if v1 >= ring.budget:
         return NOT_SPLIT
-    v2 = ring.val(mat_det(ring, a) if det is None else det) - v1
+    v2 = ring.val(packed_det(ring, a) if det is None else det) - v1
     if v2 >= ring.budget:
         return NOT_SPLIT
     return (v1, v2)
@@ -723,40 +765,43 @@ def _frame_det_val(l: Lattice2) -> int:
     return l.a + l.b
 
 
-def frame_times(l: Lattice2, mat: Mat2) -> tuple[int, Mat2]:
-    """(d, p^d * basis^-1 * mat) with d = a + b.  p^d basis^-1 is the adjugate
-    [[p^b, 0], [-c, p^a]], so the product is [p^b X[0], p^a X[1] - c X[0]]
-    for the rows X of mat: two products, none when c = 0."""
-    ring, (top, bottom) = l.ring, mat
+def _plus_c(ring: WittRing, pa: int, c: int, x: int, y: int) -> int:
+    """p^a x + c y for packed x and y with reduced slots, its slots reduced,
+    where c is a packed c of a Hermite basis, its sigma or its negation, or
+    0 for c = 0: one fold of the product when c is nonzero, a scaling with no
+    product and no fold when it is 0."""
+    return packed_fold(ring, pa * x + c * y) if c else _scaled(ring, x, pa)
+
+
+def frame_times(l: Lattice2, mat: Packed2) -> tuple[int, Packed2]:
+    """(d, p^d * basis^-1 * mat) with d = a + b, for a packed matrix, packed.
+    p^d basis^-1 is the adjugate [[p^b, 0], [-c, p^a]], so the product is
+    [p^b X[0], p^a X[1] - c X[0]] for the rows X of mat, -c packed as a
+    negation: two products, none when c = 0."""
+    ring, (x0, x1, y0, y1) = l.ring, mat
     d, pa, pb = _frame_det_val(l), ring.p**l.a, ring.p**l.b
-    if any(l.c):
-        bottom = [ring.sub(ring.smul(pa, y), ring.mul(l.c, x)) for x, y in zip(top, bottom)]
-    else:
-        bottom = [ring.smul(pa, y) for y in bottom]
-    return d, (tuple([ring.smul(pb, x) for x in top]), tuple(bottom))
+    neg = any(l.c) and ring._pn_packed - ring._pack(l.c)
+    return d, (_scaled(ring, x0, pb), _scaled(ring, x1, pb),
+               _plus_c(ring, pa, neg, y0, x0), _plus_c(ring, pa, neg, y1, x1))
 
 
-def basis_transpose_times(l: Lattice2, mat: Mat2) -> Mat2:
-    """basis(l)^T * mat = [p^a X[0] + c X[1], p^b X[1]] for the rows X of mat:
-    two products, none when c = 0."""
-    ring, (top, bottom) = l.ring, mat
-    pa, pb = ring.p**l.a, ring.p**l.b
-    if any(l.c):
-        top = [ring.add(ring.smul(pa, x), ring.mul(l.c, y)) for x, y in zip(top, bottom)]
-    else:
-        top = [ring.smul(pa, x) for x in top]
-    return tuple(top), tuple([ring.smul(pb, y) for y in bottom])
+def basis_transpose_times(l: Lattice2, mat: Packed2) -> Packed2:
+    """basis(l)^T * mat = [p^a X[0] + c X[1], p^b X[1]] for the rows X of a
+    packed matrix, packed: two products, none when c = 0."""
+    ring, (x0, x1, y0, y1) = l.ring, mat
+    pa, pb, c = ring.p**l.a, ring.p**l.b, any(l.c) and ring._pack(l.c)
+    return (_plus_c(ring, pa, c, x0, y0), _plus_c(ring, pa, c, x1, y1),
+            _scaled(ring, y0, pb), _scaled(ring, y1, pb))
 
 
-def mat_times_sigma_basis(ring: WittRing, mat: Mat2, l: Lattice2, n: int) -> Mat2:
-    """mat * sigma^n(basis(l)).  sigma^n fixes p^a and p^b, so the product is
-    [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]: one sigma and two products,
-    none of either when c = 0."""
-    pa, pb = ring.p**l.a, ring.p**l.b
-    if not any(l.c):
-        return tuple((ring.smul(pa, x), ring.smul(pb, y)) for x, y in mat)
-    c = frobenius(ring, l.c, n)
-    return tuple((ring.add(ring.smul(pa, x), ring.mul(c, y)), ring.smul(pb, y)) for x, y in mat)
+def mat_times_sigma_basis(ring: WittRing, mat: Packed2, l: Lattice2, n: int) -> Packed2:
+    """mat * sigma^n(basis(l)) for a packed matrix, packed.  sigma^n fixes
+    p^a and p^b, so the product is [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]:
+    one sigma and two products, none of either when c = 0."""
+    (x0, y0, x1, y1), pa, pb = mat, ring.p**l.a, ring.p**l.b
+    c = any(l.c) and ring._pack(frobenius(ring, l.c, n))
+    return (_plus_c(ring, pa, c, x0, y0), _scaled(ring, y0, pb),
+            _plus_c(ring, pa, c, x1, y1), _scaled(ring, y1, pb))
 
 
 def _adjugate_product(outer: Lattice2, inner: Lattice2) -> tuple[int, int, WElem, int]:
@@ -799,21 +844,28 @@ def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Latt
 
 
 def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:
+    """The colength of ``inner`` in ``outer``, which must contain it: 0 for
+    a lattice in itself, with no frame, since a lattice contains itself."""
+    if outer == inner:
+        return 0
     if not lattice_contains(outer, inner):
         raise WittError("lattice is not contained in the claimed overlattice")
     return lattice_index_val(inner) - lattice_index_val(outer)
 
 
-def lattice_dual(l: Lattice2, pairing: Mat2) -> Lattice2:
-    """{v : <v, l> integral} under <v, w> = v^T * pairing * w: p^-shift times
-    the span of M^-1 for M = basis^T pairing^T.  With det M = p^d u that is
-    p^-(shift + d) times the span of adj(M) = u p^d M^-1, since the unit u
-    leaves a span as it is, so no unit is inverted.  A pairing whose
-    determinant on ``l`` is zero mod p^N raises ``PrecisionError``."""
+def lattice_dual(l: Lattice2, pairing: Packed2) -> Lattice2:
+    """{v : <v, l> integral} under <v, w> = v^T * pairing * w, for a packed
+    pairing: p^-shift times the span of M^-1 for M = basis^T pairing^T.
+    With det M = p^d u that is p^-(shift + d) times the span of
+    adj(M) = u p^d M^-1, since the unit u leaves a span as it is, so no unit
+    is inverted.  M is formed packed and unpacked once, for the columns of
+    its adjugate.  A pairing whose determinant on ``l`` is zero mod p^N
+    raises ``PrecisionError``."""
     ring = l.ring
-    mat = basis_transpose_times(l, mat_transpose(pairing))
-    d, _ = ring.unit_and_val(mat_det(ring, mat))
-    return lattice_normalize(ring, -l.shift - d, mat_columns(mat_adjugate(ring, mat)))
+    mat = basis_transpose_times(l, packed_transpose(pairing))
+    d, _ = ring.unit_and_val(packed_det(ring, mat))
+    adjugate = mat_adjugate(ring, mat_unpack(ring, mat))
+    return lattice_normalize(ring, -l.shift - d, mat_columns(adjugate))
 
 
 # --- serialization ------------------------------------------------------------

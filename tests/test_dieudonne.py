@@ -76,6 +76,7 @@ from gostrata.witt import (
     mat_smul,
     mat_transpose,
     mat_unpack,
+    packed_shift,
     standard_lattice,
     witt_ring,
 )
@@ -201,10 +202,8 @@ def test_antidiag_point_is_everywhere_supersingular():
     assert stratum_of_point(pt) == frozenset(datum.places.arch_places("p1"))
     # V is the same antidiagonal matrix here, up to sign and trusted precision
     for emb in pt.embeddings():
-        f_mat = mat_unpack(ring, pt.f_mats[emb])
-        assert _close(ring, v_matrix(pt, emb), f_mat) or _close(
-            ring, v_matrix(pt, emb), mat_smul(ring, -1, f_mat)
-        )
+        v_mat = mat_pack(ring, v_matrix(pt, emb))
+        assert _close(ring, v_mat, pt.f_mats[emb]) or _close(ring, v_mat, pt.f_mats[emb], -1)
 
 
 def test_diag_point_has_empty_stratum():
@@ -366,7 +365,8 @@ def _make_point_by_scaled_adjugate(ring, datum, f_mats, pairings, expected_signa
     if set(f_mats) != set(embs) or set(pairings) != set(embs):
         raise DieudonneError("matrices must be indexed by the full embedding cycle")
     dets = {emb: mat_det(ring, f_mats[emb]) for emb in embs}
-    divisors = {emb: dieudonne._f_divisors(ring, f_mats[emb], dets[emb], emb) for emb in embs}
+    divisors = {emb: dieudonne._f_divisors(ring, mat_pack(ring, f_mats[emb]), dets[emb], emb)
+                for emb in embs}
     signature = {emb: divisors[frobenius_shift(system, emb, 1)].count(0) for emb in embs}
     pairing_val = 1 if classify_prime(datum, slot.id) is PrimeType.BETA_SHARP else 0
     for emb in embs:
@@ -391,7 +391,8 @@ def _make_point_by_scaled_adjugate(ring, datum, f_mats, pairings, expected_signa
         product = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
         lhs = tuple(tuple(ring.mul(unit, e) for e in row) for row in product)
         prev = frobenius_shift(system, emb, -1)
-        p_adj = dieudonne._mat_shift(ring, mat_adjugate(ring, f_mats[cemb]), 1 - d)
+        adj = mat_pack(ring, mat_adjugate(ring, f_mats[cemb]))
+        p_adj = mat_unpack(ring, packed_shift(ring, adj, 1 - d))
         rhs = mat_mul(ring, mat_sigma(ring, pairings[prev], 1), p_adj)
         if not _generator_close(ring, lhs, rhs):
             raise DieudonneError(f"pairing is incompatible with F and V at {emb}")
@@ -426,7 +427,7 @@ def test_make_point_on_packed_operands_matches_the_scaled_adjugate(p, f, split, 
         f_tuples, p_tuples = _unpacked(ring, pt.f_mats), _unpacked(ring, pt.pairings)
         assert make_point(ring, datum, pt.f_mats, pt.pairings, pt.signature) == pt
         assert _make_point_by_scaled_adjugate(ring, datum, f_tuples, p_tuples, pt.signature) is None
-        ds |= {sum(elementary_divisors(ring, mat)) for mat in f_tuples.values()}
+        ds |= {sum(elementary_divisors(ring, mat)) for mat in pt.f_mats.values()}
         for emb in pt.embeddings():
             for k in (0, ring.budget - 1, ring.budget):
                 for which in ("f", "pairing"):
@@ -472,9 +473,9 @@ def test_make_point_packs_each_entry_once(monkeypatch):
         patch.setattr(type(ring), "_pack", pack)
         patch.setattr(witt, "frobenius", refuse)
         patch.setattr(witt, "mat_sigma", refuse)
-        patch.setattr(dieudonne, "mat_sigma", refuse)
         made = make_point(ring, datum, _packed(ring, f_mats), _packed(ring, pairings), pt.signature)
     assert made == pt
+    assert not hasattr(dieudonne, "mat_sigma")  # no tuple sigma to call
     door, inside = packed[: len(entries)], packed[len(entries):]
     assert [sum(a is e for a in door) for e in entries] == [1] * len(entries)
     assert sorted(inside) == sorted(mat_det(ring, mat) for mat in f_mats.values())
@@ -524,8 +525,8 @@ def test_fv_equals_p_both_orders():
             f_mat = mat_unpack(ring, pt.f_mats[emb])
             fv = mat_mul(ring, f_mat, mat_sigma(ring, v_matrix(pt, emb), 1))
             vf = mat_mul(ring, v_matrix(pt, emb), mat_sigma(ring, f_mat, ring.m - 1))
-            assert _close(ring, fv, p_id)
-            assert _close(ring, vf, p_id)
+            assert _close(ring, mat_pack(ring, fv), mat_pack(ring, p_id))
+            assert _close(ring, mat_pack(ring, vf), mat_pack(ring, p_id))
 
 
 def test_essential_composites_are_p_at_free_embeddings():
@@ -545,13 +546,13 @@ def test_essential_composites_are_p_at_free_embeddings():
             mv = essential_verschiebung_matrix(pt, emb, n)
             # F_es^n after V_es^n is multiplication by p
             comp = mat_mul(ring, mf, mat_sigma(ring, mv, n % ring.m))
-            assert _close(ring, comp, p_id)
+            assert _close(ring, mat_pack(ring, comp), mat_pack(ring, p_id))
             # and in the other order as well
             comp = mat_mul(ring, mv, mat_sigma(ring, mf, (ring.m - n) % ring.m))
-            assert _close(ring, comp, p_id)
+            assert _close(ring, mat_pack(ring, comp), mat_pack(ring, p_id))
             # each composite has a one-dimensional cokernel
-            assert elementary_divisors(ring, mf) == (0, 1)
-            assert elementary_divisors(ring, mv) == (0, 1)
+            assert elementary_divisors(ring, mat_pack(ring, mf)) == (0, 1)
+            assert elementary_divisors(ring, mat_pack(ring, mv)) == (0, 1)
 
 
 def _stepwise_image(pt, emb, n, start):
@@ -1191,7 +1192,8 @@ def test_long_composites_keep_n_minus_one_digits():
         strata_seen.add(stratum)
         for emb in pt.embeddings():
             if restrict(datum.places, emb) not in datum.s.s_infty:
-                assert elementary_divisors(ring, essential_frobenius_matrix(pt, emb, 7)) == (0, 1)
+                composite = mat_pack(ring, essential_frobenius_matrix(pt, emb, 7))
+                assert elementary_divisors(ring, composite) == (0, 1)
     # empty and nonempty strata, and both free places vanishing together
     assert len(strata_seen) == 4, strata_seen
 
@@ -1453,6 +1455,21 @@ def _without_one_h_line():
     return (lambda: reconstruct_lattices(*args)), f"missing Iwahori line at {dropped}"
 
 
+def _j_line_replaced_by(scale):
+    """A triple's one j-line replaced by p^scale D, D the standard lattice:
+    the walk from it rebuilds a c-lattice whose colength in D is wrong.  D
+    and pD are lines no point of the stratum has, since a j-line has
+    colength 1 in D."""
+    datum = _datum(2, True)
+    ring, pt = _template_point(datum, {0})
+    triple = build_isogeny_triple(pt, stratum_of_point(pt))
+    (anchor,) = triple.j_lines
+    assert anchor == pt.embeddings()[0] and triple.descriptor.case_at("p1") is CaseTag.A1
+    j_lines = {anchor: lattice_scale(standard_lattice(ring), scale)}
+    args = (triple.b_point, j_lines, triple.h_lines, triple.descriptor, triple.lift, triple.delta)
+    return (lambda: reconstruct_lattices(*args)), f"wrong rebuilt colength at {_emb_text(0, 1)}"
+
+
 def _essential_composite_at_zero(composite):
     datum = _datum(2, True)
     _, pt = _antidiag_point(datum)
@@ -1525,6 +1542,8 @@ def _point_record_whose_ring_lacks_p():
         (lambda: _essential_composite_at_zero(essential_frobenius_matrix), DieudonneError),
         (lambda: _essential_composite_at_zero(essential_verschiebung_matrix), DieudonneError),
         (_without_one_h_line, DieudonneError),
+        (lambda: _j_line_replaced_by(0), DieudonneError),
+        (lambda: _j_line_replaced_by(1), DieudonneError),
         (_div_p_of_a_non_multiple, witt.WittError),
         (_sum_over_two_rings, witt.WittError),
         (_uncovered_half_system, DieudonneError),
@@ -1537,6 +1556,8 @@ def _point_record_whose_ring_lacks_p():
         "frobenius_composite_n_0",
         "verschiebung_composite_n_0",
         "missing_iwahori_line",
+        "j_line_d_rebuilt_colength",
+        "j_line_pd_rebuilt_colength",
         "div_p_non_multiple",
         "lattice_sum_two_rings",
         "half_system_coverage",
@@ -1886,7 +1907,8 @@ def _old_close(ring, a, b, sign):
 def test_close_matches_the_valuation_rule(p, m, N):
     """_close against the valuation rule on seeded pairs b = sign (a + delta),
     with delta a multiple of p^budget, exactly p^budget or p^(budget - 1) at one
-    coefficient, or random; both sides carry negative or unreduced coefficients."""
+    coefficient, or random; both sides carry negative or unreduced coefficients,
+    which ``mat_pack`` reduces mod p^N before ``_close`` reads the packed slots."""
     ring = witt_ring(p, m, N)
     rng = random.Random(29000 * m + 10 * N + p)
     budget, pn = ring.budget, ring.pn
@@ -1910,7 +1932,7 @@ def test_close_matches_the_valuation_rule(p, m, N):
         ]
         a = [[[u - rng.randrange(2) * pn for u in x] for x in row] for row in a]
         as_mat = lambda rows: tuple(tuple(tuple(e) for e in row) for row in rows)  # noqa: E731
-        got = dieudonne._close(ring, as_mat(a), as_mat(b), sign)
+        got = dieudonne._close(ring, mat_pack(ring, as_mat(a)), mat_pack(ring, as_mat(b)), sign)
         assert got == _old_close(ring, as_mat(a), as_mat(b), sign)
         if budget > 0:
             assert got == all(d % p**budget == 0 for row in delta for x in row for d in x)

@@ -6,8 +6,9 @@ every exception class derives from ``GostrataError``, every ``Enum`` member is
 read by name, every defaulted parameter of a private function is passed by
 some call, every private attribute read on another object is defined in
 the reading module, a point is built only by ``make_point``, nothing
-calls ``dataclasses.replace``, and no product or sigma image is packed
-again by ``mat_pack``.
+calls ``dataclasses.replace``, no product or sigma image is packed
+again by ``mat_pack``, and ``dieudonne`` unpacks a matrix only at its
+output boundary.
 """
 
 from __future__ import annotations
@@ -278,11 +279,14 @@ def test_the_private_attribute_lint_sees_a_foreign_read():
 # constructor, is called nowhere
 DOORS = {"DieudonnePoint": {"make_point"}, "replace": set(), "dataclasses.replace": set()}
 
+# the names a door also sees through a module prefix, as dieudonne.DieudonnePoint
+PREFIXED = {"DieudonnePoint", "mat_unpack"}
 
-def _calls_outside_their_door(trees: dict[str, ast.Module]) -> list[str]:
-    """Each call in ``DOORS`` (``DieudonnePoint`` also by a module prefix)
-    made outside its functions, with the innermost enclosing function; a
-    method such as ``str.replace`` is not ``replace``."""
+
+def _calls_outside_their_door(trees: dict[str, ast.Module], doors: dict = DOORS) -> list[str]:
+    """Each call in ``doors`` (a name in ``PREFIXED`` also by a module
+    prefix) made outside its functions, with the innermost enclosing
+    function; a method such as ``str.replace`` is not ``replace``."""
     found = []
 
     def visit(module: str, node: ast.AST, function: str | None) -> None:
@@ -290,9 +294,9 @@ def _calls_outside_their_door(trees: dict[str, ast.Module]) -> list[str]:
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
             if isinstance(child, ast.Call):
                 callee = ast.unparse(child.func)
-                if callee.endswith(".DieudonnePoint"):
-                    callee = "DieudonnePoint"
-                if callee in DOORS and function not in DOORS[callee]:
+                if callee.split(".")[-1] in PREFIXED:
+                    callee = callee.split(".")[-1]
+                if callee in doors and function not in doors[callee]:
                     found.append(f"{module}:{child.lineno} {callee}() in {function}")
             visit(module, child, inner)
 
@@ -364,4 +368,42 @@ def test_the_repack_lint_sees_a_repack():
         "door.py:2 mat_pack(mat_sigma(...))",
         "door.py:3 mat_pack(W.mat_mul(...))",
         "door.py:4 mat_pack(packed_mul(...))",
+    ]
+
+
+# the functions of dieudonne that may unpack a packed matrix: its output
+# boundary (the JSON record, V, the public essential composites and omega)
+# and essential_frobenius_image, whose columns go into lattice_normalize
+UNPACK_DOORS = {
+    "mat_unpack": {
+        "_mat_to_json",
+        "v_matrix",
+        "essential_frobenius_matrix",
+        "essential_verschiebung_matrix",
+        "omega_lattice",
+        "essential_frobenius_image",
+    }
+}
+
+
+def test_dieudonne_unpacks_only_at_its_boundary():
+    """A point's matrices are packed, and the frame stage, ``make_point``
+    and the Hasse invariants read them packed; a ``mat_unpack`` anywhere
+    else in ``dieudonne`` is an unpack that the packed kernel replaces."""
+    found = _calls_outside_their_door({"dieudonne.py": TREES["dieudonne.py"]}, UNPACK_DOORS)
+    assert not found, found
+
+
+def test_the_unpack_lint_sees_an_unpack():
+    source = ast.parse(
+        "def v_matrix(pt, emb):\n    return mat_unpack(pt.ring, pt.f_mats[emb])\n"
+        "def _framed_f_mats(pt, emb):\n    return witt.mat_unpack(pt.ring, pt.f_mats[emb])\n"
+        "def hasse_vanishes(pt, emb):\n    def inner(x):\n        return mat_unpack(pt.ring, x)\n"
+        "    return inner, mat_pack(pt.ring, x)\n"
+        "ROWS = mat_unpack(RING, MAT)\n"
+    )
+    assert _calls_outside_their_door({"dieudonne.py": source}, UNPACK_DOORS) == [
+        "dieudonne.py:4 mat_unpack() in _framed_f_mats",
+        "dieudonne.py:7 mat_unpack() in inner",
+        "dieudonne.py:9 mat_unpack() in None",
     ]

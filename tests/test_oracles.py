@@ -163,9 +163,9 @@ def _unimodular(rng, ring):
 
 
 def _inverse(ring, mat):
-    d, inv = scaled_inverse(ring, mat)
+    d, inv = scaled_inverse(ring, mat_pack(ring, mat))
     assert d == 0
-    return inv
+    return mat_unpack(ring, inv)
 
 
 def _base_change(pt, rng):
@@ -236,14 +236,16 @@ def _v_based_compatible(ring, datum, f_mats, pairings, emb):
     V_c = sigma^-1(p F_c^-1) from the scaled inverse of F_c."""
     system = datum.places
     cemb, prev = conjugate(system, emb), frobenius_shift(system, emb, -1)
-    d, inverse = scaled_inverse(ring, f_mats[cemb])
+    d, inverse = scaled_inverse(ring, mat_pack(ring, f_mats[cemb]))
+    inverse = mat_unpack(ring, inverse)
     if d == 2:
         p_inverse = tuple(tuple(ring.div_p(e, 1) for e in row) for row in inverse)
     else:
         p_inverse = mat_smul(ring, ring.p ** (1 - d), inverse)
     v_mat = mat_sigma(ring, p_inverse, ring.m - 1)
     lhs = mat_mul(ring, mat_transpose(f_mats[emb]), pairings[emb])
-    return _close(ring, lhs, mat_sigma(ring, mat_mul(ring, pairings[prev], v_mat), 1))
+    rhs = mat_sigma(ring, mat_mul(ring, pairings[prev], v_mat), 1)
+    return _close(ring, mat_pack(ring, lhs), mat_pack(ring, rhs))
 
 
 def test_pairing_check_matches_the_check_through_v():

@@ -450,9 +450,10 @@ def _hermite_lattice(ring, shift, a, b, c):
 
 @pytest.mark.parametrize("p, m, N", [(2, 1, 8), (2, 2, 8), (3, 4, 8), (5, 3, 12), (7, 2, 16)])
 def test_hermite_product_matches_mat_mul(p, m, N):
-    """mat * sigma^n(basis) in closed form against mat_mul with mat_sigma, on
-    random lattices, b = 0, a + b near or past N, and c = 0 with a, b > 0,
-    for general and constant matrices."""
+    """mat * sigma^n(basis) in closed form, on packed operands, against
+    mat_mul with mat_sigma, on random lattices, b = 0, a + b near or past N,
+    and c = 0 with a, b > 0, for general and constant matrices; the packed
+    result unpacks to the reference, so its slots are reduced."""
     ring = witt_ring(p, m, N)
     rng = random.Random(13000 * m + N + p)
     top = ring.budget - 1
@@ -473,7 +474,8 @@ def test_hermite_product_matches_mat_mul(p, m, N):
         for mat in general + constant + [mat_identity(ring)]:
             for n in sorted({0, 1, m - 1, m, m + 1}):
                 expected = mat_mul(ring, mat, mat_sigma(ring, l.basis, n))
-                assert mat_times_sigma_basis(ring, mat, l, n) == expected, (l, n)
+                got = mat_times_sigma_basis(ring, mat_pack(ring, mat), l, n)
+                assert mat_unpack(ring, got) == expected, (l, n)
 
 
 def _frame_cases(rng, ring):
@@ -505,8 +507,9 @@ def _frame_operands(rng, ring):
 
 @pytest.mark.parametrize("p, m, N", KERNEL_CASES)
 def test_frame_times_matches_adjugate_product(p, m, N):
-    """(d, p^d basis^-1 X) from the coordinates against mat_mul(adj(basis), X),
-    and a PrecisionError once a + b >= N, where det(basis) is 0 mod p^N."""
+    """(d, p^d basis^-1 X) from the coordinates, on packed X, against
+    mat_mul(adj(basis), X), and a PrecisionError once a + b >= N, where
+    det(basis) is 0 mod p^N."""
     ring = witt_ring(p, m, N)
     rng = random.Random(17000 * m + 10 * N + p)
     raised = 0
@@ -514,29 +517,33 @@ def test_frame_times_matches_adjugate_product(p, m, N):
         for mat in _frame_operands(rng, ring):
             if l.a + l.b >= N:
                 with pytest.raises(PrecisionError, match="indistinguishable from zero"):
-                    frame_times(l, mat)
+                    frame_times(l, mat_pack(ring, mat))
                 raised += 1
                 continue
             expected = mat_mul(ring, mat_adjugate(ring, l.basis), mat)
-            assert frame_times(l, mat) == (l.a + l.b, expected), (l, mat)
+            d, got = frame_times(l, mat_pack(ring, mat))
+            assert (d, mat_unpack(ring, got)) == (l.a + l.b, expected), (l, mat)
     assert raised == 3 * 2 * 4  # three (a, b) past N, two c, four operands
 
 
 @pytest.mark.parametrize("p, m, N", KERNEL_CASES)
 def test_basis_transpose_product_matches_mat_mul(p, m, N):
-    """basis^T X from the coordinates against mat_mul(basis^T, X), at every
-    a + b: the product needs no inverse."""
+    """basis^T X from the coordinates, on packed X, against
+    mat_mul(basis^T, X), at every a + b: the product needs no inverse."""
     ring = witt_ring(p, m, N)
     rng = random.Random(19000 * m + 10 * N + p)
     for l in _frame_cases(rng, ring):
         for mat in _frame_operands(rng, ring):
             expected = mat_mul(ring, mat_transpose(l.basis), mat)
-            assert basis_transpose_times(l, mat) == expected, (l, mat)
+            got = basis_transpose_times(l, mat_pack(ring, mat))
+            assert mat_unpack(ring, got) == expected, (l, mat)
 
 
 def test_frame_products_with_c_zero_form_no_ring_product(monkeypatch):
-    """With c = 0 the three frame products are scalings by p^a and p^b: no
-    ``mul`` and no sigma, and the same matrices as the naive products."""
+    """With c = 0 the three frame products, on packed operands, are scalings
+    by p^a and p^b: no ``mul``, no sigma (neither ``frobenius`` nor a sigma
+    table) and no fold of a product, and the same matrices as the naive
+    products."""
     ring = witt_ring(3, 4, 8)
     rng = random.Random(2121)
     cases = []
@@ -556,12 +563,16 @@ def test_frame_products_with_c_zero_form_no_ring_product(monkeypatch):
         raise AssertionError("a product by c = 0")
 
     monkeypatch.setattr(type(ring), "mul", refuse)
+    monkeypatch.setattr(type(ring), "_sigma_table", refuse)
     monkeypatch.setitem(mat_times_sigma_basis.__globals__, "frobenius", refuse)
+    monkeypatch.setitem(mat_times_sigma_basis.__globals__, "packed_fold", refuse)
     for l, mat, (times, adjugate, transpose) in cases:
+        packed = mat_pack(ring, mat)
         for n in (0, 1, ring.m - 1):
-            assert mat_times_sigma_basis(ring, mat, l, n) == times
-        assert frame_times(l, mat) == (l.a + l.b, adjugate)
-        assert basis_transpose_times(l, mat) == transpose
+            assert mat_unpack(ring, mat_times_sigma_basis(ring, packed, l, n)) == times
+        d, framed = frame_times(l, packed)
+        assert (d, mat_unpack(ring, framed)) == (l.a + l.b, adjugate)
+        assert mat_unpack(ring, basis_transpose_times(l, packed)) == transpose
 
 
 def _assert_reduced(ring, e):
@@ -708,17 +719,48 @@ def test_frobenius_reads_the_table_sum_without_a_fold(p, m, N):
         assert image == a
 
 
+def _repack_by_slots(ring, x, q):
+    """The m low slots of x, each reduced mod q, one slot at a time: the
+    reference for ``_repack``."""
+    return sum((x >> s & ring._mask) % q << s for s in ring._shifts)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_repack_at_p_2_matches_the_slot_loop(m):
+    """For p = 2, ``_repack`` is one AND with q - 1 in every low slot.  It
+    gives the slot loop's packed int for q in {2, 2^budget, 2^N} on folded
+    sums of products, whose slots m to 2m - 2 still hold what the fold read
+    and which the AND must drop."""
+    rng = random.Random(3100 + m)
+    for N in (5, 8, 16):
+        ring = witt_ring(2, m, N)
+        mask, pn, junk = ring._mask, ring.pn, 0
+        for _ in range(12):
+            a, b, c, d = (ring._pack(_rand_elem(rng, ring)) for _ in range(4))
+            x = a * b + (ring._pn_packed - c) * d
+            for s, row in ring._reduce:  # the fold of ``packed_fold``, before its repack
+                x += (x >> s & mask) % pn * row
+            junk += x >> ring._width * m > 0
+            for q in (2, 2**ring.budget, pn):
+                assert ring._repack(x, q) == _repack_by_slots(ring, x, q), (N, q)
+        assert junk > 0 or m == 1
+
+
 # --- elementary divisors ------------------------------------------------------
 
 
 def test_elementary_divisor_examples():
     ring = witt_ring(3, 2, 8)
-    assert elementary_divisors(ring, mat_identity(ring)) == (0, 0)
-    assert elementary_divisors(ring, mat2(ring, [[1, 0], [0, 3]])) == (0, 1)
-    assert elementary_divisors(ring, mat2(ring, [[0, 1], [3, 0]])) == (0, 1)
+
+    def divisors(rows):
+        return elementary_divisors(ring, mat_pack(ring, mat2(ring, rows)))
+
+    assert divisors([[1, 0], [0, 1]]) == (0, 0)
+    assert divisors([[1, 0], [0, 3]]) == (0, 1)
+    assert divisors([[0, 1], [3, 0]]) == (0, 1)
     big = ring.p**ring.budget
-    assert elementary_divisors(ring, mat2(ring, [[big, 0], [0, big]])) is NOT_SPLIT
-    assert elementary_divisors(ring, mat2(ring, [[1, 0], [0, 0]])) is NOT_SPLIT
+    assert divisors([[big, 0], [0, big]]) is NOT_SPLIT
+    assert divisors([[1, 0], [0, 0]]) is NOT_SPLIT
 
 
 def test_elementary_divisors_unimodular_invariant():
@@ -732,9 +774,10 @@ def test_elementary_divisors_unimodular_invariant():
                 [0, ring.p ** rng.randrange(3)],
             ],
         )
-        divisors = elementary_divisors(ring, mat)
+        divisors = elementary_divisors(ring, mat_pack(ring, mat))
         u, v = _rand_unimodular(rng, ring), _rand_unimodular(rng, ring)
-        assert elementary_divisors(ring, mat_mul(ring, u, mat_mul(ring, mat, v))) == divisors
+        moved = mat_mul(ring, u, mat_mul(ring, mat, v))
+        assert elementary_divisors(ring, mat_pack(ring, moved)) == divisors
 
 
 # --- lattices -----------------------------------------------------------------
@@ -809,14 +852,16 @@ def test_hermite_paths_match_general_path(p, m):
     lattices = list(_hermite_lattices(rng, ring, 12))
     answers = set()
     for outer in lattices:
-        d, change = scaled_inverse(ring, outer.basis)
+        d, change = scaled_inverse(ring, mat_pack(ring, outer.basis))
         for inner in lattices:
             for k in range(3):
                 shifted = lattice_scale(inner, k)
-                image = mat_mul(ring, change, shifted.basis)
-                assert frame_times(outer, shifted.basis) == (d, image)
+                image = mat_mul(ring, mat_unpack(ring, change), shifted.basis)
+                framed = frame_times(outer, mat_pack(ring, shifted.basis))
+                assert (framed[0], mat_unpack(ring, framed[1])) == (d, image)
                 got = lattice_contains(outer, shifted)
-                assert got == (mat_val(ring, image) >= d - (shifted.shift - outer.shift))
+                least = mat_val(ring, mat_pack(ring, image))
+                assert got == (least >= d - (shifted.shift - outer.shift))
                 answers.add(got)
                 assert lattice_in_frame(ring, outer, shifted) == _span(
                     ring, shifted.shift - outer.shift - d, image
@@ -936,9 +981,9 @@ def test_hermite_frame_beyond_precision_raises_like_general_path():
     assert (h.a, h.b) == (7, 10) and h.basis == mat2(ring, [[3**7, 0], [1, 3**10]])
     std = standard_lattice(ring)
     with pytest.raises(WittError):
-        scaled_inverse(ring, h.basis)
+        scaled_inverse(ring, mat_pack(ring, h.basis))
     with pytest.raises(WittError):
-        frame_times(h, mat_identity(ring))
+        frame_times(h, mat_pack(ring, mat_identity(ring)))
     with pytest.raises(WittError):
         lattice_contains(h, std)
     with pytest.raises(WittError):
@@ -977,10 +1022,10 @@ def test_frame_beyond_precision_is_a_precision_error():
     h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
     std = standard_lattice(ring)
     for call in (
-        lambda: frame_times(h, mat_identity(ring)),
+        lambda: frame_times(h, mat_pack(ring, mat_identity(ring))),
         lambda: lattice_contains(h, std),
         lambda: lattice_in_frame(ring, h, std),
-        lambda: scaled_inverse(ring, mat2(ring, [[3**7, 0], [1, 3**10]])),
+        lambda: scaled_inverse(ring, mat_pack(ring, mat2(ring, [[3**7, 0], [1, 3**10]]))),
     ):
         with pytest.raises(PrecisionError, match="indistinguishable from zero"):
             call()
@@ -1021,7 +1066,7 @@ def test_lattice_colength():
 def test_lattice_dual_examples():
     ring = witt_ring(3, 2, 8)
     rng = random.Random(41)
-    pairing = _rand_unimodular(rng, ring)
+    pairing = mat_pack(ring, _rand_unimodular(rng, ring))
     std = standard_lattice(ring)
     assert lattice_dual(std, pairing) == std
     l = _rand_lattice(rng, ring)
@@ -1030,7 +1075,7 @@ def test_lattice_dual_examples():
 
 def test_lattice_dual_antidiagonal():
     ring = witt_ring(3, 2, 8)
-    pairing = mat2(ring, [[0, 1], [ring.pn - 1, 0]])  # antidiag(1, -1)
+    pairing = mat_pack(ring, mat2(ring, [[0, 1], [ring.pn - 1, 0]]))  # antidiag(1, -1)
     sub = _span(ring, 0, mat2(ring, [[1, 0], [0, 3]]))
     dual = lattice_dual(sub, pairing)
     # dual of <e1, p e2> is <p^{-1} e1, e2> under a unimodular pairing
@@ -1044,10 +1089,10 @@ def test_degenerate_pairing_dual_is_a_precision_error():
     # each determinant is 0 mod 3^N = 3^8, so the ring cannot tell it from zero
     for rows in ([[0, 0], [0, 0]], [[1, 0], [0, 3**8]], [[3**4, 0], [0, 3**4]]):
         with pytest.raises(PrecisionError, match="indistinguishable from zero") as info:
-            lattice_dual(std, mat2(ring, rows))
+            lattice_dual(std, mat_pack(ring, mat2(ring, rows)))
         assert isinstance(info.value, WittError)
     # a determinant inside the budget still gives the exact dual
-    assert lattice_dual(std, mat2(ring, [[1, 0], [0, 3**3]])) == _span(
+    assert lattice_dual(std, mat_pack(ring, mat2(ring, [[1, 0], [0, 3**3]]))) == _span(
         ring, -3, mat2(ring, [[3**3, 0], [0, 1]])
     )
 
@@ -1058,7 +1103,7 @@ def test_lattice_double_dual():
         ring = witt_ring(p, 2, 8)
         # alternating pairings, as used by the polarization data
         unit = next(a for a in iter(lambda: _rand_elem(rng, ring), None) if ring.val(a) == 0)
-        pairing = ((ring.zero(), unit), (ring.neg(unit), ring.zero()))
+        pairing = mat_pack(ring, ((ring.zero(), unit), (ring.neg(unit), ring.zero())))
         for _ in range(15):
             l = _rand_lattice(rng, ring)
             assert lattice_dual(lattice_dual(l, pairing), pairing) == l
@@ -1071,13 +1116,13 @@ def test_lattice_dual_takes_no_inverse_of_its_own(monkeypatch):
     pools = []
     rng = random.Random(41)
     ring = witt_ring(3, 2, 8)
-    pairing = _rand_unimodular(rng, ring)
+    pairing = mat_pack(ring, _rand_unimodular(rng, ring))
     pools.append((pairing, [standard_lattice(ring), _rand_lattice(rng, ring)]))
     rng = random.Random(55)
     for p in (2, 3, 5):
         ring = witt_ring(p, 2, 8)
         unit = next(a for a in iter(lambda: _rand_elem(rng, ring), None) if ring.val(a) == 0)
-        pairing = ((ring.zero(), unit), (ring.neg(unit), ring.zero()))
+        pairing = mat_pack(ring, ((ring.zero(), unit), (ring.neg(unit), ring.zero())))
         pools.append((pairing, [_rand_lattice(rng, ring) for _ in range(15)]))
     calls = dict.fromkeys(("lattice_normalize", "inv"), 0)
     inside = []
@@ -1110,11 +1155,11 @@ def test_lattice_dual_takes_no_inverse_of_its_own(monkeypatch):
 
 
 def _dual_by_inverse(l, pairing):
-    """``lattice_dual`` through p^d M^-1 with a unit inverse: the reference
-    for the adjugate span."""
+    """``lattice_dual`` through p^d M^-1 with a unit inverse, for a packed
+    pairing: the reference for the adjugate span."""
     ring = l.ring
-    d, basis = scaled_inverse(ring, basis_transpose_times(l, mat_transpose(pairing)))
-    return lattice_normalize(ring, -l.shift - d, mat_columns(basis))
+    d, basis = scaled_inverse(ring, basis_transpose_times(l, packed_transpose(pairing)))
+    return lattice_normalize(ring, -l.shift - d, mat_columns(mat_unpack(ring, basis)))
 
 
 DUAL_MESSAGES = {
@@ -1145,7 +1190,7 @@ def test_lattice_dual_matches_the_inverse_path(p, m, N, kinds):
     rng = random.Random(2200 + 100 * p + 10 * m + N)
     lattices = _frame_pool(rng, ring, 16)
     pairings = [
-        mat_mul(ring, _rand_unimodular(rng, ring), mat2(ring, [[p**i, 0], [0, p**j]]))
+        mat_pack(ring, mat_mul(ring, _rand_unimodular(rng, ring), mat2(ring, [[p**i, 0], [0, p**j]])))
         for i, j in ((0, 0), (1, 0), (0, 2), *((rng.randrange(N + 1), rng.randrange(N + 1)) for _ in range(5)))
     ]
     outcomes = {}
