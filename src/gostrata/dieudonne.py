@@ -253,9 +253,8 @@ def make_point(
 
 def _packed_v(pt: DieudonnePoint, emb: EmbE) -> Packed2:
     """V at ``emb``, packed: sigma^-1(p^(1-d) adj(F) / u) for det F = p^d u."""
-    ring = pt.ring
-    d, inverse = scaled_inverse(ring, pt.f_mats[emb])
-    return packed_sigma(ring, packed_shift(ring, inverse, 1 - d), ring.m - 1)
+    d, inverse = scaled_inverse(pt.ring, pt.f_mats[emb])
+    return packed_sigma(pt.ring, packed_shift(pt.ring, inverse, 1 - d), pt.ring.m - 1)
 
 
 def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
@@ -440,8 +439,7 @@ def _frame_point(
     pairings = {}
     for emb in pt.embeddings():
         frame, conj = frames[emb], frames[conjugate(system, emb)]
-        pairing = mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0)
-        out = basis_transpose_times(frame, pairing)
+        out = basis_transpose_times(frame, mat_times_sigma_basis(ring, pt.pairings[emb], conj, 0))
         pairings[emb] = packed_shift(ring, out, frame.shift + conj.shift)
     return make_point(ring, datum, f_mats, pairings, expected)
 
@@ -479,8 +477,7 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
             if key not in framed and lattice == prev == std:
                 framed[key] = pt.f_mats[emb]
             elif key not in framed:
-                image = mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1)
-                d, product = frame_times(lattice, image)
+                d, product = frame_times(lattice, mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1))
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
                 v2 = d + 2 - pt.signature[behind] + prev.a + prev.b - v1

@@ -498,8 +498,12 @@ def frobenius(ring: WittRing, a: WElem, k: int = 1) -> WElem:
 
 def mat2(ring: WittRing, entries) -> Mat2:
     """Build a matrix from a 2x2 array of integers or ring elements."""
-    return tuple(tuple(e if isinstance(e, tuple) else ring.from_int(e) for e in row)
-                 for row in entries)
+    rows = []
+    for row in entries:
+        rows.append(
+            tuple(e if isinstance(e, tuple) else ring.from_int(e) for e in row)
+        )
+    return tuple(rows)
 
 
 def mat_identity(ring: WittRing) -> Mat2:
@@ -583,8 +587,8 @@ def packed_shift(ring: WittRing, a: Packed2, k: int) -> Packed2:
     exactly; otherwise it raises as ``div_p`` does."""
     if k >= 0:
         return a if k == 0 else tuple([_scaled(ring, x, ring.p**k % ring.pn) for x in a])
-    mask, q = ring._mask, ring.p**-k
-    if any((x >> s & mask) % q for x in a for s in ring._shifts):
+    q = ring.p**-k
+    if any(ring._repack(x, q) for x in a):
         raise WittError("element not divisible by the requested power of p")
     return tuple([x // q for x in a])
 
