@@ -463,9 +463,11 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
     packed, with no framing.  Elsewhere F is framed packed, by the frame
     helpers of ``witt``: v1 is the packed ``mat_val`` of P, and M is
     ``packed_shift`` of P, exact for negative k once v1 + k >= 0.
-    ``framed`` keeps the matrix of each (emb, lattice, lattice behind) triple
-    that passed, so a caller that checks several families with one dict frames
-    a triple once and a failure keeps the label of the first family."""
+    ``framed`` maps each embedding to the lattice, the lattice behind and the
+    framed F of the last triple that passed there, so a caller that checks
+    several families with one dict frames a triple once where a later family
+    keeps both lattices, with no lattice hashed; a failure keeps the label of
+    the first family."""
     ring, system = pt.ring, pt.datum.places
     std = standard_lattice(ring)
     for label, lattices in families:
@@ -473,10 +475,12 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
         for emb, lattice in lattices.items():
             behind = frobenius_shift(system, emb, -1)
             prev = lattices[behind]
-            key = (emb, lattice, prev)
-            if key not in framed and lattice == prev == std:
-                framed[key] = pt.f_mats[emb]
-            elif key not in framed:
+            pair, entry = (lattice, prev), framed.get(emb)
+            if entry is not None and entry[0] == pair:
+                mat = entry[1]
+            elif lattice == prev == std:
+                mat = pt.f_mats[emb]
+            else:
                 d, product = frame_times(lattice, mat_times_sigma_basis(ring, pt.f_mats[emb], prev, 1))
                 k = prev.shift - lattice.shift - d
                 v1 = mat_val(ring, product)
@@ -489,8 +493,9 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
                     raise DieudonneError(f"{label} is not F-stable at {emb}")
                 if v2 + k > 1:
                     raise DieudonneError(f"{label} is not V-stable at {emb}")
-                framed[key] = packed_shift(ring, product, k)
-            f_mats[emb] = framed[key]
+                mat = packed_shift(ring, product, k)
+            framed[emb] = pair, mat
+            f_mats[emb] = mat
     return f_mats
 
 
@@ -524,7 +529,7 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
     lift = lift_assignment(datum, descriptor, s_lift=zeros)
     delta = delta_sets(datum, descriptor, lift)
 
-    a_lat = {emb: standard_lattice(ring) for emb in pt.embeddings()}
+    a_lat = dict.fromkeys(pt.embeddings(), standard_lattice(ring))
     c_lat = dict(a_lat)
     c_lat.update((emb, lattice_scale(image, -1)) for emb, image in _walk(pt, delta.plus, a_lat))
     b_lat = dict(c_lat)

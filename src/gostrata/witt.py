@@ -30,7 +30,9 @@ matrices in ``dieudonne``: one int per entry is canonical, so ``==`` and
 each coefficient, and ``mat_unpack`` reads the slots back.  A packed sum of
 products becomes a packed element again through ``packed_fold``: the fold
 above, then each of the m slots reduced mod p^N, or mod a smaller power q of
-p, which gives the residues mod q that a comparison reads.  For p = 2 every
+p, which gives the residues mod q that a comparison reads.  A sum with
+nothing above slot m - 1 (a sum of reduced elements, a product by a
+constant) skips the fold, one comparison with 2^(k m).  For p = 2 every
 such q is a power of 2, and the m reductions are one AND with q - 1 in every
 low slot, which also drops the slots above them that the fold leaves.
 ``packed_mul`` builds each entry of a product as a two-term sum of packed
@@ -89,7 +91,10 @@ its entries, with no unit inverse and no ``lattice_normalize``.  The index
 valuation is 2 shift + a + b, capped at N.  Once a + b >= N (possible for
 N >= 10) det(basis) is zero mod p^N, and ``frame_times``, ``lattice_contains``
 and ``lattice_in_frame`` raise ``PrecisionError`` on that frame.
-``lattice_colength`` of a lattice in itself is 0 with no frame.
+A lattice contains itself, and its ``lattice_colength`` in itself is 0,
+with no frame, whatever its a + b; in its own frame it is the standard
+lattice, returned with no product once a + b < N and the budget is
+positive, which is what the product gives there.
 ``lattice_dual`` spans the columns of the adjugate of basis^T pairing^T,
 which is p^d times its inverse up to a unit, so it inverts no unit either;
 it takes a packed pairing and unpacks basis^T pairing^T once, for those
@@ -286,6 +291,7 @@ class WittRing:
     _mask: int = field(init=False, repr=False, compare=False)
     _ones: int = field(init=False, repr=False, compare=False)
     _pn_packed: int = field(init=False, repr=False, compare=False)
+    _high: int = field(init=False, repr=False, compare=False)
     _shifts: tuple = field(init=False, repr=False, compare=False)
     _reduce: tuple = field(init=False, repr=False, compare=False)
     _zeros: tuple = field(init=False, repr=False, compare=False)
@@ -301,6 +307,7 @@ class WittRing:
         object.__setattr__(self, "_shifts", tuple(range(0, k * m, k)))
         object.__setattr__(self, "_ones", sum(1 << s for s in self._shifts))
         object.__setattr__(self, "_pn_packed", pn * self._ones)
+        object.__setattr__(self, "_high", 1 << k * m)  # the least int with a slot above m - 1
         # rows x^m, ..., x^(2m-2) reduced modulo the monic modulus
         row = tuple(-c % pn for c in self.modulus[:-1])
         rows = []
@@ -531,13 +538,16 @@ def packed_fold(ring: WittRing, x: int, q: int | None = None) -> int:
     to 2m - 2 folded back through the reduction rows, then each of the m
     slots reduced mod q, by default p^N.  q divides p^N, so the slots are
     the residues mod q of the element.  A sum with nothing above slot 0 is a
-    constant and skips the fold."""
+    constant and skips the fold; one with nothing above slot m - 1, such as
+    a sum of reduced elements or a product by a constant, is only repacked,
+    since each fold step would add 0."""
     pn, mask = ring.pn, ring._mask
     q = q or pn
     if x <= mask:
         return x % q
-    for s, row in ring._reduce:
-        x += (x >> s & mask) % pn * row
+    if x >= ring._high:
+        for s, row in ring._reduce:
+            x += (x >> s & mask) % pn * row
     return ring._repack(x, q)
 
 
@@ -819,6 +829,11 @@ def _adjugate_product(outer: Lattice2, inner: Lattice2) -> tuple[int, int, WElem
 
 
 def lattice_contains(outer: Lattice2, inner: Lattice2) -> bool:
+    """Whether ``outer`` contains ``inner``: True for a lattice in itself
+    with no frame, else read off the frame of ``outer``, which raises
+    ``PrecisionError`` once its a + b reaches N."""
+    if outer == inner:
+        return True
     d, top, cross, bottom = _adjugate_product(outer, inner)
     return min(top, bottom, outer.ring.val(cross)) >= d - (inner.shift - outer.shift)
 
@@ -831,16 +846,20 @@ def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Latt
     out, vmin = min(top, bottom, val(cross)), leaving a = top - vmin,
     b = bottom - vmin and c = cross / p^vmin mod p^b.  It raises where
     ``lattice_normalize`` would on those two columns: a top or bottom at N or
-    more is zero mod p^N, so its exponent cannot be known."""
+    more is zero mod p^N, so its exponent cannot be known.  A lattice in its
+    own frame is the standard lattice, which that path gives once the frame
+    passes its checks (a + b < N, a positive budget), so it is returned with
+    no product."""
+    if frame == lattice and frame.a + frame.b < ring.N and ring.budget > 0:
+        return standard_lattice(ring)
     d, top, cross, bottom = _adjugate_product(frame, lattice)
-    N = ring.N
     if ring.budget <= 0:
         raise PrecisionError("precision budget exhausted")
     vmin = min(top, bottom, ring.val(cross))
-    if vmin >= N:
-        raise PrecisionError(f"precision N = {N} cannot tell the lattice generators from zero")
+    if vmin >= ring.N:
+        raise PrecisionError(f"precision N = {ring.N} cannot tell the lattice generators from zero")
     a, b = top - vmin, bottom - vmin
-    if max(top, bottom) >= N or max(a, b) >= ring.budget:
+    if max(top, bottom) >= ring.N or max(a, b) >= ring.budget:
         raise PrecisionError("precision budget exhausted")
     q, pb = ring.p**vmin, ring.p**b
     c = tuple([e // q % pb for e in cross])

@@ -1089,6 +1089,122 @@ def test_roundtrip_frames_each_triple_once_per_direction(monkeypatch):
     assert back.f_mats == f_mats
 
 
+HASH_SHAPES = [  # (f, split, S_infty indices), every place of the prime vanishing
+    (2, True, ()), (3, True, ()), (3, True, (0,)), (2, False, ()), (3, False, ()), (2, False, (1,)),
+]
+
+
+def test_roundtrip_hashes_no_lattice(monkeypatch):
+    """The frame stage keys its framed F by embedding, so a roundtrip hashes
+    no ``Lattice2``: over every T in the stratum of template points at
+    p in {2, 3, 5}, split and inert, S_infty empty and not, A1, A2, B1 and B2
+    targets among them."""
+    hashes, cases = [], set()
+
+    def counted(self, _inner=Lattice2.__hash__):
+        hashes.append(self)
+        return _inner(self)
+
+    for p, (f, split, s_indices) in itertools.product((2, 3, 5), HASH_SHAPES):
+        datum = _datum(f, split, s_indices)
+        free = {k for k in range(f) if k not in s_indices}
+        _, pt = _template_point(datum, free, p)
+        stratum = sorted(stratum_of_point(pt))
+        for size in range(len(stratum) + 1):
+            for t in map(frozenset, itertools.combinations(stratum, size)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(Lattice2, "__hash__", counted)
+                    try:
+                        back = verify_roundtrip(pt, t)
+                    except strata.StratumError:  # the documented refusal of a split B2 target
+                        assert split and t == {ArchPlace("p1", k) for k in free}
+                        continue
+                assert back.signature == pt.signature
+                assert not hashes, (p, f, split, s_indices, t)
+                cases.add(stratum_descriptor(datum, t).case_at("p1"))
+    assert {CaseTag.A1, CaseTag.A2, CaseTag.B1, CaseTag.B2} <= cases
+
+
+@pytest.mark.parametrize("f, split, s_indices", [(2, True, ()), (3, False, (1,)), (4, True, (0,))])
+def test_empty_roundtrip_frames_nothing(monkeypatch, f, split, s_indices):
+    """For T = empty every family is D, a lattice in its own frame is D and
+    one in itself has colength 0, so the roundtrip forms no frame product,
+    takes no adjugate product and builds no point: it returns the point."""
+    datum = _datum(f, split, s_indices)
+    _, template = _template_point(datum, {k for k in range(f) if k not in s_indices})
+    drawn = random_point(random.Random(40 + f), ring_for_datum(datum, 5, 8), datum)
+    calls = []
+
+    def refused(name):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return wrapped
+
+    monkeypatch.setattr(witt, "_adjugate_product", refused("_adjugate_product"))
+    for name in ("frame_times", "mat_times_sigma_basis", "make_point"):
+        monkeypatch.setattr(dieudonne, name, refused(name))
+    for pt in (template, drawn):
+        assert verify_roundtrip(pt, frozenset()) is pt
+    assert not calls
+
+
+def test_shared_framed_dict_reuses_a_triple_only_where_both_lattices_match(monkeypatch):
+    """A dict shared between calls, as ``reconstruct_lattices`` shares it,
+    holds the last triple that passed at each embedding.  A family whose
+    lattices equal the stored ones, as new objects, frames nothing and gets
+    the same F; one that differs at an embedding or behind it frames that
+    embedding anew, and gets the F of a fresh dict; and a lattice behind an
+    unchanged one that fails V-stability is found though the embedding's
+    own lattice is as stored."""
+    datum = _datum(4, True)
+    _, pt = _template_point(datum, {1})
+    system = datum.places
+    triple = build_isogeny_triple(pt, frozenset([ArchPlace("p1", 0)]))
+    frames = []
+
+    def counted(lattice, mat, _inner=dieudonne.frame_times):
+        frames.append(lattice)
+        return _inner(lattice, mat)
+
+    monkeypatch.setattr(dieudonne, "frame_times", counted)
+
+    def pairs(family):
+        return {emb: (family[emb], family[frobenius_shift(system, emb, -1)]) for emb in family}
+
+    std = standard_lattice(pt.ring)
+    shared: dict = {}
+    stored, counts = {}, []
+    for family in (dict(triple.c), dict(triple.b), dict(triple.c), dict(triple.b)):
+        fresh = _framed_f_mats(pt, [("a family", family)], {})
+        new = pairs(family)
+        changed = [e for e, pair in new.items() if stored.get(e) != pair and pair != (std, std)]
+        frames.clear()
+        assert _framed_f_mats(pt, [("a family", family)], shared) == fresh
+        assert len(frames) == len(changed), changed
+        counts.append(len(frames))
+        copies = {emb: Lattice2(l.ring, l.shift, l.a, l.b, l.c) for emb, l in family.items()}
+        frames.clear()
+        assert _framed_f_mats(pt, [("a family", copies)], shared) == fresh
+        assert not frames
+        stored = new
+    # b differs from c at two embeddings where c is D behind D, which takes F
+    # as it is; going back to b frames those two again, as only c is stored
+    assert counts == [2, 2, 0, 2]
+
+    ring, diag = _diag_point(datum)
+    first = diag.embeddings()[0]
+    good = dict.fromkeys(diag.embeddings(), standard_lattice(ring))
+    bad = {**good, first: essential_frobenius_image(diag, first, 1, good[first])}
+    shared = {}
+    _framed_f_mats(diag, [("the good family", good)], shared)
+    nxt = frobenius_shift(datum.places, first, 1)
+    assert _stability_message(diag, [("the b-family", bad)], shared) == (
+        f"the b-family is not V-stable at {nxt}"
+    )
+
+
 @pytest.mark.parametrize(
     "f, split, vanish", [(4, True, {1, 2, 3}), (3, True, {0, 1}), (3, False, {0, 1})]
 )

@@ -746,6 +746,54 @@ def test_repack_at_p_2_matches_the_slot_loop(m):
         assert junk > 0 or m == 1
 
 
+def _fold_then_repack(ring, x, q):
+    """A packed sum folded through every reduction row, whatever lies above
+    slot m - 1, then repacked: the reference for ``packed_fold``."""
+    if x <= ring._mask:
+        return x % q
+    for s, row in ring._reduce:
+        x += (x >> s & ring._mask) % ring.pn * row
+    return ring._repack(x, q)
+
+
+class _NoRows:
+    def __iter__(self):
+        raise AssertionError("a sum with nothing above slot m - 1 was folded")
+
+
+@pytest.mark.parametrize("p, m, N", EXTREME_RINGS)
+def test_packed_fold_folds_only_what_lies_above_slot_m(p, m, N):
+    """``packed_fold`` matches fold-then-repack mod p^N and mod smaller
+    powers of p, on sums with slots above m - 1 (products and two-term sums
+    of products, negated operands among them) and on sums without (sums of
+    two reduced elements, products by constants, integer scalings), at the
+    slot-width edge too.  The second kind reads no reduction row: on a copy
+    of the ring whose rows refuse to be read, it still gives the same ints."""
+    ring = witt_ring(p, m, N)
+    rowless = witt.WittRing(p, m, N, ring.modulus, ring.frob_image)
+    object.__setattr__(rowless, "_reduce", _NoRows())
+    rng = random.Random(3300 * m + N)
+    pack = ring._pack
+    top = pack([ring.pn - 1] * m)
+    elems = [0, top] + [pack(_rand_elem(rng, ring)) for _ in range(3)]
+    consts = [pack(ring.from_int(k)) for k in (1, p, ring.pn - 1)]
+    qs, bound = (p, p ** (N // 2), ring.pn), 1 << ring._width * m  # bound: a slot above m - 1
+    high = low = 0
+    for x, y in itertools.product(elems, repeat=2):
+        above = [x * y, x * y + (ring._pn_packed - y) * top, (ring._pn_packed - x) * y]
+        below = [x + y, (ring._pn_packed - x) + y] + [c * x for c in consts] + [p * x, (ring.pn - 1) * y]
+        for s in above + below:
+            for q in qs:
+                assert packed_fold(ring, s, q) == _fold_then_repack(ring, s, q), (s, q)
+        for s in below:
+            assert s < bound
+            low += s > ring._mask
+            for q in qs:
+                assert packed_fold(rowless, s, q) == _fold_then_repack(ring, s, q), (s, q)
+        high += sum(s >= bound for s in above)
+    assert (high and low) or m == 1
+
+
 # --- elementary divisors ------------------------------------------------------
 
 
@@ -1029,6 +1077,48 @@ def test_frame_beyond_precision_is_a_precision_error():
     ):
         with pytest.raises(PrecisionError, match="indistinguishable from zero"):
             call()
+
+
+def test_a_lattice_contains_itself_with_no_frame(monkeypatch):
+    """A lattice contains itself, also past its frame's precision: H(7, 10, c)
+    at p = 3, N = 16 has a + b >= N, so its frame raises (above), but
+    ``lattice_contains`` and ``lattice_colength`` of it in itself, or in an
+    equal copy, answer with no frame.  ``lattice_in_frame`` of it in itself
+    still raises: the frame is the coordinates of its result."""
+    ring = witt_ring(3, 2, 16)
+    h = _span(ring, 0, mat2(ring, [[3**7, 0], [1, 3**10]]))
+    copy = Lattice2(ring, h.shift, h.a, h.b, tuple(h.c))
+    assert h.a + h.b >= ring.N and copy is not h
+    with monkeypatch.context() as patch:
+        patch.setattr(witt, "_adjugate_product", None)  # any frame would fail
+        assert lattice_contains(h, h) and lattice_contains(h, copy)
+        assert lattice_colength(copy, h) == 0
+    with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+        lattice_in_frame(ring, h, copy)
+
+
+def test_a_lattice_in_its_own_frame_is_standard_with_no_product(monkeypatch):
+    """``lattice_in_frame`` of a lattice in its own frame, or in an equal
+    copy, is D with no adjugate product when its a + b < N and the budget
+    is positive: the lattice the product gives there, which
+    ``test_lattice_in_frame_matches_the_normalize_path`` checks.  On a ring
+    with no budget it raises as before."""
+    rng = random.Random(3207)
+    for p, m, N in ((3, 2, 8), (2, 3, 12), (5, 1, 10)):
+        ring = witt_ring(p, m, N)
+        lattices = [_rand_lattice(rng, ring) for _ in range(6)]
+        lattices.append(Lattice2(ring, -2, N - 4, 3, ring.from_int(1)))  # a + b = N - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(witt, "_adjugate_product", None)
+            for l in lattices:
+                assert lattice_in_frame(ring, l, Lattice2(ring, l.shift, l.a, l.b, l.c)) == (
+                    standard_lattice(ring)
+                )
+    for N in (3, 4):
+        ring = witt_ring(3, 2, N)
+        assert ring.budget <= 0
+        with pytest.raises(PrecisionError, match="precision budget exhausted"):
+            lattice_in_frame(ring, standard_lattice(ring), standard_lattice(ring))
 
 
 def test_lattice_scale_roundtrip():
