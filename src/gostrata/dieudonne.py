@@ -140,18 +140,18 @@ class DieudonnePoint:
     pairing is a ``Packed2``, the four packed ints of ``mat_pack`` with every
     slot reduced mod p^N, so ``==`` and ``hash`` compare points as elements
     of W_N; ``mat_unpack`` gives the coefficient tuples back.  V is derived
-    data, sigma^-1(p F^-1), which ``v_matrix`` forms on demand.  Built only
-    by ``make_point``."""
+    data, sigma^-1(p F^-1), which ``v_matrix`` forms on demand.  The prime
+    is the datum's one prime, which ``make_point`` requires, so the datum's
+    tables for all primes are the point's.  Built only by ``make_point``."""
 
     ring: WittRing
     datum: ShimuraDatum
-    prime_id: str
     f_mats: FrozenMap
     pairings: FrozenMap
     signature: FrozenMap
 
     def embeddings(self) -> tuple[EmbE, ...]:
-        return self.datum.places.embeddings(self.prime_id)
+        return self.datum.places.embeddings()
 
 
 def make_point(
@@ -241,7 +241,6 @@ def make_point(
     return DieudonnePoint(
         ring=ring,
         datum=datum,
-        prime_id=pid,
         f_mats=FrozenMap((emb, f_mats[emb]) for emb in embs),
         pairings=FrozenMap((emb, pairings[emb]) for emb in embs),
         signature=signature,
@@ -264,19 +263,29 @@ def v_matrix(pt: DieudonnePoint, emb: EmbE) -> Mat2:
     return mat_unpack(pt.ring, _packed_v(pt, emb))
 
 
-def _packed_essential_frobenius(pt: DieudonnePoint, emb: EmbE, n: int) -> Packed2:
-    """``essential_frobenius_matrix``, packed."""
-    if n < 1:
+def _essential_chain(pt: DieudonnePoint, emb: EmbE, ks: range, step, divided: int,
+                     twist: int) -> Packed2:
+    """The packed composite of the steps ``step(mu)`` at mu = sigma^-k(emb)
+    for k in ``ks``, each divided by p where the signature behind mu is
+    ``divided``, the product so far twisted by sigma^twist before each new
+    step multiplies it on the left.  An empty ``ks`` is n < 1."""
+    if not ks:
         raise DieudonneError("n must be at least 1")
     ring, system = pt.ring, pt.datum.places
     mat = None
-    for k in range(n - 1, -1, -1):
+    for k in ks:
         mu = frobenius_shift(system, emb, -k)
-        step = pt.f_mats[mu]
-        if pt.signature[frobenius_shift(system, mu, -1)] == 0:
-            step = packed_shift(ring, step, -1)
-        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, 1))
+        here = step(mu)
+        if pt.signature[frobenius_shift(system, mu, -1)] == divided:
+            here = packed_shift(ring, here, -1)
+        mat = here if mat is None else packed_mul(ring, here, packed_sigma(ring, mat, twist))
     return mat
+
+
+def _packed_essential_frobenius(pt: DieudonnePoint, emb: EmbE, n: int) -> Packed2:
+    """``essential_frobenius_matrix``, packed: the chain of F at k = n - 1,
+    ..., 0, divided where the signature behind is 0, twisted by sigma."""
+    return _essential_chain(pt, emb, range(n - 1, -1, -1), lambda mu: pt.f_mats[mu], 0, 1)
 
 
 def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
@@ -286,8 +295,9 @@ def essential_frobenius_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2:
     Each step into a component uses F when the signature behind it is 1 or 2,
     and V^{-1} = F / p when it is 0, where ``make_point`` has checked that F
     has divisors (1, 1), so p divides every slot of the packed F and the
-    division is exact slot by slot.  The chain stays packed: ``packed_sigma`` and
-    ``packed_mul`` at each step, one ``mat_unpack`` at the end.
+    division is exact slot by slot.  The chain is the one that
+    ``essential_verschiebung_matrix`` walks, with F in place of V; it stays
+    packed, with one ``mat_unpack`` at the end.
     """
     return mat_unpack(pt.ring, _packed_essential_frobenius(pt, emb, n))
 
@@ -298,19 +308,12 @@ def essential_verschiebung_matrix(pt: DieudonnePoint, emb: EmbE, n: int) -> Mat2
 
     Each step out of a component uses V when the signature behind it is 0 or 1,
     and F^{-1} = V / p when it is 2, where F is a unit, so the division is
-    exact.  The chain stays packed, with one ``mat_unpack`` at the end.
+    exact.  It is the chain of ``essential_frobenius_matrix`` at k = 0, ...,
+    n - 1, with V for F and sigma^-1 for sigma, packed, with one
+    ``mat_unpack`` at the end.
     """
-    if n < 1:
-        raise DieudonneError("n must be at least 1")
-    ring, system = pt.ring, pt.datum.places
-    mat = None
-    for k in range(n):
-        mu = frobenius_shift(system, emb, -k)
-        step = _packed_v(pt, mu)
-        if pt.signature[frobenius_shift(system, mu, -1)] == 2:
-            step = packed_shift(ring, step, -1)
-        mat = step if mat is None else packed_mul(ring, step, packed_sigma(ring, mat, ring.m - 1))
-    return mat_unpack(ring, mat)
+    chain = _essential_chain(pt, emb, range(n), lambda mu: _packed_v(pt, mu), 2, -1)
+    return mat_unpack(pt.ring, chain)
 
 
 def essential_frobenius_image(pt: DieudonnePoint, emb: EmbE, n: int, start: Lattice2) -> Lattice2:
@@ -381,13 +384,13 @@ def hasse_vanishes(pt: DieudonnePoint, emb: EmbE) -> bool:
 def _in_stratum(pt: DieudonnePoint, tau: ArchPlace) -> bool:
     """Whether ``tau`` is a free place of the point's prime and the partial
     Hasse invariant vanishes at its canonical lift."""
-    return tau in pt.datum.free_places(pt.prime_id) and hasse_vanishes(
+    return tau in pt.datum.free_places() and hasse_vanishes(
         pt, canonical_lift(pt.datum.places, tau)
     )
 
 
 def stratum_of_point(pt: DieudonnePoint) -> frozenset[ArchPlace]:
-    return frozenset(tau for tau in pt.datum.free_places(pt.prime_id) if _in_stratum(pt, tau))
+    return frozenset(tau for tau in pt.datum.free_places() if _in_stratum(pt, tau))
 
 
 # --- the isogeny chain, forward ----------------------------------------------
@@ -501,9 +504,12 @@ def _framed_f_mats(pt: DieudonnePoint, families, framed: dict) -> dict[EmbE, Pac
 
 def _check_colengths(outer, inner, ones, what: str) -> None:
     """Check that each lattice of the family ``inner`` has colength 1 in the
-    one of ``outer`` at the embeddings in ``ones``, and 0 at the others."""
-    for emb, lattice in outer.items():
-        if lattice_colength(lattice, inner[emb]) != int(emb in ones):
+    one of ``outer`` at the embeddings in ``ones``, in embedding order.  Off
+    ``ones`` both families hold the same lattice by construction, colength
+    0: each family is a copy of the one before it, changed only on the
+    embeddings of its delta set, so only those are checked."""
+    for emb in sorted(ones):
+        if lattice_colength(outer[emb], inner[emb]) != 1:
             raise DieudonneError(f"wrong {what} colength at {emb}")
 
 
@@ -520,7 +526,6 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
     """
     t = frozenset(t)
     ring, system, datum = pt.ring, pt.datum.places, pt.datum
-    pid = pt.prime_id
     missing = frozenset(tau for tau in t if not _in_stratum(pt, tau))
     if missing:
         raise DieudonneError(f"T is not inside the stratum of the point: {sorted(missing)}")
@@ -550,7 +555,7 @@ def build_isogeny_triple(pt: DieudonnePoint, t: frozenset[ArchPlace]) -> Isogeny
         for emb in lift.i_tilde_t
     }
     h_lines: dict[EmbE, Lattice2] = {}
-    if descriptor.case_at(pid) is CaseTag.A2:
+    if descriptor.case_at(_one_prime(datum)[0].id) is CaseTag.A2:
         for emb in delta.minus:
             h_lines[emb] = lattice_in_frame(ring, b_lat[emb], lattice_scale(c_lat[emb], 1))
 
@@ -587,7 +592,7 @@ def reconstruct_lattices(
     point's F.
     """
     ring, system = b_point.ring, b_point.datum.places
-    pid = b_point.prime_id
+    pid = _one_prime(b_point.datum)[0].id
     std = standard_lattice(ring)
 
     base = dict.fromkeys(b_point.embeddings(), std)

@@ -16,11 +16,12 @@ precomputed packed tables:
 - the reduction rows x^m, ..., x^(2m-2) modulo the modulus.  Slots m to
   2m - 2 of a product are folded back by m - 1 multiply-adds, each slot
   reduced mod p^N first, and then m slots are read off mod p^N;
-- per k, the images sigma^k(x^i) for i < m, built on first use.
-  ``frobenius`` is m multiply-adds against that table, for any k,
-  sigma^-1 = sigma^(m-1) included.  Each row is a reduced element, of
-  degree below m, so the sum holds nothing above slot m - 1: its m slots
-  are read off mod p^N with no fold.
+- per k, the images sigma^k(x^i) for i < m, built on first use from
+  sigma^k(x) = sigma^(k-1)(sigma(x)), which ``frobenius`` forms from the
+  table for k - 1.  ``frobenius`` is m multiply-adds against that table,
+  for any k, sigma^-1 = sigma^(m-1) included.  Each row is a reduced
+  element, of degree below m, so the sum holds nothing above slot m - 1:
+  its m slots are read off mod p^N with no fold.
 
 Every sum a slot ever holds is below 3 m p^(2N) < 2^k.  The matrix kernel
 works on packed operands, and a ``Packed2`` (the four entries of a matrix,
@@ -55,11 +56,13 @@ division, or a scaling by p^k with each slot reduced mod p^N.  p divides a
 packed int whenever it divides every slot, so for ``mat_val``, the least
 valuation of a packed matrix's slots, a nonzero x % p already shows a unit
 slot.  ``elementary_divisors`` and ``scaled_inverse`` take packed matrices
-too.  ``mat_mul`` and ``mat_det``
-pack their arguments and form the same sums, read off as tuples.  Packing
-reduces each coefficient mod p^N, so negated or otherwise unreduced
-operands are exact too.  There is one product path: every operand,
-constant or not, is packed the same way.  Two exits skip work on constants,
+too.  The tuple kernel reads the packed one off: ``mat_mul`` is
+``packed_mul`` of its packed arguments and ``mat_det`` is ``packed_det``,
+read off as tuples.  Packing reduces each coefficient mod p^N, so negated
+or otherwise unreduced operands are exact too.  There is one product path:
+every operand, constant or not, is packed the same way.  A sigma of a
+packed operand is ``packed_sigma``; ``frobenius`` serves the table build
+and the tuple ``mat_sigma``.  Two exits skip work on constants,
 elements of W_N(F_p): a packed sum with nothing above slot 0 is read off as
 slot 0 mod p^N without the fold, and ``frobenius`` and ``packed_sigma``
 return a constant as it is, since sigma fixes W_N(F_p).  Every op returns
@@ -76,7 +79,7 @@ through ``mat_mul``.  The three frame helpers take a packed matrix and
 return one, each from the coordinates in two packed products by c, each
 folded once, plus scalings by p^a and p^b, each slot reduced mod p^N:
 ``mat_times_sigma_basis`` is a matrix times sigma^n(basis), since sigma^n
-fixes p^a and p^b and only c moves (one sigma more, packed with c);
+fixes p^a and p^b and only c moves (c packed, then one ``packed_sigma``);
 ``frame_times`` is p^(a+b) basis^-1 = adj(basis) = [[p^b, 0], [-c, p^a]]
 times a matrix, -c packed as a negation; and ``basis_transpose_times`` is
 basis^T times a matrix.  Every result is reduced, as the tuple products were,
@@ -91,10 +94,11 @@ its entries, with no unit inverse and no ``lattice_normalize``.  The index
 valuation is 2 shift + a + b, capped at N.  Once a + b >= N (possible for
 N >= 10) det(basis) is zero mod p^N, and ``frame_times``, ``lattice_contains``
 and ``lattice_in_frame`` raise ``PrecisionError`` on that frame.
-A lattice contains itself, and its ``lattice_colength`` in itself is 0,
-with no frame, whatever its a + b; in its own frame it is the standard
-lattice, returned with no product once a + b < N and the budget is
-positive, which is what the product gives there.
+A lattice contains itself, with no frame, whatever its a + b, so its
+``lattice_colength`` in itself is 0 from that one answer; in its own frame
+it is the standard lattice D, returned with no product once a + b < N and
+the budget is positive, which is what the product gives there.  Each ring
+builds its D once, with its tables, and ``standard_lattice`` returns it.
 ``lattice_dual`` spans the columns of the adjugate of basis^T pairing^T,
 which is p^d times its inverse up to a unit, so it inverts no unit either;
 it takes a packed pairing and unpacks basis^T pairing^T once, for those
@@ -296,6 +300,7 @@ class WittRing:
     _reduce: tuple = field(init=False, repr=False, compare=False)
     _zeros: tuple = field(init=False, repr=False, compare=False)
     _sigma: dict = field(init=False, repr=False, compare=False)
+    _standard: Lattice2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m, pn = self.m, self.p**self.N
@@ -320,6 +325,7 @@ class WittRing:
         object.__setattr__(self, "_reduce", packed)
         object.__setattr__(self, "_zeros", (0,) * (m - 1))
         object.__setattr__(self, "_sigma", {})
+        object.__setattr__(self, "_standard", Lattice2(self, 0, 0, 0, self.zero()))
 
     def _pack(self, a) -> int:
         """One int with coefficient i, reduced mod p^N, in slot i."""
@@ -354,10 +360,7 @@ class WittRing:
         """The packed images sigma^k(x^i) for i < m, for 0 < k < m."""
         table = self._sigma.get(k)
         if table is None:
-            image = self.frob_image  # sigma^k(x) = sigma^(k-1)(sigma(x))
-            if k > 1:
-                rows = self._sigma_table(k - 1)
-                image = self._unpack(sum([c * row for c, row in zip(image, rows)]))
+            image = frobenius(self, self.frob_image, k - 1)  # sigma^k(x) = sigma^(k-1)(sigma(x))
             powers = [self.one()]
             for _ in range(self.m - 1):
                 powers.append(self.mul(powers[-1], image))
@@ -561,18 +564,12 @@ def packed_adjugate(ring: WittRing, a: Packed2) -> Packed2:
     return w, ring._pn_packed - y, ring._pn_packed - z, x
 
 
-def _products(a: Packed2, b: Packed2) -> tuple[int, int, int, int]:
-    """The entries of the product of two packed matrices, row-major, each one
-    unreduced two-term sum of packed products."""
-    x0, x1, y0, y1 = a
-    b00, b01, b10, b11 = b
-    return x0 * b00 + x1 * b10, x0 * b01 + x1 * b11, y0 * b00 + y1 * b10, y0 * b01 + y1 * b11
-
-
 def packed_mul(ring: WittRing, a: Packed2, b: Packed2, q: int | None = None) -> Packed2:
     """The product of two packed matrices, packed: each entry one two-term
     sum of packed products, through ``packed_fold`` mod q (default p^N)."""
-    return tuple([packed_fold(ring, x, q) for x in _products(a, b)])
+    (x0, x1, y0, y1), (b00, b01, b10, b11) = a, b
+    return (packed_fold(ring, x0 * b00 + x1 * b10, q), packed_fold(ring, x0 * b01 + x1 * b11, q),
+            packed_fold(ring, y0 * b00 + y1 * b10, q), packed_fold(ring, y0 * b01 + y1 * b11, q))
 
 
 def packed_scale(ring: WittRing, e: WElem, a: Packed2, q: int | None = None) -> Packed2:
@@ -625,9 +622,8 @@ def packed_det(ring: WittRing, a: Packed2) -> WElem:
 
 
 def mat_mul(ring: WittRing, a: Mat2, b: Mat2) -> Mat2:
-    unpack = ring._unpack
-    x, y, z, w = _products(mat_pack(ring, a), mat_pack(ring, b))
-    return (unpack(x), unpack(y)), (unpack(z), unpack(w))
+    """``packed_mul`` of the packed arguments, read off as tuples."""
+    return mat_unpack(ring, packed_mul(ring, mat_pack(ring, a), mat_pack(ring, b)))
 
 
 def mat_smul(ring: WittRing, k: int, a: Mat2) -> Mat2:
@@ -694,7 +690,8 @@ class Lattice2:
     """p^shift times the column span of [[p^a, 0], [c, p^b]] inside the standard
     module, with c reduced mod p^b: one tuple per lattice, so ``==`` and
     ``hash`` are lattice equality.  Built only by ``lattice_normalize``,
-    ``standard_lattice``, ``lattice_scale`` and ``lattice_in_frame``."""
+    ``lattice_scale``, ``lattice_in_frame`` and the ring, which builds its
+    standard lattice D once, for ``standard_lattice`` to return."""
 
     ring: WittRing
     shift: int
@@ -708,7 +705,8 @@ class Lattice2:
 
 
 def standard_lattice(ring: WittRing) -> Lattice2:
-    return Lattice2(ring, 0, 0, 0, ring.zero())
+    """D, the standard lattice: one per ring, built with it."""
+    return ring._standard
 
 
 def lattice_normalize(ring: WittRing, shift: int, cols: list) -> Lattice2:
@@ -813,7 +811,7 @@ def mat_times_sigma_basis(ring: WittRing, mat: Packed2, l: Lattice2, n: int) -> 
     p^a and p^b, so the product is [p^a M[:,0] + sigma^n(c) M[:,1], p^b M[:,1]]:
     one sigma and two products, none of either when c = 0."""
     (x0, y0, x1, y1), pa, pb = mat, ring.p**l.a, ring.p**l.b
-    c = any(l.c) and ring._pack(frobenius(ring, l.c, n))
+    c = any(l.c) and packed_sigma(ring, (ring._pack(l.c),), n)[0]
     return (_plus_c(ring, pa, c, x0, y0), _scaled(ring, y0, pb),
             _plus_c(ring, pa, c, x1, y1), _scaled(ring, y1, pb))
 
@@ -868,9 +866,7 @@ def lattice_in_frame(ring: WittRing, frame: Lattice2, lattice: Lattice2) -> Latt
 
 def lattice_colength(outer: Lattice2, inner: Lattice2) -> int:
     """The colength of ``inner`` in ``outer``, which must contain it: 0 for
-    a lattice in itself, with no frame, since a lattice contains itself."""
-    if outer == inner:
-        return 0
+    a lattice in itself, which ``lattice_contains`` answers with no frame."""
     if not lattice_contains(outer, inner):
         raise WittError("lattice is not contained in the claimed overlattice")
     return lattice_index_val(inner) - lattice_index_val(outer)

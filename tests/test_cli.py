@@ -281,7 +281,7 @@ def test_dieudonne_roundtrip_report() -> None:
         "25",
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "25/25 roundtrips exact"
+    assert proc.stdout.strip() == "5 roundtrips exact over 25 points"
 
 
 def test_dieudonne_twist_report() -> None:
@@ -299,7 +299,42 @@ def test_dieudonne_twist_report() -> None:
         "5",
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "5/5 twists consistent"
+    assert proc.stdout.strip() == "5/5 twists consistent, 0 nonempty strata"
+
+
+def test_dieudonne_reports_the_checks_it_made(monkeypatch, capsys) -> None:
+    """The --roundtrip line counts the verify_roundtrip calls made, not the
+    points drawn, and the --twist line counts the points whose stratum is
+    nonempty: each trial reads the stratum of a point and of its twist, and
+    a consistent twist has a nonempty stratum exactly when its point does."""
+    from gostrata import cli, dieudonne
+
+    calls, strata = [], []
+    verify, stratum_of = dieudonne.verify_roundtrip, dieudonne.stratum_of_point
+
+    def counted_verify(pt, t):
+        calls.append(t)
+        return verify(pt, t)
+
+    def recorded_stratum(pt):
+        strata.append(stratum_of(pt))
+        return strata[-1]
+
+    monkeypatch.setattr(dieudonne, "verify_roundtrip", counted_verify)
+    monkeypatch.setattr(dieudonne, "stratum_of_point", recorded_stratum)
+    made = 0
+    for p in ("2", "3", "5"):
+        for f in ("2", "3", "4"):
+            argv = ["dieudonne", "--seed", "1", "--p", p, "--f", f, "--trials", "12"]
+            calls.clear()
+            assert cli.main([*argv, "--roundtrip"]) == 0
+            assert capsys.readouterr().out == f"{len(calls)} roundtrips exact over 12 points\n"
+            made += len(calls)
+            strata.clear()
+            assert cli.main([*argv, "--twist"]) == 0
+            nonempty = sum(map(bool, strata)) // 2
+            assert capsys.readouterr().out == f"12/12 twists consistent, {nonempty} nonempty strata\n"
+    assert made > 0
 
 
 def test_selftest_passes() -> None:

@@ -1125,6 +1125,91 @@ def test_roundtrip_hashes_no_lattice(monkeypatch):
     assert {CaseTag.A1, CaseTag.A2, CaseTag.B1, CaseTag.B2} <= cases
 
 
+RANDOM_DELTA_SHAPES = [  # (p, f, split, S_infty indices), random points with nonempty strata
+    (2, 2, True, ()), (2, 3, False, ()), (3, 2, False, ()), (3, 3, True, (0,)), (5, 2, True, ()),
+]
+
+
+def _points_with_nonempty_strata():
+    """Template points, every free place vanishing, at p in {2, 3, 5} over
+    ``HASH_SHAPES``, and seeded random points whose stratum is nonempty over
+    ``RANDOM_DELTA_SHAPES``: (datum, point) pairs."""
+    for p, (f, split, s_indices) in itertools.product((2, 3, 5), HASH_SHAPES):
+        datum = _datum(f, split, s_indices)
+        yield datum, _template_point(datum, {k for k in range(f) if k not in s_indices}, p)[1]
+    for p, f, split, s_indices in RANDOM_DELTA_SHAPES:
+        datum = _datum(f, split, s_indices)
+        ring, rng, found = ring_for_datum(datum, p), random.Random(3300 + 10 * p + f), 0
+        while found < 2:
+            pt = random_point(rng, ring, datum)
+            if stratum_of_point(pt):
+                found += 1
+                yield datum, pt
+
+
+def test_families_agree_off_their_delta_sets():
+    """Each family is a copy of the one before it, changed only on its delta
+    set: forward, c is a off the plus set and b is c off the minus set;
+    rebuilt, m is D off the minus set and l is m off the plus set.  So
+    ``_check_colengths`` reads colength 1 on the delta set alone.  Over
+    every T in the stratum of template and random points, split and inert,
+    S_infty empty and not, with A1, A2, B1 and B2 targets among them."""
+    cases, changed = set(), 0
+    for datum, pt in _points_with_nonempty_strata():
+        std = standard_lattice(pt.ring)
+        stratum = sorted(stratum_of_point(pt))
+        for size in range(1, len(stratum) + 1):
+            for t in map(frozenset, itertools.combinations(stratum, size)):
+                try:
+                    triple = build_isogeny_triple(pt, t)
+                except strata.StratumError:  # the documented refusal of a split B2 target
+                    continue
+                plus, minus = triple.delta.plus, triple.delta.minus
+                m, l, _ = reconstruct_lattices(*_lattice_args(triple))
+                for emb in pt.embeddings():
+                    if emb not in plus:
+                        assert triple.c[emb] == triple.a[emb] and l[emb] == m[emb]
+                    if emb not in minus:
+                        assert triple.b[emb] == triple.c[emb] and m[emb] == std
+                for emb in plus:
+                    assert lattice_colength(triple.c[emb], triple.a[emb]) == 1
+                    assert lattice_colength(m[emb], l[emb]) == 1
+                for emb in minus:
+                    assert lattice_colength(triple.c[emb], triple.b[emb]) == 1
+                    assert lattice_colength(m[emb], std) == 1
+                changed += len(plus) + len(minus)
+                cases.add(triple.descriptor.case_at("p1"))
+    assert {CaseTag.A1, CaseTag.A2, CaseTag.B1, CaseTag.B2} <= cases and changed
+
+
+def test_colength_check_raises_at_the_first_delta_embedding_it_fails():
+    """``_check_colengths`` raises "wrong ... colength at" the first
+    embedding of its delta set, in embedding order, whose inner lattice has
+    colength 0 (the outer lattice itself) or 2 (p times it) there."""
+    datum = _datum(4, False)
+    _, pt = _template_point(datum, {0, 1, 2, 3})
+    triple = build_isogeny_triple(pt, frozenset({ArchPlace("p1", 0), ArchPlace("p1", 2)}))
+    outer = triple.c
+    for family, ones, what in ((triple.a, triple.delta.plus, "a-in-c"),
+                               (triple.b, triple.delta.minus, "b-in-c")):
+        first, second = sorted(ones)
+        dieudonne._check_colengths(outer, family, ones, what)
+        for bad in ([second], [first, second], [second, first]):
+            for scale in (0, 1):  # colength 0 and 2
+                inner = dict(family)
+                inner.update((emb, lattice_scale(outer[emb], scale)) for emb in bad)
+                with pytest.raises(DieudonneError) as info:
+                    dieudonne._check_colengths(outer, inner, ones, what)
+                assert str(info.value) == f"wrong {what} colength at {min(bad)}"
+
+
+def test_a_point_holds_no_prime_of_its_own():
+    """A point's prime is its datum's one prime, so the point stores none."""
+    assert [field.name for field in dataclasses.fields(dieudonne.DieudonnePoint)] == [
+        "ring", "datum", "f_mats", "pairings", "signature"
+    ]
+
+
 @pytest.mark.parametrize("f, split, s_indices", [(2, True, ()), (3, False, (1,)), (4, True, (0,))])
 def test_empty_roundtrip_frames_nothing(monkeypatch, f, split, s_indices):
     """For T = empty every family is D, a lattice in its own frame is D and

@@ -5,8 +5,8 @@ in ``src/``, every named parameter is read in the body of its function,
 every exception class derives from ``GostrataError``, every ``Enum`` member is
 read by name, every defaulted parameter of a private function is passed by
 some call, every private attribute read on another object is defined in
-the reading module, a point is built only by ``make_point``, nothing
-calls ``dataclasses.replace``, no product or sigma image is packed
+the reading module, a point is built only by ``make_point``, a lattice
+only by its builders, nothing calls ``dataclasses.replace``, no product or sigma image is packed
 again by ``mat_pack``, and ``dieudonne`` unpacks a matrix only at its
 output boundary.
 """
@@ -280,7 +280,7 @@ def test_the_private_attribute_lint_sees_a_foreign_read():
 DOORS = {"DieudonnePoint": {"make_point"}, "replace": set(), "dataclasses.replace": set()}
 
 # the names a door also sees through a module prefix, as dieudonne.DieudonnePoint
-PREFIXED = {"DieudonnePoint", "mat_unpack"}
+PREFIXED = {"DieudonnePoint", "Lattice2", "mat_unpack"}
 
 
 def _calls_outside_their_door(trees: dict[str, ast.Module], doors: dict = DOORS) -> list[str]:
@@ -326,6 +326,34 @@ def test_the_door_lint_sees_a_foreign_construction():
         "walk.py:7 dataclasses.replace() in twist",
         "walk.py:10 replace() in inner",
         "walk.py:12 dataclasses.replace() in None",
+    ]
+
+
+# the functions that may build a lattice: the Hermite form of generators,
+# a scaling, a rewrite in a frame, and the ring's D, built once with the ring
+# (``WittRing.__post_init__``) and returned by ``standard_lattice``
+LATTICE_DOORS = {"Lattice2": {"lattice_normalize", "lattice_scale", "lattice_in_frame", "__post_init__"}}
+
+
+def test_a_lattice_is_built_only_by_its_builders():
+    """``Lattice2`` holds Hermite coordinates, so ``==`` is lattice equality
+    only for a lattice that one of its builders put in that form."""
+    found = _calls_outside_their_door(TREES, LATTICE_DOORS)
+    assert not found, found
+
+
+def test_the_lattice_door_lint_sees_a_foreign_construction():
+    source = ast.parse(
+        "def lattice_scale(l, k):\n    return Lattice2(l.ring, l.shift + k, l.a, l.b, l.c)\n"
+        "def standard_lattice(ring):\n    return Lattice2(ring, 0, 0, 0, ring.zero())\n"
+        "def _frame_point(pt):\n    return witt.Lattice2(pt.ring, 0, 1, 0, ring.zero())\n"
+        "class WittRing:\n    def __post_init__(self):\n        self.d = Lattice2(self, 0, 0, 0, ())\n"
+        "UNIT = Lattice2(RING, 0, 0, 0, ())\n"
+    )
+    assert _calls_outside_their_door({"witt.py": source}, LATTICE_DOORS) == [
+        "witt.py:4 Lattice2() in standard_lattice",
+        "witt.py:6 Lattice2() in _frame_point",
+        "witt.py:10 Lattice2() in None",
     ]
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from gostrata.dieudonne import lattice_in_frame
 from gostrata import dieudonne, witt
+from gostrata.places import build_place_system, make_datum
 from gostrata.witt import (
     NOT_SPLIT,
     DieudonneError,
@@ -200,6 +203,34 @@ def test_isprime_by_trial_division():
 
 def test_witt_ring_is_memoized():
     assert witt_ring(3, 4, 8) is witt_ring(3, 4, 8)
+
+
+def test_a_ring_holds_one_standard_lattice_outside_its_identity():
+    """D is built with its ring, one object per ring, and is left out of the
+    ring's ``==``, ``hash`` and ``repr``: a ring built again from the same
+    fields is equal, hashes the same and holds an equal D of its own.  A
+    deep copy or an unpickled ring, and a point over one, compare equal to
+    the original, and the copy's D lies over the copy."""
+    for p, m, N in ((2, 3, 8), (3, 2, 8), (5, 1, 6)):
+        ring = witt_ring(p, m, N)
+        std = standard_lattice(ring)
+        assert std is standard_lattice(ring) and std == Lattice2(ring, 0, 0, 0, ring.zero())
+        fields = (ring.p, ring.m, ring.N, ring.modulus, ring.frob_image)
+        twin = witt.WittRing(*fields)
+        assert twin == ring and hash(twin) == hash(ring) == hash(fields)
+        assert standard_lattice(twin) is not std and standard_lattice(twin) == std
+        assert repr(ring) == (
+            f"WittRing(p={p}, m={m}, N={N}, modulus={ring.modulus!r}, frob_image={ring.frob_image!r})"
+        )
+        for again in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+            assert again == ring and hash(again) == hash(ring) and repr(again) == repr(ring)
+            assert standard_lattice(again).ring is again and standard_lattice(again) == std
+    datum = make_datum(build_place_system([(2, True)]))
+    pt = dieudonne.random_point(random.Random(5), dieudonne.ring_for_datum(datum, 3), datum)
+    for again in (copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
+        assert again == pt and hash(again) == hash(pt)
+        assert dieudonne.point_to_json(again) == dieudonne.point_to_json(pt)
+        assert dieudonne.stratum_of_point(again) == dieudonne.stratum_of_point(pt)
 
 
 def test_parameter_validation():
